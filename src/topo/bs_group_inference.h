@@ -3,6 +3,17 @@
 // handover graph by a greedy algorithm that maximizes intra-group handover
 // weight: repeatedly remove the lowest-weight edge and freeze every
 // connected component that has shrunk to <= max_group_size stations.
+//
+// The greedy is computed as single-linkage clustering: a union-find adds
+// the edges in reverse deletion order, O(E log E) instead of one
+// connected-components pass per deleted edge. The output is identical,
+// group for group and in order. The greedy freezes a component exactly
+// when it deletes the edge that joins it to its sibling in the clustering
+// tree, so a merge at edge j that exceeds the bound yields the sides that
+// fit, frozen at step j; whole components that fit freeze up front. The
+// greedy's component search visits frozen components in order of their
+// smallest station, so sorting by (step, smallest member) restores its
+// order. Both walk the same weight-sorted edge list, so ties agree too.
 #pragma once
 
 #include <vector>

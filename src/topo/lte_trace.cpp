@@ -194,17 +194,18 @@ LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& 
   }
 
   // --- 5. Aggregate load per group --------------------------------------------
-  for (std::size_t g = 0; g < n_groups; ++g) trace.group_load[trace.groups[g]] = 0;
+  // Summed densely by group index, in bin order, then stored once. Keep the
+  // order: float sums depend on it, and group_load feeds region partitioning.
+  std::vector<double> load(n_groups, 0.0);
   for (const TraceBin& bin : trace.bins) {
-    for (std::size_t g = 0; g < n_groups; ++g) {
-      trace.group_load[trace.groups[g]] +=
-          static_cast<double>(bin.bearer_arrivals[g]) + bin.ue_arrivals[g];
-    }
+    for (std::size_t g = 0; g < n_groups; ++g)
+      load[g] += static_cast<double>(bin.bearer_arrivals[g]) + bin.ue_arrivals[g];
     for (const auto& [a, b, count] : bin.handovers) {
-      trace.group_load[trace.groups[a]] += count;
-      trace.group_load[trace.groups[b]] += count;
+      load[a] += count;
+      load[b] += count;
     }
   }
+  for (std::size_t g = 0; g < n_groups; ++g) trace.group_load[trace.groups[g]] = load[g];
   return trace;
 }
 

@@ -65,7 +65,6 @@ TraceDriverReport TraceDriver::replay(std::size_t first_minute, std::size_t coun
       std::uint64_t n = scaled(bin.bearer_arrivals[g]);
       if (n == 0) continue;
       ensure_attached(g);
-      report.attaches = std::max<std::uint64_t>(report.attaches, 0);
       auto& mobility = scenario_.apps->leaf_mobility_of_group(trace.groups[g]);
       for (std::uint64_t k = 0; k < n; ++k) {
         GroupState& state = groups_[g];

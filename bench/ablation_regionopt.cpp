@@ -83,8 +83,8 @@ void eastwest_load() {
     // sim_queue_wait_us histogram the JSON export carries.
     sim::TimePoint done = clock;
     for (std::uint64_t m = 0; m < messages; ++m) done = station.submit(clock);
-    tracer.span(clock, done, name, mp.root().level(), "root",
-                std::to_string(messages) + " messages");
+    tracer.span_under(tracer.current(), clock, done, name, mp.root().level(), "root",
+                      obs::SpanKind::kOperation, std::to_string(messages) + " messages");
     clock = done;
     phase_start = southbound_total();
     return messages;

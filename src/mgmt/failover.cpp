@@ -54,7 +54,8 @@ void HotStandby::sync(sim::TimePoint at) {
   checkpoints_metric_->inc();
   bytes_metric_->inc(last_sync_bytes_);
   sync_us_metric_->observe(us);
-  obs::default_tracer().event(at, "failover.checkpoint", level_, name_);
+  obs::Tracer& tracer = obs::default_tracer();
+  tracer.event_under(tracer.current(), at, "failover.checkpoint", level_, name_);
 }
 
 std::unique_ptr<reca::Controller> HotStandby::promote(

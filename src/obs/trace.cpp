@@ -40,22 +40,11 @@ void Tracer::push_event(TraceEvent ev) {
   }
 }
 
-void Tracer::event(sim::TimePoint at, std::string name, int level, std::string scope,
-                   std::string detail) {
-  event_under(current(), at, std::move(name), level, std::move(scope), std::move(detail));
-}
-
 void Tracer::event_under(TraceContext parent, sim::TimePoint at, std::string name, int level,
                          std::string scope, std::string detail) {
   TraceEvent ev{at,     std::move(name),  level,          std::move(scope),
                 std::move(detail), parent.trace_id, parent.span_id};
   push_event(std::move(ev));
-}
-
-void Tracer::span(sim::TimePoint begin, sim::TimePoint end, std::string name, int level,
-                  std::string scope, std::string detail) {
-  (void)span_under(current(), begin, end, std::move(name), level, std::move(scope),
-                   SpanKind::kOperation, std::move(detail));
 }
 
 TraceContext Tracer::span_under(TraceContext parent, sim::TimePoint begin, sim::TimePoint end,

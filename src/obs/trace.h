@@ -91,16 +91,6 @@ class Tracer {
   /// Drop counters register in `registry` (default: the process registry).
   explicit Tracer(MetricsRegistry* registry = nullptr);
 
-  // --- flat recording (legacy call sites) -----------------------------------
-  /// Records a point event. Attaches under the ambient context when one is
-  /// in flight, otherwise stands alone.
-  void event(sim::TimePoint at, std::string name, int level = 0, std::string scope = {},
-             std::string detail = {});
-  /// Records a completed span under the ambient context (a fresh root trace
-  /// when none is in flight).
-  void span(sim::TimePoint begin, sim::TimePoint end, std::string name, int level = 0,
-            std::string scope = {}, std::string detail = {});
-
   // --- causal recording -----------------------------------------------------
   /// Opens a span under `parent` (pass current() or {} for a fresh root
   /// trace) and returns its context, for propagation and for close_span().
@@ -143,32 +133,6 @@ class Tracer {
    private:
     Tracer* tracer_;
   };
-
-  /// RAII helper: records a span from `begin` to the time passed to close().
-  class PendingSpan {
-   public:
-    PendingSpan(Tracer* tracer, sim::TimePoint begin, std::string name, int level,
-                std::string scope)
-        : tracer_(tracer), begin_(begin), name_(std::move(name)), level_(level),
-          scope_(std::move(scope)) {}
-    void close(sim::TimePoint end, std::string detail = {}) {
-      if (tracer_ != nullptr)
-        tracer_->span(begin_, end, std::move(name_), level_, std::move(scope_),
-                      std::move(detail));
-      tracer_ = nullptr;
-    }
-
-   private:
-    Tracer* tracer_;
-    sim::TimePoint begin_;
-    std::string name_;
-    int level_;
-    std::string scope_;
-  };
-  [[nodiscard]] PendingSpan begin_span(sim::TimePoint begin, std::string name, int level = 0,
-                                       std::string scope = {}) {
-    return PendingSpan(this, begin, std::move(name), level, std::move(scope));
-  }
 
   // --- access ---------------------------------------------------------------
   [[nodiscard]] const std::deque<TraceEvent>& events() const { return events_; }

@@ -25,7 +25,7 @@ RecAAgent::RecAAgent(Services services, LabelMode mode) : s_(services), mode_(mo
 void RecAAgent::connect_to_parent(southbound::Channel* ch) {
   parent_ = ch;
   ch->bind_device([this](const Message& m) { handle_from_parent(m); });
-  ch->send_to_controller(southbound::Hello{s_.abstraction->gswitch_id()});
+  ch->send_to_controller({southbound::Hello{s_.abstraction->gswitch_id()}});
   announce();
 }
 
@@ -44,23 +44,23 @@ void RecAAgent::announce() {
       // Scope the withdrawal to our own G-switch so it cannot clobber a
       // re-announcement by the G-BS's new region (§5.3.2 reconfiguration).
       withdraw.attached_switch = s_.abstraction->gswitch_id();
-      parent_->send_to_controller(withdraw);
+      parent_->send_to_controller({std::move(withdraw)});
     }
   }
   announced_gbs_ = current;
 
-  for (const GBsAnnounce& g : s_.abstraction->exposed_gbs()) parent_->send_to_controller(g);
+  for (const GBsAnnounce& g : s_.abstraction->exposed_gbs()) parent_->send_to_controller({g});
   for (const GMiddleboxAnnounce& m : s_.abstraction->exposed_gmbs())
-    parent_->send_to_controller(m);
+    parent_->send_to_controller({m});
 
   VFabricUpdate update;
   update.sw = s_.abstraction->gswitch_id();
   update.entries = s_.abstraction->features().vfabric;
-  parent_->send_to_controller(update);
+  parent_->send_to_controller({update});
 
   // Unsolicited FeaturesReply keeps the parent's port list fresh after
   // reconfiguration (the parent prunes links on withdrawn ports).
-  parent_->send_to_controller(s_.abstraction->features());
+  parent_->send_to_controller({s_.abstraction->features()});
 
   announced_bandwidth_.clear();
   for (const southbound::VFabricEntry& e : update.entries)
@@ -88,7 +88,7 @@ void RecAAgent::maybe_announce_vfabric() {
   VFabricUpdate update;
   update.sw = s_.abstraction->gswitch_id();
   update.entries = entries;
-  parent_->send_to_controller(update);
+  parent_->send_to_controller({std::move(update)});
   ++vfabric_updates_sent_;
   announced_bandwidth_.clear();
   for (const southbound::VFabricEntry& e : entries)
@@ -100,7 +100,7 @@ void RecAAgent::handle_from_parent(const Message& msg) {
     s_.abstraction->refresh();
     FeaturesReply reply = s_.abstraction->features();
     reply.xid = req->xid;
-    parent_->send_to_controller(reply);
+    parent_->send_to_controller({std::move(reply)});
     return;
   }
   if (const auto* mod = std::get_if<FlowMod>(&msg)) {
@@ -148,15 +148,15 @@ void RecAAgent::handle_from_parent(const Message& msg) {
     return;
   }
   if (const auto* role = std::get_if<southbound::RoleRequest>(&msg)) {
-    parent_->send_to_controller(southbound::RoleReply{role->xid, role->sw, true});
+    parent_->send_to_controller({southbound::RoleReply{role->xid, role->sw, true}});
     return;
   }
   if (const auto* barrier = std::get_if<southbound::BarrierRequest>(&msg)) {
-    parent_->send_to_controller(southbound::BarrierReply{barrier->xid});
+    parent_->send_to_controller({southbound::BarrierReply{barrier->xid}});
     return;
   }
   if (const auto* echo = std::get_if<southbound::EchoRequest>(&msg)) {
-    parent_->send_to_controller(southbound::EchoReply{echo->xid});
+    parent_->send_to_controller({southbound::EchoReply{echo->xid}});
     return;
   }
   SOFTMOW_LOG(LogLevel::kDebug, "reca")
@@ -208,7 +208,7 @@ void RecAAgent::forward_discovery_up(Endpoint local_at, DiscoveryPayload payload
   in.sw = s_.abstraction->gswitch_id();
   in.in_port = *exposed;
   in.body = std::move(payload);
-  parent_->send_to_controller(in);
+  parent_->send_to_controller({std::move(in)});
 }
 
 void RecAAgent::translate_flow_mod(const FlowMod& mod) {
@@ -354,21 +354,21 @@ std::uint64_t RecAAgent::delegate(AppMessage msg,
   if (!msg.ctx.valid()) msg.ctx = obs::default_tracer().current();
   if (on_response) pending_[msg.request_id] = std::move(on_response);
   ++stats_.app_up;
-  if (parent_ != nullptr) parent_->send_to_controller(msg);
+  if (parent_ != nullptr) parent_->send_to_controller({msg});
   return msg.request_id;
 }
 
 void RecAAgent::send_up(AppMessage msg) {
   ++stats_.app_up;
   if (!msg.ctx.valid()) msg.ctx = obs::default_tracer().current();
-  if (parent_ != nullptr) parent_->send_to_controller(msg);
+  if (parent_ != nullptr) parent_->send_to_controller({std::move(msg)});
 }
 
 void RecAAgent::respond_up(std::uint64_t request_id, AppMessage response) {
   response.request_id = request_id;
   response.is_response = true;
   if (!response.ctx.valid()) response.ctx = obs::default_tracer().current();
-  if (parent_ != nullptr) parent_->send_to_controller(response);
+  if (parent_ != nullptr) parent_->send_to_controller({std::move(response)});
 }
 
 void RecAAgent::register_app_handler(

@@ -38,7 +38,7 @@ Controller::Controller(ControllerId id, int level, std::string name, LabelMode l
 
 void Controller::adopt_physical_switch(southbound::Hub& hub, SwitchId sw,
                                        dataplane::ControllerRole role) {
-  auto channel = std::make_unique<Channel>(&hub.counter());
+  auto channel = std::make_unique<Channel>();
   Channel* ch = channel.get();
   owned_channels_.push_back(std::move(channel));
   ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });
@@ -47,7 +47,7 @@ void Controller::adopt_physical_switch(southbound::Hub& hub, SwitchId sw,
 }
 
 void Controller::adopt_physical_switch_standby(southbound::Hub& hub, SwitchId sw) {
-  auto channel = std::make_unique<Channel>(&hub.counter());
+  auto channel = std::make_unique<Channel>();
   Channel* ch = channel.get();
   owned_channels_.push_back(std::move(channel));
   ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });
@@ -94,7 +94,7 @@ Result<void> Controller::send(SwitchId sw, const Message& msg) {
   auto it = device_channels_.find(sw);
   if (it == device_channels_.end())
     return {ErrorCode::kNotFound, name_ + " has no device " + sw.str()};
-  it->second->send_to_device(msg);
+  it->second->send_to_device({msg});
   return Ok();
 }
 
@@ -105,7 +105,7 @@ Result<void> Controller::send_batch(SwitchId sw, std::span<const Message> batch)
     return {ErrorCode::kNotFound, name_ + " has no device " + sw.str()};
   if (reliable_)
     return send_reliable(sw, it->second, std::vector<Message>(batch.begin(), batch.end()));
-  it->second->send_to_device_batch(std::vector<Message>(batch.begin(), batch.end()));
+  it->second->send_to_device(std::vector<Message>(batch.begin(), batch.end()));
   return Ok();
 }
 
@@ -117,10 +117,6 @@ void Controller::set_reliable_delivery(bool on, RetryPolicy policy) {
   if (!on) pending_acks_.clear();
 }
 
-bool Controller::engine_event_context() const {
-  return engine_ != nullptr && engine_->running() && sim::ShardedSimulator::in_shard_event();
-}
-
 Result<void> Controller::send_reliable(SwitchId sw, southbound::Channel* ch,
                                        std::vector<Message> msgs) {
   // Namespaced xid: high word is the controller, so the switch's broadcast
@@ -129,9 +125,9 @@ Result<void> Controller::send_reliable(SwitchId sw, southbound::Channel* ch,
   msgs.push_back(southbound::BarrierRequest{Xid{xid}});
   pending_acks_.emplace(
       xid, PendingAck{sw, std::move(msgs), 1, retry_policy_.base_timeout});
-  if (engine_event_context()) {
+  if (sim::ShardedSimulator::engine_active(engine_)) {
     auto p = pending_acks_.find(xid);
-    ch->send_to_device_batch(std::vector<Message>(p->second.batch));
+    ch->send_to_device(std::vector<Message>(p->second.batch));
     arm_retry_timer(xid);
     return Ok();
   }
@@ -140,7 +136,7 @@ Result<void> Controller::send_reliable(SwitchId sw, southbound::Channel* ch,
   for (int attempt = 1;; ++attempt) {
     auto p = pending_acks_.find(xid);
     if (p == pending_acks_.end()) return Ok();  // acked
-    ch->send_to_device_batch(std::vector<Message>(p->second.batch));
+    ch->send_to_device(std::vector<Message>(p->second.batch));
     if (pending_acks_.find(xid) == pending_acks_.end()) return Ok();
     if (attempt >= retry_policy_.max_attempts) {
       pending_acks_.erase(xid);
@@ -172,7 +168,7 @@ void Controller::arm_retry_timer(std::uint64_t xid) {
         std::min(p->second.timeout * retry_policy_.backoff, retry_policy_.max_timeout);
     auto ch = device_channels_.find(p->second.sw);
     if (ch != device_channels_.end())
-      ch->second->send_to_device_batch(std::vector<Message>(p->second.batch));
+      ch->second->send_to_device(std::vector<Message>(p->second.batch));
     arm_retry_timer(xid);
   });
 }

@@ -206,7 +206,6 @@ class Controller : public nos::DeviceBus {
   Result<void> send_reliable(SwitchId sw, southbound::Channel* ch,
                              std::vector<southbound::Message> msgs);
   void arm_retry_timer(std::uint64_t xid);
-  [[nodiscard]] bool engine_event_context() const;
 
   ControllerId id_;
   int level_;

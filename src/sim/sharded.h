@@ -125,6 +125,12 @@ class ShardedSimulator {
   /// Valid only when in_shard_event().
   [[nodiscard]] static ShardId current_shard();
   [[nodiscard]] static bool in_shard_event();
+  /// True when work bound to `engine` (possibly null) must be posted onto it
+  /// rather than run synchronously: the engine is running and the caller is
+  /// executing a shard event.
+  [[nodiscard]] static bool engine_active(const ShardedSimulator* engine) {
+    return engine != nullptr && engine->running() && in_shard_event();
+  }
 
   /// Process-wide sum of every engine's run() wall-clock, for the bench
   /// harness (a bench may build several engines across scenarios).

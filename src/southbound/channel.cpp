@@ -45,47 +45,21 @@ obs::Counter* impairment_counter(const char* effect) {
 
 }  // namespace
 
-Channel::Channel() : Channel(nullptr) {}
-
-Channel::Channel(MessageCounter* counter)
-    : counter_(counter),
-      to_device_metric_(obs::default_registry().counter("southbound_messages_total",
-                                                        {{"direction", "to_device"}})),
-      to_controller_metric_(obs::default_registry().counter("southbound_messages_total",
-                                                            {{"direction", "to_controller"}})),
-      to_device_batches_metric_(obs::default_registry().counter(
-          "southbound_batches_total", {{"direction", "to_device"}})),
-      to_controller_batches_metric_(obs::default_registry().counter(
-          "southbound_batches_total", {{"direction", "to_controller"}})) {}
-
-bool Channel::engine_active() const {
-  return binding_.engine != nullptr && binding_.engine->running() &&
-         sim::ShardedSimulator::in_shard_event();
-}
-
-void Channel::count_send(bool to_device, std::uint64_t messages) {
-  if (to_device) {
-    sent_to_device_ += messages;
-    to_device_metric_->inc(messages);
-    to_device_batches_metric_->inc();
-  } else {
-    sent_to_controller_ += messages;
-    to_controller_metric_->inc(messages);
-    to_controller_batches_metric_->inc();
-  }
-  if (counter_ != nullptr) {
-    (to_device ? counter_->to_device : counter_->to_controller)
-        .fetch_add(messages, std::memory_order_relaxed);
-    counter_->batches.fetch_add(1, std::memory_order_relaxed);
+Channel::Channel() {
+  obs::MetricsRegistry& reg = obs::default_registry();
+  for (Direction dir : {Direction::kToDevice, Direction::kToController}) {
+    const char* name = dir == Direction::kToDevice ? "to_device" : "to_controller";
+    lane(dir).messages = reg.counter("southbound_messages_total", {{"direction", name}});
+    lane(dir).batches = reg.counter("southbound_batches_total", {{"direction", name}});
   }
 }
 
-void Channel::deliver_direct(const Message& m, bool to_device) {
+void Channel::deliver_direct(const Message& m, Direction dir) {
   if (!connected_) {
     count_dropped("disconnected");
     return;
   }
-  Handler& h = to_device ? to_device_ : to_controller_;
+  Handler& h = lane(dir).receiver;
   if (h) {
     h(m);
   } else {
@@ -95,10 +69,10 @@ void Channel::deliver_direct(const Message& m, bool to_device) {
   }
 }
 
-Channel::Fate Channel::roll_impairment(bool to_device, std::uint64_t messages) {
+Channel::Fate Channel::roll_impairment(Direction dir, std::uint64_t messages) {
   Fate fate;
   if (!impair_.any()) return fate;
-  Rng& rng = to_device ? impair_down_ : impair_up_;
+  Rng& rng = lane(dir).impair;
   if (impair_.drop > 0 && rng.bernoulli(impair_.drop)) {
     fate.dropped = true;
     count_dropped("impaired", messages);
@@ -120,119 +94,42 @@ void Channel::impair(const Impairment& profile, std::uint64_t seed) {
   impair_ = profile;
   // Distinct streams per direction; each side sends from one shard, so the
   // streams stay single-writer under parallel execution.
-  impair_down_ = Rng(seed * 2 + 1);
-  impair_up_ = Rng(seed * 2 + 2);
+  lane(Direction::kToDevice).impair = Rng(seed * 2 + 1);
+  lane(Direction::kToController).impair = Rng(seed * 2 + 2);
 }
 
-void Channel::send_to_device(Message m) {
+void Channel::send(Direction dir, std::vector<Message> unit) {
   if (!connected_) {
-    count_dropped("disconnected");
+    count_dropped("disconnected", unit.size());
     return;
   }
-  count_send(/*to_device=*/true, 1);
-  Fate fate = roll_impairment(/*to_device=*/true, 1);
+  if (unit.empty()) return;
+  Lane& out = lane(dir);
+  out.messages->inc(unit.size());
+  out.batches->inc();
+  Fate fate = roll_impairment(dir, unit.size());
   if (fate.dropped) return;
-  if (engine_active()) {
-    // The engine captures the ambient trace context at post time and
-    // restores it around the callback — same causality rule as the pump.
-    sim::Duration delay = binding_.to_device_delay + fate.extra;
-    if (fate.duplicated) {
-      binding_.engine->post(binding_.device_shard, delay,
-                            [this, msg = m] { deliver_direct(msg, true); });
-    }
-    binding_.engine->post(binding_.device_shard, delay,
-                          [this, msg = std::move(m)] { deliver_direct(msg, true); });
-    return;
-  }
-  obs::TraceContext ctx = obs::default_tracer().current();
-  if (fate.duplicated) pending_.push_back(Pending{m, true, ctx});
-  pending_.push_back(Pending{std::move(m), true, ctx});
-  pump();
-}
-
-void Channel::send_to_controller(Message m) {
-  if (!connected_) {
-    count_dropped("disconnected");
-    return;
-  }
-  count_send(/*to_device=*/false, 1);
-  Fate fate = roll_impairment(/*to_device=*/false, 1);
-  if (fate.dropped) return;
-  if (engine_active()) {
-    sim::Duration delay = binding_.to_controller_delay + fate.extra;
-    if (fate.duplicated) {
-      binding_.engine->post(binding_.controller_shard, delay,
-                            [this, msg = m] { deliver_direct(msg, false); });
-    }
-    binding_.engine->post(binding_.controller_shard, delay,
-                          [this, msg = std::move(m)] { deliver_direct(msg, false); });
-    return;
-  }
-  obs::TraceContext ctx = obs::default_tracer().current();
-  if (fate.duplicated) pending_.push_back(Pending{m, false, ctx});
-  pending_.push_back(Pending{std::move(m), false, ctx});
-  pump();
-}
-
-void Channel::send_to_device_batch(std::vector<Message> batch) {
-  if (!connected_) {
-    count_dropped("disconnected", batch.size());
-    return;
-  }
-  if (batch.empty()) return;
-  count_send(/*to_device=*/true, batch.size());
-  Fate fate = roll_impairment(/*to_device=*/true, batch.size());
-  if (fate.dropped) return;
-  if (engine_active()) {
-    // One engine event delivers the whole batch: a single cross-shard
-    // handoff regardless of batch size.
-    sim::Duration delay = binding_.to_device_delay + fate.extra;
-    if (fate.duplicated) {
-      binding_.engine->post(binding_.device_shard, delay, [this, msgs = batch] {
-        for (const Message& m : msgs) deliver_direct(m, true);
-      });
-    }
-    binding_.engine->post(binding_.device_shard, delay,
-                          [this, msgs = std::move(batch)] {
-                            for (const Message& m : msgs) deliver_direct(m, true);
-                          });
+  if (sim::ShardedSimulator::engine_active(binding_.engine)) {
+    // One engine event delivers the whole unit: a single cross-shard handoff
+    // regardless of its size. The engine captures the ambient trace context
+    // at post time and restores it around the callback — the same causality
+    // rule as the pump.
+    const bool down = dir == Direction::kToDevice;
+    sim::ShardId shard = down ? binding_.device_shard : binding_.controller_shard;
+    sim::Duration delay =
+        (down ? binding_.to_device_delay : binding_.to_controller_delay) + fate.extra;
+    auto deliver = [this, dir, msgs = std::move(unit)] {
+      for (const Message& m : msgs) deliver_direct(m, dir);
+    };
+    if (fate.duplicated) binding_.engine->post(shard, delay, deliver);
+    binding_.engine->post(shard, delay, std::move(deliver));
     return;
   }
   obs::TraceContext ctx = obs::default_tracer().current();
   if (fate.duplicated) {
-    for (const Message& m : batch) pending_.push_back(Pending{m, true, ctx});
+    for (const Message& m : unit) pending_.push_back(Pending{m, dir, ctx});
   }
-  for (Message& m : batch) pending_.push_back(Pending{std::move(m), true, ctx});
-  pump();
-}
-
-void Channel::send_to_controller_batch(std::vector<Message> batch) {
-  if (!connected_) {
-    count_dropped("disconnected", batch.size());
-    return;
-  }
-  if (batch.empty()) return;
-  count_send(/*to_device=*/false, batch.size());
-  Fate fate = roll_impairment(/*to_device=*/false, batch.size());
-  if (fate.dropped) return;
-  if (engine_active()) {
-    sim::Duration delay = binding_.to_controller_delay + fate.extra;
-    if (fate.duplicated) {
-      binding_.engine->post(binding_.controller_shard, delay, [this, msgs = batch] {
-        for (const Message& m : msgs) deliver_direct(m, false);
-      });
-    }
-    binding_.engine->post(binding_.controller_shard, delay,
-                          [this, msgs = std::move(batch)] {
-                            for (const Message& m : msgs) deliver_direct(m, false);
-                          });
-    return;
-  }
-  obs::TraceContext ctx = obs::default_tracer().current();
-  if (fate.duplicated) {
-    for (const Message& m : batch) pending_.push_back(Pending{m, false, ctx});
-  }
-  for (Message& m : batch) pending_.push_back(Pending{std::move(m), false, ctx});
+  for (Message& m : unit) pending_.push_back(Pending{std::move(m), dir, ctx});
   pump();
 }
 
@@ -242,17 +139,10 @@ void Channel::pump() {
   while (!pending_.empty() && connected_) {
     Pending entry = std::move(pending_.front());
     pending_.pop_front();
-    Handler& h = entry.to_device ? to_device_ : to_controller_;
-    if (h) {
-      // Restore the sender's context for the handler: even though the queue
-      // flattens nested sends, causality follows the message, not the stack.
-      obs::Tracer::ScopedContext scoped(obs::default_tracer(), entry.ctx);
-      h(entry.msg);
-    } else {
-      count_dropped("no_handler");
-      SOFTMOW_LOG(LogLevel::kDebug, "channel")
-          << "dropping " << message_name(entry.msg) << " (no handler bound)";
-    }
+    // Restore the sender's context for the handler: even though the queue
+    // flattens nested sends, causality follows the message, not the stack.
+    obs::Tracer::ScopedContext scoped(obs::default_tracer(), entry.ctx);
+    deliver_direct(entry.msg, entry.dir);
   }
   pumping_ = false;
 }

@@ -1,27 +1,24 @@
 // Bidirectional control channel between a controller and a device (physical
 // switch agent or child RecA agent).
 //
-// Delivery has two modes. Unbound (the default, and always during
-// bootstrap), it is queued-and-flattened: a handler that sends further
-// messages never recurses into nested delivery; messages drain FIFO per
-// channel, synchronously inside send. Bound to a running
-// sim::ShardedSimulator (bind_shards), sends instead post delivery events
-// into the receiving side's shard with the channel's propagation delay —
-// same-shard hops stay immediate-order events, cross-shard hops ride the
-// engine's mailboxes — so control traffic between regions executes in
-// parallel yet deterministically.
+// Every send is one *delivery unit*: a vector of messages (a single message
+// is a unit of one) that is counted, impaired and delivered as a whole, along
+// one path. Unbound (the default, and always during bootstrap), the unit is
+// queued-and-flattened: a handler that sends further messages never recurses
+// into nested delivery; messages drain FIFO per channel, synchronously
+// inside send. Bound to a running sim::ShardedSimulator (bind_shards), the
+// unit is instead posted as ONE delivery event into the receiving side's
+// shard with the channel's propagation delay — same-shard hops stay
+// immediate-order events, cross-shard hops ride the engine's mailboxes — so
+// control traffic between regions executes in parallel yet deterministically.
 //
-// Batched sends (send_to_*_batch) deliver a whole vector of messages as ONE
-// engine event / pump group, amortizing the cross-shard handoff; the
-// registry counts messages and batches separately
-// (`southbound_messages_total` / `southbound_batches_total`, by direction).
 // Control-plane message volume — the "east-west" load the region
 // optimization of §5.3 minimizes — is reported per direction through the
-// obs metrics registry; the per-experiment MessageCounter remains as a thin
-// scoped view for callers that need a delta isolated to one Hub.
+// obs metrics registry, which counts messages and delivery units separately
+// (`southbound_messages_total` / `southbound_batches_total`).
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -41,26 +38,9 @@ namespace softmow::southbound {
 /// Receives messages arriving at one side of a channel.
 using Handler = std::function<void(const Message&)>;
 
-/// Counts messages and delivery batches by direction; shared by all
-/// channels of one experiment (fields are atomics so shard threads can
-/// bump them concurrently). A plain send counts as a batch of one, so
-/// `to_device + to_controller` over `batches` is the amortization factor.
-/// Deprecated in favour of the registry series
-/// `southbound_messages_total{direction=to_device|to_controller}`, which
-/// every channel feeds unconditionally; kept as a thin per-Hub view.
-struct MessageCounter {
-  std::atomic<std::uint64_t> to_device{0};
-  std::atomic<std::uint64_t> to_controller{0};
-  std::atomic<std::uint64_t> batches{0};
-  [[nodiscard]] std::uint64_t total() const {
-    return to_device.load(std::memory_order_relaxed) +
-           to_controller.load(std::memory_order_relaxed);
-  }
-};
-
 /// Seeded southbound impairment profile (fault injection). Probabilities
-/// apply per *delivery unit* — a batch is lost, duplicated or delayed as a
-/// whole, matching the one-event batching contract. Drop and duplicate work
+/// apply per *delivery unit* — a unit is lost, duplicated or delayed as a
+/// whole, matching the one-event delivery contract. Drop and duplicate work
 /// in both delivery modes; delay adds in-flight latency (and hence reorders
 /// against unimpaired units) only under a bound engine — the synchronous
 /// pump has no timeline to delay against.
@@ -88,30 +68,32 @@ class Channel {
   };
 
   Channel();
-  explicit Channel(MessageCounter* counter);
 
   /// Installs the controller-side handler (receives device -> controller).
-  void bind_controller(Handler h) { to_controller_ = std::move(h); }
+  void bind_controller(Handler h) { lane(Direction::kToController).receiver = std::move(h); }
   /// Installs the device-side handler (receives controller -> device).
-  void bind_device(Handler h) { to_device_ = std::move(h); }
+  void bind_device(Handler h) { lane(Direction::kToDevice).receiver = std::move(h); }
 
-  [[nodiscard]] bool controller_bound() const { return static_cast<bool>(to_controller_); }
-  [[nodiscard]] bool device_bound() const { return static_cast<bool>(to_device_); }
+  [[nodiscard]] bool controller_bound() const {
+    return static_cast<bool>(lane(Direction::kToController).receiver);
+  }
+  [[nodiscard]] bool device_bound() const {
+    return static_cast<bool>(lane(Direction::kToDevice).receiver);
+  }
 
   void bind_shards(const ShardBinding& binding) { binding_ = binding; }
   void unbind_shards() { binding_ = ShardBinding{}; }
   [[nodiscard]] bool shard_bound() const { return binding_.engine != nullptr; }
 
-  /// Controller -> device. The sender's ambient trace context is captured
-  /// with the message and restored around the receiving handler, so delivery
-  /// through the flattened queue (or the engine event) preserves causality.
-  void send_to_device(Message m);
-  /// Device -> controller.
-  void send_to_controller(Message m);
-  /// Controller -> device, one delivery unit for the whole vector.
-  void send_to_device_batch(std::vector<Message> batch);
-  /// Device -> controller, one delivery unit for the whole vector.
-  void send_to_controller_batch(std::vector<Message> batch);
+  /// Controller -> device, one delivery unit. The sender's ambient trace
+  /// context is captured with the unit and restored around the receiving
+  /// handler, so delivery through the flattened queue (or the engine event)
+  /// preserves causality.
+  void send_to_device(std::vector<Message> unit) { send(Direction::kToDevice, std::move(unit)); }
+  /// Device -> controller, one delivery unit.
+  void send_to_controller(std::vector<Message> unit) {
+    send(Direction::kToController, std::move(unit));
+  }
 
   /// Drops all undelivered messages (used by failure-injection tests).
   void disconnect();
@@ -126,10 +108,9 @@ class Channel {
   void clear_impairment() { impair_ = Impairment{}; }
   [[nodiscard]] bool impaired() const { return impair_.any(); }
 
-  [[nodiscard]] std::uint64_t sent_to_device() const { return sent_to_device_; }
-  [[nodiscard]] std::uint64_t sent_to_controller() const { return sent_to_controller_; }
-
  private:
+  enum class Direction : std::uint8_t { kToDevice, kToController };
+
   /// What the impairment profile decided for one delivery unit.
   struct Fate {
     bool dropped = false;
@@ -137,39 +118,37 @@ class Channel {
     sim::Duration extra;  ///< additional in-flight latency (engine mode)
   };
 
-  void pump();
-  /// True when sends must route through the bound engine (engine running
-  /// and the caller is inside a shard event).
-  [[nodiscard]] bool engine_active() const;
-  void count_send(bool to_device, std::uint64_t messages);
-  /// Runs the receiving handler for one message (engine-event body).
-  void deliver_direct(const Message& m, bool to_device);
-  /// Rolls the impairment dice for one delivery unit of `messages` messages.
-  Fate roll_impairment(bool to_device, std::uint64_t messages);
+  /// One direction of the channel. Each side sends from exactly one shard,
+  /// so a lane has a single writer even in parallel runs.
+  struct Lane {
+    Handler receiver;                  ///< the receiving side's handler
+    Rng impair{0};                     ///< impairment stream
+    obs::Counter* messages = nullptr;  ///< southbound_messages_total{direction}
+    obs::Counter* batches = nullptr;   ///< southbound_batches_total{direction}
+  };
 
-  Handler to_controller_;
-  Handler to_device_;
+  /// The one delivery path: counts, impairs, then posts the unit onto the
+  /// bound engine or queues it for the synchronous pump.
+  void send(Direction dir, std::vector<Message> unit);
+  void pump();
+  /// Runs the receiving handler for one message.
+  void deliver_direct(const Message& m, Direction dir);
+  /// Rolls the impairment dice for one delivery unit of `messages` messages.
+  Fate roll_impairment(Direction dir, std::uint64_t messages);
+  Lane& lane(Direction dir) { return lanes_[static_cast<std::size_t>(dir)]; }
+  const Lane& lane(Direction dir) const { return lanes_[static_cast<std::size_t>(dir)]; }
+
+  std::array<Lane, 2> lanes_;  ///< indexed by Direction
   struct Pending {
     Message msg;
-    bool to_device;
+    Direction dir;
     obs::TraceContext ctx;  ///< sender's ambient context at send time
   };
   std::deque<Pending> pending_;
   bool pumping_ = false;
   bool connected_ = true;
-  // Each side of the channel sends from exactly one shard, so each field
-  // below has a single writer even in parallel runs.
-  std::uint64_t sent_to_device_ = 0;
-  std::uint64_t sent_to_controller_ = 0;
-  MessageCounter* counter_ = nullptr;
   ShardBinding binding_;
   Impairment impair_;
-  Rng impair_down_{0};  ///< controller -> device impairment stream
-  Rng impair_up_{0};    ///< device -> controller impairment stream
-  obs::Counter* to_device_metric_;      ///< southbound_messages_total{direction=to_device}
-  obs::Counter* to_controller_metric_;  ///< southbound_messages_total{direction=to_controller}
-  obs::Counter* to_device_batches_metric_;      ///< southbound_batches_total{...}
-  obs::Counter* to_controller_batches_metric_;  ///< southbound_batches_total{...}
 };
 
 }  // namespace softmow::southbound

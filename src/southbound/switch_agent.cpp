@@ -41,10 +41,6 @@ void Hub::unbind_shards() {
   owners_.clear();
 }
 
-bool Hub::engine_active() const {
-  return engine_ != nullptr && engine_->running() && sim::ShardedSimulator::in_shard_event();
-}
-
 sim::ShardId Hub::owner_of(SwitchId sw) const {
   auto it = owners_.find(sw);
   return it == owners_.end() ? sim::ShardId{0} : it->second;
@@ -83,7 +79,7 @@ void SwitchAgent::connect(ControllerId controller, Channel* channel,
   channels_[controller] = channel;
   sw_ptr()->set_controller_role(controller, role);
   channel->bind_device([this](const Message& m) { handle(m); });
-  channel->send_to_controller(Hello{sw_});
+  channel->send_to_controller({Hello{sw_}});
 }
 
 void SwitchAgent::disconnect(ControllerId controller) {
@@ -94,7 +90,7 @@ void SwitchAgent::disconnect(ControllerId controller) {
 void SwitchAgent::connect_standby(ControllerId controller, Channel* channel) {
   standby_channels_[controller] = channel;
   channel->bind_device([this](const Message& m) { handle(m); });
-  channel->send_to_controller(Hello{sw_});
+  channel->send_to_controller({Hello{sw_}});
 }
 
 bool SwitchAgent::promote_standby(ControllerId controller, dataplane::ControllerRole role) {
@@ -134,7 +130,7 @@ void SwitchAgent::crash() {
 void SwitchAgent::restart() {
   if (alive_) return;
   alive_ = true;
-  for (auto& [c, ch] : channels_) ch->send_to_controller(Hello{sw_});
+  for (auto& [c, ch] : channels_) ch->send_to_controller({Hello{sw_}});
 }
 
 void SwitchAgent::send_to_controllers(const Message& msg) {
@@ -146,7 +142,7 @@ void SwitchAgent::send_to_controllers(const Message& msg) {
   if (s == nullptr) return;
   for (ControllerId c : s->event_receivers()) {
     auto it = channels_.find(c);
-    if (it != channels_.end()) it->second->send_to_controller(msg);
+    if (it != channels_.end()) it->second->send_to_controller({msg});
   }
 }
 
@@ -188,8 +184,8 @@ void SwitchAgent::handle(const Message& msg) {
     // controllers match replies by xid. Parked standby sessions are included:
     // their handshake must resolve so the migration target learns the
     // switch's ports before the flip.
-    for (auto& [c, ch] : channels_) ch->send_to_controller(reply);
-    for (auto& [c, ch] : standby_channels_) ch->send_to_controller(reply);
+    for (auto& [c, ch] : channels_) ch->send_to_controller({reply});
+    for (auto& [c, ch] : standby_channels_) ch->send_to_controller({reply});
     return;
   }
 
@@ -225,7 +221,7 @@ void SwitchAgent::handle(const Message& msg) {
       p.meta.latency_us = link->latency.to_micros();
       p.meta.bandwidth_kbps = link->available_kbps();
       p.meta.filled = true;
-      if (hub_->engine_active()) {
+      if (sim::ShardedSimulator::engine_active(hub_->engine())) {
         // Physical transit over the engine: the frame lands on the peer
         // switch's owning shard after the link latency — cross-region links
         // become cross-shard mailbox hops.
@@ -255,19 +251,19 @@ void SwitchAgent::handle(const Message& msg) {
     s->set_controller_role(role->controller, role->role);
     auto it = channels_.find(role->controller);
     if (it != channels_.end())
-      it->second->send_to_controller(RoleReply{role->xid, sw_, true});
+      it->second->send_to_controller({RoleReply{role->xid, sw_, true}});
     return;
   }
 
   if (const auto* barrier = std::get_if<BarrierRequest>(&msg)) {
     // Message processing is serialized per agent, so a barrier is trivially
     // satisfied once it is handled.
-    for (auto& [c, ch] : channels_) ch->send_to_controller(BarrierReply{barrier->xid});
+    for (auto& [c, ch] : channels_) ch->send_to_controller({BarrierReply{barrier->xid}});
     return;
   }
 
   if (const auto* echo = std::get_if<EchoRequest>(&msg)) {
-    for (auto& [c, ch] : channels_) ch->send_to_controller(EchoReply{echo->xid});
+    for (auto& [c, ch] : channels_) ch->send_to_controller({EchoReply{echo->xid}});
     return;
   }
 

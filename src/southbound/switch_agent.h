@@ -39,7 +39,6 @@ class Hub {
   /// every adopted switch's agent already exists.
   [[nodiscard]] SwitchAgent* find_agent(SwitchId sw) const;
   [[nodiscard]] dataplane::PhysicalNetwork* net() { return net_; }
-  [[nodiscard]] MessageCounter& counter() { return counter_; }
 
   /// Routes physical frame transit over the sharded engine: a discovery
   /// frame leaving a switch is delivered to the peer switch's owning shard
@@ -49,8 +48,6 @@ class Hub {
                    std::unordered_map<SwitchId, sim::ShardId> owners);
   void unbind_shards();
   [[nodiscard]] sim::ShardedSimulator* engine() { return engine_; }
-  /// True when frame transit must be posted onto the engine.
-  [[nodiscard]] bool engine_active() const;
   /// Shard owning `sw` (shard 0 when unmapped).
   [[nodiscard]] sim::ShardId owner_of(SwitchId sw) const;
 
@@ -63,7 +60,6 @@ class Hub {
 
   dataplane::PhysicalNetwork* net_;
   std::unordered_map<SwitchId, std::unique_ptr<SwitchAgent>> agents_;
-  MessageCounter counter_;
   sim::ShardedSimulator* engine_ = nullptr;
   std::unordered_map<SwitchId, sim::ShardId> owners_;
 };

@@ -53,12 +53,13 @@ TEST(SpanTree, AmbientContextFlowsThroughScheduledEvents) {
     // the callback attach to the operation even though it runs later.
     Tracer::ScopedContext scoped(tracer, op);
     simulator.schedule(sim::Duration::millis(1), [&] {
-      tracer.span(simulator.now(), simulator.now() + sim::Duration::millis(1), "work", 2);
+      tracer.span_under(tracer.current(), simulator.now(),
+                        simulator.now() + sim::Duration::millis(1), "work", 2);
     });
   }
   // Scheduled outside any context: must NOT attach to `op`.
   simulator.schedule(sim::Duration::millis(2), [&] {
-    tracer.span(simulator.now(), simulator.now(), "unrelated", 2);
+    tracer.span_under(tracer.current(), simulator.now(), simulator.now(), "unrelated", 2);
   });
   simulator.run();
   tracer.close_span(op, at_ms(3));
@@ -162,7 +163,7 @@ TEST(CriticalPath, RootOperationsFilterAndBudgetTable) {
   tracer.span_under(op, at_ms(40), at_ms(50), "w", 1, "leaf", SpanKind::kPropagate);
   tracer.close_span(op, at_ms(50));
   // Childless span: not a root operation.
-  tracer.span(at_ms(0), at_ms(1), "flat", 0);
+  tracer.span_under({}, at_ms(0), at_ms(1), "flat", 0);
 
   auto reports = analyze_root_operations(tracer);
   ASSERT_EQ(reports.size(), 1u);

@@ -165,6 +165,7 @@ TEST(EventPoolSteadyState, ShardedEngineAllocationsGoFlatAndThreadInvariant) {
     for (ShardId s = 0; s < 4; ++s)
       engine.schedule(s, Duration::micros(1), [hop, s] { (*hop)(s); });
     engine.run();
+    *hop = nullptr;  // `hop` captures itself; break the cycle so it is freed
     return std::pair<std::uint64_t, std::uint64_t>{engine.alloc_fresh_total(),
                                                    engine.alloc_recycled_total()};
   };

@@ -164,9 +164,10 @@ TEST(Export, RegistryJsonRoundTrip) {
   h->observe(5000);
 
   Tracer tracer;
-  tracer.span(sim::TimePoint::zero(), sim::TimePoint::at(sim::Duration::millis(3)),
-              "discovery.convergence", 1, "leaf-0", "99 messages");
-  tracer.event(sim::TimePoint::at(sim::Duration::seconds(1)), "failover.promote", 1, "leaf-0");
+  tracer.span_under({}, sim::TimePoint::zero(), sim::TimePoint::at(sim::Duration::millis(3)),
+                    "discovery.convergence", 1, "leaf-0", SpanKind::kOperation, "99 messages");
+  tracer.event_under({}, sim::TimePoint::at(sim::Duration::seconds(1)), "failover.promote", 1,
+                     "leaf-0");
 
   auto doc = JsonValue::parse(to_json(reg, &tracer));
   ASSERT_TRUE(doc.ok());
@@ -239,11 +240,13 @@ TEST(Export, CsvFlattensHistogramsCumulatively) {
   EXPECT_NE(csv.find("wait,,histogram,le_+inf,3\n"), std::string::npos);
 }
 
-TEST(Tracer, SpansFilterByLevelAndPendingSpanCloses) {
+TEST(Tracer, SpansFilterByLevel) {
   Tracer tracer;
-  tracer.span(sim::TimePoint::zero(), sim::TimePoint::at(sim::Duration::millis(1)), "a", 1);
-  auto pending = tracer.begin_span(sim::TimePoint::at(sim::Duration::millis(2)), "b", 2, "root");
-  pending.close(sim::TimePoint::at(sim::Duration::millis(5)), "done");
+  tracer.span_under({}, sim::TimePoint::zero(), sim::TimePoint::at(sim::Duration::millis(1)), "a",
+                    1);
+  TraceContext b = tracer.open_span_under({}, sim::TimePoint::at(sim::Duration::millis(2)), "b",
+                                          2, "root");
+  tracer.close_span(b, sim::TimePoint::at(sim::Duration::millis(5)), "done");
   ASSERT_EQ(tracer.spans().size(), 2u);
   EXPECT_EQ(tracer.spans_at_level(2).size(), 1u);
   EXPECT_EQ(tracer.spans_at_level(2)[0].duration().to_millis(), 3);
@@ -261,8 +264,8 @@ TEST(Tracer, RingBufferCapacityDropsOldestAndCounts) {
     span_name += std::to_string(i);
     std::string event_name = "e";
     event_name += std::to_string(i);
-    tracer.span(at, at + sim::Duration::millis(1), span_name, 0);
-    tracer.event(at, event_name, 0);
+    tracer.span_under({}, at, at + sim::Duration::millis(1), span_name, 0);
+    tracer.event_under({}, at, event_name, 0);
   }
   ASSERT_EQ(tracer.spans().size(), 4u);
   ASSERT_EQ(tracer.events().size(), 4u);

@@ -28,7 +28,7 @@ void run() {
     for (reca::Controller* c : mp.all_controllers())
       c->discovery().stats_mutable() = nos::DiscoveryStats{};
     // The steady-state round runs on the sharded engine (leaves drain, then
-    // the root), same schedule for any --threads value.
+    // the root).
     {
       ShardedRun sharded(*scenario);
       sim::ShardedSimulator& engine = sharded.engine();
@@ -42,8 +42,8 @@ void run() {
       engine.run();
 
       // Sustained load on the widest sweep point: several staggered periodic
-      // rounds per leaf region — the wall-clock of this phase (exported as
-      // bench_wall_ms{phase=sim}) is what --threads accelerates.
+      // rounds per leaf region — the wall-clock of this phase is exported as
+      // bench_wall_ms{phase=sim}.
       if (regions == 8) {
         constexpr int kSustainedRounds = 8;
         for (reca::Controller* leaf : mp.leaves()) {

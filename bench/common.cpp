@@ -107,9 +107,6 @@ const std::vector<OptionSpec>& bench_option_registry() {
          o.fault_seed = n;
          return true;
        }},
-      {"--threads", "<n>",
-       "worker threads for sharded-engine phases\n(default 1: inline, same schedule)",
-       [](BenchOptions& o, const std::string& v) { return parse_positive_size(v, &o.threads); }},
       {"--shards", "<n>",
        "override the engine's shard count\n(default 0: one per region + one per level)",
        [](BenchOptions& o, const std::string& v) { return parse_nonneg_size(v, &o.shards); }},
@@ -241,7 +238,7 @@ bool export_metrics(const BenchOptions& opts) {
   }
   // Ring overflow is silent data loss for anyone reading the export: name
   // the count and the remedy once, on stderr (stdout stays byte-identical
-  // across thread counts for the determinism diff).
+  // run to run for the determinism diff).
   const obs::MetricsRegistry& reg = obs::default_registry();
   std::uint64_t trace_dropped = 0;
   for (const char* buffer : {"spans", "events"}) {
@@ -307,7 +304,6 @@ ShardedRun::ShardedRun(topo::Scenario& scenario, sim::Duration parent_link_delay
   std::size_t shards =
       opts.shards > 0 ? opts.shards : scenario.mgmt->natural_shard_count();
   sim::ShardedSimulator::Options engine_opts;
-  engine_opts.threads = opts.threads;
   engine_opts.lookahead = lookahead;
   // A bench report without profile data answers none of the "which shard is
   // slow" questions it exists for, so --bench-json implies profiling.
@@ -348,8 +344,8 @@ int bench_main(int argc, char** argv, void (*run)()) {
   double total_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - started)
                         .count();
-  // Wall-clock gauges for speedup reporting. Determinism checks comparing
-  // exports across --threads values must strip bench_wall_ms series.
+  // Wall-clock gauges for phase attribution. Determinism checks comparing
+  // exports of repeated runs must strip bench_wall_ms series.
   obs::MetricsRegistry& reg = obs::default_registry();
   reg.gauge("bench_wall_ms", {{"phase", "total"}})->set(total_ms);
   reg.gauge("bench_wall_ms", {{"phase", "sim"}})

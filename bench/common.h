@@ -27,7 +27,6 @@ struct BenchOptions {
   std::uint64_t seed = 1;       ///< --seed <n>: master seed for scenario synthesis
   std::string faults;           ///< --faults <name>: fault plan (fault benches)
   std::uint64_t fault_seed = 1; ///< --fault-seed <n>: fault-plan target selection
-  std::size_t threads = 1;      ///< --threads <n>: sharded-engine worker threads
   std::size_t shards = 0;       ///< --shards <n>: shard override (0 = topology's natural count)
   std::string encap = "tags";   ///< --encap tags|labels: slicing encapsulation scheme
   std::size_t slices = 4;       ///< --slices <n>: tenant count for slicing benches
@@ -89,7 +88,7 @@ bool export_metrics(const BenchOptions& opts);
 /// Wall-phase taxonomy (`bench_wall_ms{phase=...}`):
 ///   * total — the whole run() body, wall start to wall end;
 ///   * sim   — time inside sim::ShardedSimulator::run() across every engine
-///             the bench built (the part `--threads` accelerates);
+///             the bench built;
 ///   * setup — scenario synthesis (build_scenario_timed) plus engine
 ///             construction/binding (ShardedRun's constructor).
 /// Phases overlap nothing; total − sim − setup is the bench's own
@@ -107,7 +106,7 @@ void add_setup_wall_ms(double ms);
 
 /// RAII harness for engine-driven bench phases: builds a
 /// sim::ShardedSimulator sized from the scenario's hierarchy (or the
-/// `--shards` override) with `--threads` workers, binds the scenario's
+/// `--shards` override), binds the scenario's
 /// controllers/hub onto it, and unbinds on destruction so later synchronous
 /// phases are unaffected. `parent_link_delay` is the one-way parent<->child
 /// control-channel latency and must be >= `lookahead`.

@@ -11,9 +11,9 @@
 // Deterministic by construction: targets are drawn from sorted candidate
 // lists under --fault-seed, mutations land at engine barriers, recovery
 // traffic rides the engine's conservative windows and MTTR is modeled, never
-// measured — the output is byte-identical for any --threads.
+// measured.
 //
-//   $ ./fault_recovery --faults mixed --fault-seed 1 --threads 4
+//   $ ./fault_recovery --faults mixed --fault-seed 1
 #include <cstdlib>
 #include <set>
 

@@ -64,7 +64,7 @@ void run() {
   // periodic round, not bootstrap specifics; levels run concurrently (§4.1).
   // The round executes on the sharded engine — one shard per leaf region
   // plus the root's — preserving the legacy phase order (leaves drain, then
-  // the root's round) so every count below is engine- and thread-invariant.
+  // the root's round) so every count below matches the synchronous pump.
   for (reca::Controller* c : mp.all_controllers()) {
     c->discovery().stats_mutable() = nos::DiscoveryStats{};
   }

@@ -157,8 +157,8 @@ void run() {
               audit.clean() ? "CLEAN" : "FINDINGS");
   maybe_verify(*scenario, "static verify");
 
-  // Engine-driven diurnal discovery phase: the part `--threads` accelerates
-  // and the shard profiler attributes.
+  // Engine-driven diurnal discovery phase: the part the shard profiler
+  // attributes.
   std::uint64_t alloc_fresh = 0, alloc_recycled = 0;
   {
     ShardedRun sharded(*scenario);
@@ -188,7 +188,7 @@ void run() {
   // Event-arena health (satellite of the memory overhaul): fresh slot
   // allocations are the pool's high-water mark — flat across a steady-state
   // window, so growth past tolerance means the recycler regressed. Both are
-  // deterministic counts (per-shard pools, thread-invariant op sequence).
+  // deterministic counts (per-shard pools, fixed op sequence).
   add_headline({"sim_alloc_fresh", static_cast<double>(alloc_fresh), "slots",
                 /*higher_is_better=*/false, kCountTolerance, /*gate=*/true});
   add_headline({"sim_alloc_recycled", static_cast<double>(alloc_recycled), "events",

@@ -11,9 +11,9 @@
 //
 // Deterministic by construction: every phase lands at an engine barrier,
 // all durations are modeled (checkpoint bytes over a stream rate, RTTs,
-// queueing stations) — the output is byte-identical for any --threads.
+// queueing stations).
 //
-//   $ ./migration --threads 4
+//   $ ./migration
 //   $ ./migration --scale 0.25 --faults link-flap   # migrate-under-chaos
 #include <algorithm>
 #include <set>

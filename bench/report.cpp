@@ -141,7 +141,6 @@ obs::JsonValue bench_report_json(const std::string& bench_name, const BenchOptio
   doc.set("meta", std::move(meta));
 
   obs::JsonValue options = obs::JsonValue::object();
-  options.set("threads", obs::JsonValue::number(static_cast<double>(opts.threads)));
   options.set("shards", obs::JsonValue::number(static_cast<double>(opts.shards)));
   options.set("scale", obs::JsonValue::number(opts.scale));
   options.set("seed", obs::JsonValue::number(static_cast<double>(opts.seed)));

@@ -10,7 +10,7 @@
 //     "schema": "softmow.bench.v1",
 //     "bench": "<name>",
 //     "meta": {"git_sha": "...", "build_type": "..."},
-//     "options": {"threads": n, "shards": n, "scale": f, "seed": n},
+//     "options": {"shards": n, "scale": f, "seed": n},
 //     "wall_ms": {"total": f, "sim": f, "setup": f},
 //     "headline": [{"name", "value", "unit", "higher_is_better",
 //                   "tolerance", "gate"}, ...],

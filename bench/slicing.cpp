@@ -9,14 +9,13 @@
 //     slices — transit state scales with aggregates, not bearers.
 //  2. Per-slice bearer-setup latency under skewed load (slice 0 offers ~4x
 //     the bearers of the others), modeled through the §7.3 queueing stations
-//     of the controllers that handled each setup — never wall clock, so the
-//     numbers are byte-identical for any --threads.
+//     of the controllers that handled each setup — never wall clock.
 //  3. Isolation: the static verifier (slice-annotated) and the rule/probe
 //     audit must report zero cross-tenant violations; a forged rogue
 //     classifier must be flagged with its exact (switch, cookie, slice)
 //     triple and the self-healing plane must remove it again.
 //
-//   $ ./slicing --encap tags --slices 4 --threads 4
+//   $ ./slicing --encap tags --slices 4
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -232,7 +231,7 @@ void print_slice_audit(const mgmt::SliceAuditReport& report, const char* when) {
 }
 
 /// Section 3 — isolation invariants, then a forged rogue classifier through
-/// the self-healing plane (the sharded engine exercises --threads).
+/// the self-healing plane.
 void run_isolation(topo::Scenario& scenario, SliceManager& mgr) {
   const BenchOptions& opts = current_bench_options();
   std::printf("\n--- tenant isolation: verifier + rule/probe audit ---\n");

@@ -60,9 +60,8 @@ struct AnalysisReport {
   [[nodiscard]] std::string summary() const;
 
   void add(Finding finding);
-  /// Deterministic order: (when_ns, accessor, structure, instance, seq).
-  /// Concurrent workers report in wall-clock order; sorting restores a
-  /// schedule-independent listing.
+  /// Deterministic order: (when_ns, accessor, structure, instance, seq), so
+  /// the listing does not depend on the order shards ran within a window.
   void sort_findings();
 };
 

@@ -1,21 +1,19 @@
 #include "analysis/shard_check.h"
 
-#include <atomic>
 #include <cassert>
 #include <sstream>
 
 namespace softmow::analysis {
 
 namespace {
-std::atomic<bool> g_session_active{false};
+bool g_session_active = false;
 }  // namespace
 
 ShardChecker::ShardChecker() : ShardChecker(Options{}) {}
 
 ShardChecker::ShardChecker(Options opts) : opts_(opts) {
-  bool was_active = g_session_active.exchange(true, std::memory_order_acq_rel);
-  assert(!was_active && "one ShardChecker session per process");
-  (void)was_active;
+  assert(!g_session_active && "one ShardChecker session per process");
+  g_session_active = true;
   obs::MetricsRegistry& reg = opts_.registry != nullptr ? *opts_.registry : obs::default_registry();
   findings_foreign_write_ =
       reg.counter("analysis_findings_total", {{"kind", "foreign-write"}});
@@ -47,11 +45,10 @@ ShardChecker::ShardChecker(Options opts) : opts_(opts) {
 
 ShardChecker::~ShardChecker() {
   uninstall_checker_hooks();
-  g_session_active.store(false, std::memory_order_release);
+  g_session_active = false;
 }
 
 AnalysisReport ShardChecker::report() const {
-  std::lock_guard<std::mutex> lock(mu_);
   AnalysisReport copy = report_;
   copy.accesses_checked = accesses_checked() - accesses_checked_at_start_;
   copy.sort_findings();
@@ -59,7 +56,6 @@ AnalysisReport ShardChecker::report() const {
 }
 
 bool ShardChecker::clean() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return report_.findings.empty() && report_.counts.empty();
 }
 
@@ -74,7 +70,6 @@ void ShardChecker::record_violation(const AccessViolation& v) {
   f.when_ns = v.when_ns;
   f.event_seq = v.event_seq;
   (f.kind == FindingKind::kForeignRead ? findings_foreign_read_ : findings_foreign_write_)->inc();
-  std::lock_guard<std::mutex> lock(mu_);
   if (report_.findings.size() < opts_.max_findings) {
     report_.add(std::move(f));
   } else {
@@ -84,21 +79,18 @@ void ShardChecker::record_violation(const AccessViolation& v) {
 
 void ShardChecker::record_handoff(std::size_t /*from*/, std::size_t /*to*/) {
   handoffs_->inc();
-  std::lock_guard<std::mutex> lock(mu_);
   ++report_.handoffs;
 }
 
 void ShardChecker::record_window(std::uint64_t /*index*/, std::int64_t /*start_ns*/,
                                  std::int64_t /*horizon_ns*/) {
   windows_->inc();
-  std::lock_guard<std::mutex> lock(mu_);
   ++report_.windows_audited;
 }
 
 void ShardChecker::record_delivery(std::size_t dst, std::int64_t when_ns, std::size_t src,
                                    std::uint64_t src_seq, std::int64_t dst_now_ns) {
   deliveries_->inc();
-  std::lock_guard<std::mutex> lock(mu_);
   ++report_.deliveries_checked;
   if (when_ns >= dst_now_ns) return;
   // The destination already executed past `when_ns` with this message still

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "analysis/report.h"
@@ -72,7 +71,6 @@ class ShardChecker {
   CheckerHooks hooks_;
   std::uint64_t accesses_checked_at_start_ = 0;
 
-  mutable std::mutex mu_;
   AnalysisReport report_;
 
   obs::Counter* findings_foreign_write_;

@@ -1,22 +1,25 @@
 // Shard-ownership instrumentation primitives (execution-model analysis).
 //
-// The parallel engine's correctness rests on one invariant the determinism
-// CI can only observe end-to-end: every mutation of shared control-plane
-// state happens on the shard that owns the structure, and cross-shard
-// effects flow exclusively through the engine's window-respecting mailboxes.
-// This header provides the zero-cost-when-off hooks that let a debug build
-// *localize* a violation the moment it happens, instead of diagnosing it
-// from an opaque byte-diff between `--threads 1` and `--threads 8` runs:
+// A sharded schedule stays faithful to SoftMoW's independent regions (§4.1)
+// only while one logical invariant holds: every mutation of shared
+// control-plane state happens in an event of the shard that owns the
+// structure, and cross-shard effects flow exclusively through the engine's
+// window-respecting mailboxes. The engine runs its shards on one thread, so
+// nothing races; what this checks is that the shard decomposition is honest
+// — that no event reaches into another region's state, and (with the
+// checker's late-delivery audit) that no mail lands in a shard's past. This
+// header provides the zero-cost-when-off hooks that let a debug build
+// *localize* a violation the moment it happens:
 //
 //   * ShardGuard — embedded in each shared mutable structure (NIB, flow
 //     tables, path state, tracer rings, slice budgets, mailboxes). Carries
 //     the structure's identity and, once bind_shards pins the hierarchy to
 //     an engine, its owning shard.
 //   * SHARD_CHECKED(guard, kWrite) — placed at the structure's mutation
-//     chokepoints. When a ShardChecker session is active and the calling
-//     thread is executing a shard event, an access from a foreign shard
-//     outside a sanctioned handoff is reported with the exact
-//     (structure, owning shard, offending event, sim-time) tuple.
+//     chokepoints. When a ShardChecker session is active and a shard event
+//     is executing, an access from a foreign shard outside a sanctioned
+//     handoff is reported with the exact (structure, owning shard,
+//     offending event, sim-time) tuple.
 //   * HandoffScope — marks the engine's mailbox handoff (the one sanctioned
 //     way to touch another shard's state from inside an event).
 //
@@ -30,7 +33,6 @@
 // carry no extra loads, branches or storage on any instrumented path.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -64,7 +66,7 @@ struct AccessViolation {
 };
 
 /// Sink vtable a ShardChecker installs for its lifetime. Function pointers
-/// (not std::function) keep the inactive check to one relaxed load.
+/// (not std::function) keep the inactive check to one load.
 struct CheckerHooks {
   void* self = nullptr;
   void (*on_violation)(void* self, const AccessViolation& v) = nullptr;
@@ -83,51 +85,51 @@ struct CheckerHooks {
 #if defined(SOFTMOW_SHARD_CHECK) && SOFTMOW_SHARD_CHECK
 
 namespace detail {
-inline std::atomic<CheckerHooks*> g_hooks{nullptr};
-inline std::atomic<std::uint64_t> g_accesses_checked{0};
+inline CheckerHooks* g_hooks = nullptr;
+inline std::uint64_t g_accesses_checked = 0;
 
-/// The event the calling worker thread is currently executing, stamped by
-/// ShardedSimulator::execute_shard around each callback.
+/// The event currently executing, stamped by ShardedSimulator::execute_shard
+/// around each callback.
 struct EventContext {
   std::size_t shard = kNoShard;
   std::int64_t when_ns = 0;
   std::uint64_t seq = 0;
   bool active = false;
 };
-inline thread_local EventContext t_event;
-inline thread_local int t_handoff_depth = 0;
+inline EventContext g_event;
+inline int g_handoff_depth = 0;
 }  // namespace detail
 
 inline void install_checker_hooks(CheckerHooks* hooks) {
-  detail::g_hooks.store(hooks, std::memory_order_release);
+  detail::g_hooks = hooks;
 }
 inline void uninstall_checker_hooks() {
-  detail::g_hooks.store(nullptr, std::memory_order_release);
+  detail::g_hooks = nullptr;
 }
 inline bool checker_active() {
-  return detail::g_hooks.load(std::memory_order_acquire) != nullptr;
+  return detail::g_hooks != nullptr;
 }
 /// Guarded accesses evaluated while a checker was active (process-wide).
 inline std::uint64_t accesses_checked() {
-  return detail::g_accesses_checked.load(std::memory_order_relaxed);
+  return detail::g_accesses_checked;
 }
 
 // --- engine integration points (called by sim::ShardedSimulator) -------------
 inline void set_event_context(std::size_t shard, std::int64_t when_ns, std::uint64_t seq) {
-  detail::t_event = detail::EventContext{shard, when_ns, seq, true};
+  detail::g_event = detail::EventContext{shard, when_ns, seq, true};
 }
-inline void clear_event_context() { detail::t_event = detail::EventContext{}; }
-inline bool in_checked_event() { return detail::t_event.active; }
-inline std::size_t event_shard() { return detail::t_event.shard; }
+inline void clear_event_context() { detail::g_event = detail::EventContext{}; }
+inline bool in_checked_event() { return detail::g_event.active; }
+inline std::size_t event_shard() { return detail::g_event.shard; }
 
 inline void note_window(std::uint64_t index, std::int64_t start_ns, std::int64_t horizon_ns) {
-  CheckerHooks* hooks = detail::g_hooks.load(std::memory_order_acquire);
+  CheckerHooks* hooks = detail::g_hooks;
   if (hooks != nullptr && hooks->on_window != nullptr)
     hooks->on_window(hooks->self, index, start_ns, horizon_ns);
 }
 inline void note_delivery(std::size_t dst, std::int64_t when_ns, std::size_t src,
                           std::uint64_t src_seq, std::int64_t dst_now_ns) {
-  CheckerHooks* hooks = detail::g_hooks.load(std::memory_order_acquire);
+  CheckerHooks* hooks = detail::g_hooks;
   if (hooks != nullptr && hooks->on_delivery != nullptr)
     hooks->on_delivery(hooks->self, dst, when_ns, src, src_seq, dst_now_ns);
 }
@@ -138,12 +140,12 @@ inline void note_delivery(std::size_t dst, std::int64_t when_ns, std::size_t src
 class HandoffScope {
  public:
   explicit HandoffScope(std::size_t to_shard) {
-    ++detail::t_handoff_depth;
-    CheckerHooks* hooks = detail::g_hooks.load(std::memory_order_acquire);
+    ++detail::g_handoff_depth;
+    CheckerHooks* hooks = detail::g_hooks;
     if (hooks != nullptr && hooks->on_handoff != nullptr)
-      hooks->on_handoff(hooks->self, detail::t_event.shard, to_shard);
+      hooks->on_handoff(hooks->self, detail::g_event.shard, to_shard);
   }
-  ~HandoffScope() { --detail::t_handoff_depth; }
+  ~HandoffScope() { --detail::g_handoff_depth; }
   HandoffScope(const HandoffScope&) = delete;
   HandoffScope& operator=(const HandoffScope&) = delete;
 };
@@ -156,15 +158,6 @@ class ShardGuard {
   ShardGuard() = default;
   ShardGuard(const char* structure, std::uint64_t instance)
       : structure_(structure), instance_(instance) {}
-  ShardGuard(const ShardGuard& o)
-      : structure_(o.structure_), instance_(o.instance_),
-        owner_(o.owner_.load(std::memory_order_relaxed)) {}
-  ShardGuard& operator=(const ShardGuard& o) {
-    structure_ = o.structure_;
-    instance_ = o.instance_;
-    owner_.store(o.owner_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-    return *this;
-  }
 
   void set_identity(const char* structure, std::uint64_t instance) {
     structure_ = structure;
@@ -172,24 +165,24 @@ class ShardGuard {
   }
   /// Pins the structure to its owning shard (bind_shards) / releases it
   /// (unbind_shards). Unowned structures are never flagged.
-  void set_owner(std::size_t shard) { owner_.store(shard, std::memory_order_release); }
-  void clear_owner() { owner_.store(kNoShard, std::memory_order_release); }
-  [[nodiscard]] std::size_t owner() const { return owner_.load(std::memory_order_acquire); }
+  void set_owner(std::size_t shard) { owner_ = shard; }
+  void clear_owner() { owner_ = kNoShard; }
+  [[nodiscard]] std::size_t owner() const { return owner_; }
   [[nodiscard]] const char* structure() const { return structure_; }
   [[nodiscard]] std::uint64_t instance() const { return instance_; }
 
-  /// The check. Fires only when a checker session is active AND the calling
-  /// thread is inside a shard event AND the structure is owned — bootstrap,
+  /// The check. Fires only when a checker session is active AND a shard
+  /// event is executing AND the structure is owned — bootstrap,
   /// synchronous phases and audits are exempt by construction.
   void check(AccessKind kind) const {
-    CheckerHooks* hooks = detail::g_hooks.load(std::memory_order_acquire);
+    CheckerHooks* hooks = detail::g_hooks;
     if (hooks == nullptr) return;
-    const detail::EventContext& ev = detail::t_event;
+    const detail::EventContext& ev = detail::g_event;
     if (!ev.active) return;
-    detail::g_accesses_checked.fetch_add(1, std::memory_order_relaxed);
-    const std::size_t own = owner_.load(std::memory_order_acquire);
+    ++detail::g_accesses_checked;
+    const std::size_t own = owner_;
     if (own == kNoShard || own == ev.shard) return;
-    if (detail::t_handoff_depth > 0) return;  // sanctioned mailbox handoff
+    if (detail::g_handoff_depth > 0) return;  // sanctioned mailbox handoff
     if (hooks->on_violation != nullptr) {
       hooks->on_violation(hooks->self, AccessViolation{structure_, instance_, own, ev.shard,
                                                        ev.when_ns, ev.seq, kind});
@@ -201,7 +194,7 @@ class ShardGuard {
  private:
   const char* structure_ = "?";
   std::uint64_t instance_ = 0;
-  std::atomic<std::size_t> owner_{kNoShard};
+  std::size_t owner_ = kNoShard;
 };
 
 #define SHARD_CHECKED(guard, kind) (guard).check(::softmow::analysis::AccessKind::kind)

@@ -9,7 +9,7 @@
 // function of the operation sequence — never of the hash seed, pointer
 // values, or rehash history. That property is part of the engine's
 // determinism contract (DESIGN §12): any iteration a simulation result
-// depends on replays identically across runs and `--threads` values.
+// depends on replays identically across runs.
 //
 // Erase uses swap-with-last on the dense vector (the last-inserted entry
 // moves into the erased position) plus backward-shift deletion in the index,

@@ -44,7 +44,7 @@ std::uint32_t TagAllocator::Side::intern(Endpoint e) {
   std::uint32_t id;
   if (!free_ids.empty()) {
     // Smallest recycled id first: the same arrival order always reuses the
-    // same ids, keeping tags deterministic across runs and thread counts.
+    // same ids, keeping tags deterministic across runs.
     id = *free_ids.begin();
     free_ids.erase(free_ids.begin());
   } else {

@@ -20,7 +20,7 @@
 //
 // Aggregate ids are dense indices handed out by the TagAllocator the first
 // time an endpoint is seen, so equal inputs always produce equal tags
-// (determinism across runs and thread counts).
+// (determinism across runs).
 #pragma once
 
 #include <cstdint>
@@ -70,7 +70,7 @@ struct PolicyTag {
 /// Hands out policy tags with deterministic dense aggregate ids. One
 /// allocator is shared by every controller of a deployment (the slicing
 /// subsystem owns it); allocation order is the deterministic bearer-setup
-/// order, so tags are stable across runs and thread counts.
+/// order, so tags are stable across runs.
 ///
 /// Tag-space garbage collection: each live TagAggregate holds one reference
 /// (retain/release, called by nos::PathImplementer) on the tag's ingress and

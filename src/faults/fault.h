@@ -5,8 +5,8 @@
 // southbound channel impairments. The injector applies each event at an
 // engine barrier (between sim::ShardedSimulator::run() windows) and the
 // recovery coordinator drives the control plane back to a verified-clean
-// state, so a fixed (plan, seed) replays event-for-event identically for any
-// --threads value.
+// state, so a fixed (plan, seed) replays event-for-event identically on every
+// run.
 #pragma once
 
 #include <cstdint>

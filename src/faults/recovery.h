@@ -7,7 +7,7 @@
 // MTTR is *modeled* — detection delay plus per-level queueing of the
 // messages the recovery actually generated (sim::QueueingStation, the Fig. 10
 // idiom) plus channel round trips — never wall clock. A fixed fault plan
-// therefore produces byte-identical records and metrics for any --threads.
+// therefore produces byte-identical records and metrics on every run.
 #pragma once
 
 #include <map>

@@ -121,8 +121,8 @@ class ManagementPlane {
   // --- sharded execution -------------------------------------------------------
   /// Event shards the bootstrapped hierarchy naturally wants: one per leaf
   /// region, plus one shared by the middle level (when present), plus one
-  /// for the root — shard count is a function of the topology, never of the
-  /// thread count, so per-shard observability is thread-count-invariant.
+  /// for the root — shard count is a function of the topology alone, so
+  /// per-shard observability repeats exactly run to run.
   [[nodiscard]] std::size_t natural_shard_count() const;
   /// Binds every controller's channels and the hub's frame transit onto
   /// `engine`: leaf i runs on shard i (folded modulo the engine's leaf

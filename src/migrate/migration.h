@@ -24,8 +24,8 @@
 //
 // All durations are *modeled* (checkpoint bytes over a stream rate, RTTs
 // from the placement, a QueueingStation over the per-device role flips) —
-// never wall clock — so a migration plan is byte-identical for any
-// --threads. Every mutation happens at an engine barrier, mirroring
+// never wall clock — so a migration plan is byte-identical on every run.
+// Every mutation happens at an engine barrier, mirroring
 // faults::RecoveryCoordinator's determinism contract.
 #pragma once
 

@@ -10,8 +10,8 @@
 //     of sweeps.
 //
 // Histogram samples additionally export estimated p50/p95/p99 quantiles,
-// derived from the integer bucket counts (deterministic across thread
-// counts; see Histogram::quantile).
+// derived from the integer bucket counts (never the float sum; see
+// Histogram::quantile).
 #pragma once
 
 #include <string>

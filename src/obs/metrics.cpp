@@ -8,30 +8,21 @@ Histogram::Histogram(std::vector<double> upper_bounds) : upper_bounds_(std::move
   std::sort(upper_bounds_.begin(), upper_bounds_.end());
   upper_bounds_.erase(std::unique(upper_bounds_.begin(), upper_bounds_.end()),
                       upper_bounds_.end());
-  buckets_ = std::vector<std::atomic<std::uint64_t>>(upper_bounds_.size() + 1);
+  buckets_.assign(upper_bounds_.size() + 1, 0);
 }
 
 void Histogram::observe(double v) {
   std::size_t i = 0;
   while (i < upper_bounds_.size() && v > upper_bounds_[i]) ++i;
-  buckets_[i].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> out(buckets_.size());
-  for (std::size_t b = 0; b < buckets_.size(); ++b)
-    out[b] = buckets_[b].load(std::memory_order_relaxed);
-  return out;
+  ++buckets_[i];
+  ++count_;
+  sum_ += v;
 }
 
 std::uint64_t Histogram::cumulative(std::size_t i) const {
   std::uint64_t total = 0;
   for (std::size_t b = 0; b <= i && b < buckets_.size(); ++b)
-    total += buckets_[b].load(std::memory_order_relaxed);
+    total += buckets_[b];
   return total;
 }
 
@@ -70,9 +61,9 @@ double Histogram::quantile(double q) const {
 }
 
 void Histogram::reset() {
-  for (std::atomic<std::uint64_t>& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  sum_ = 0;
 }
 
 std::vector<double> Histogram::exponential_bounds(double first, double factor,
@@ -94,7 +85,6 @@ Labels MetricsRegistry::normalized(Labels labels) {
 
 Counter* MetricsRegistry::counter(const std::string& name, Labels labels) {
   Key key{name, normalized(std::move(labels))};
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counter_index_.find(key);
   if (it != counter_index_.end()) return it->second;
   counters_.emplace_back();
@@ -103,7 +93,6 @@ Counter* MetricsRegistry::counter(const std::string& name, Labels labels) {
 
 Gauge* MetricsRegistry::gauge(const std::string& name, Labels labels) {
   Key key{name, normalized(std::move(labels))};
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauge_index_.find(key);
   if (it != gauge_index_.end()) return it->second;
   gauges_.emplace_back();
@@ -113,7 +102,6 @@ Gauge* MetricsRegistry::gauge(const std::string& name, Labels labels) {
 Histogram* MetricsRegistry::histogram(const std::string& name, std::vector<double> upper_bounds,
                                       Labels labels) {
   Key key{name, normalized(std::move(labels))};
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histogram_index_.find(key);
   if (it != histogram_index_.end()) return it->second;
   histograms_.emplace_back(std::move(upper_bounds));
@@ -121,26 +109,22 @@ Histogram* MetricsRegistry::histogram(const std::string& name, std::vector<doubl
 }
 
 const Counter* MetricsRegistry::find_counter(const std::string& name, const Labels& labels) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counter_index_.find(Key{name, normalized(labels)});
   return it == counter_index_.end() ? nullptr : it->second;
 }
 
 const Gauge* MetricsRegistry::find_gauge(const std::string& name, const Labels& labels) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = gauge_index_.find(Key{name, normalized(labels)});
   return it == gauge_index_.end() ? nullptr : it->second;
 }
 
 const Histogram* MetricsRegistry::find_histogram(const std::string& name,
                                                  const Labels& labels) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = histogram_index_.find(Key{name, normalized(labels)});
   return it == histogram_index_.end() ? nullptr : it->second;
 }
 
 std::vector<MetricSample> MetricsRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<MetricSample> out;
   out.reserve(counter_index_.size() + gauge_index_.size() + histogram_index_.size());
   for (const auto& [key, cell] : counter_index_) {
@@ -178,14 +162,12 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (Counter& c : counters_) c.reset();
   for (Gauge& g : gauges_) g.reset();
   for (Histogram& h : histograms_) h.reset();
 }
 
 std::size_t MetricsRegistry::series_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return counter_index_.size() + gauge_index_.size() + histogram_index_.size();
 }
 

@@ -2,7 +2,7 @@
 // counters, gauges and fixed-bucket histograms.
 //
 // Design constraints (this code runs inside tight simulation loops):
-//   * the hot path is a relaxed atomic increment on a stable handle
+//   * the hot path is a plain increment on a stable handle
 //     (Counter*/Gauge*/Histogram*) that instruments hold after registration;
 //   * no heap allocation after registration: counters are single integers,
 //     histograms pre-size their bucket vector when registered;
@@ -11,23 +11,18 @@
 //     contributions merge (e.g. every southbound::Channel increments the
 //     same per-direction counter).
 //
-// Thread-safety: cells use relaxed atomics so shard worker threads of
-// sim::ShardedSimulator can increment shared series concurrently — integer
-// increments commute, so totals are schedule-independent. Histogram sums are
-// doubles, whose addition does *not* commute bit-exactly: for reproducible
-// exports, a histogram series must be observed from at most one shard during
-// a parallel phase (stations are named per controller, which makes their
-// series shard-unique). Registration and snapshots take the registry mutex.
+// Threading: cells are plain integers and doubles. The whole control plane,
+// sim::ShardedSimulator's shards included, runs on one thread, so every
+// series sees its updates in the engine's deterministic event order and
+// exports are byte-identical run to run at a fixed seed.
 //
 // Most call sites use the process-wide default_registry(); experiments that
 // need isolation construct their own MetricsRegistry.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,32 +34,27 @@ namespace softmow::obs {
 /// unbounded populations.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing integer. Hot path: `c->inc()` is one relaxed
-/// atomic add, safe from any shard thread.
+/// Monotonically increasing integer. Hot path: `c->inc()` is one add.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { value_ += n; }
+  [[nodiscard]] std::uint64_t value() const { return value_; }
+  void reset() { value_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Last-written floating-point value (queue depths, cross-region weight).
 class Gauge {
  public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-    }
-  }
-  [[nodiscard]] double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0, std::memory_order_relaxed); }
+  void set(double v) { value_ = v; }
+  void add(double d) { value_ += d; }
+  [[nodiscard]] double value() const { return value_; }
+  void reset() { value_ = 0; }
 
  private:
-  std::atomic<double> value_{0};
+  double value_ = 0;
 };
 
 /// Fixed-bucket histogram: bucket upper bounds are chosen at registration
@@ -78,18 +68,16 @@ class Histogram {
   /// +inf overflow bucket.
   void observe(double v);
 
-  [[nodiscard]] std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  [[nodiscard]] double sum() const { return sum_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t count() const { return count_; }
+  [[nodiscard]] double sum() const { return sum_; }
   [[nodiscard]] const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-  /// Snapshot of per-bucket counts; size is upper_bounds().size() + 1
-  /// (overflow last).
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
+  /// Per-bucket counts; size is upper_bounds().size() + 1 (overflow last).
+  [[nodiscard]] const std::vector<std::uint64_t>& bucket_counts() const { return buckets_; }
   /// Cumulative count of samples <= upper_bounds()[i].
   [[nodiscard]] std::uint64_t cumulative(std::size_t i) const;
   /// Estimated q-quantile (q in (0,1)) by linear interpolation within the
   /// bucket holding rank q*count (Prometheus histogram_quantile). Derived
-  /// purely from the integer bucket counts, so it is deterministic across
-  /// thread counts even when the float `sum` is not. Overflow-bucket ranks
+  /// purely from the integer bucket counts. Overflow-bucket ranks
   /// clamp to the last finite bound; 0 when empty.
   [[nodiscard]] double quantile(double q) const;
   void reset();
@@ -99,9 +87,9 @@ class Histogram {
 
  private:
   std::vector<double> upper_bounds_;
-  std::vector<std::atomic<std::uint64_t>> buckets_;  // one per bound + overflow
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0};
+  std::vector<std::uint64_t> buckets_;  // one per bound + overflow
+  std::uint64_t count_ = 0;
+  double sum_ = 0;
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
@@ -161,9 +149,6 @@ class MetricsRegistry {
 
   static Labels normalized(Labels labels);
 
-  // Guards registration and snapshots (cell *values* are atomics and need
-  // no lock on the increment path).
-  mutable std::mutex mu_;
   // Deques give pointer stability; maps give deterministic snapshot order.
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;

@@ -8,17 +8,15 @@
 // callers may sample opportunistically — per replay minute, per engine
 // window barrier — without duplicating points). Timestamps are *simulated*
 // time, and the sampled values are counters/bucket-counts read at
-// deterministic sim instants, so the recorded series are byte-identical for
-// any `--threads` value when driven from a window barrier or a
-// single-threaded replay loop.
+// deterministic sim instants, so the recorded series are byte-identical run
+// to run when driven from a window barrier or the replay loop.
 //
 // Storage per series is a fixed ring of `capacity` points: when full the
 // oldest point is dropped and counted (dropped()), bounding memory for
 // multi-day replays the same way the Tracer bounds spans.
 //
-// Like a Tracer, a recorder is single-threaded: it is sampled from the
-// replay loop or from the engine coordinator at barriers, never from shard
-// workers.
+// A recorder is sampled from the replay loop or from the engine at window
+// barriers, never from inside a shard event.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +66,7 @@ class TimeSeriesRecorder {
   void track_counter(const std::string& name, Labels labels = {});
   void track_gauge(const std::string& name, Labels labels = {});
   /// Tracks the estimated q-quantile (q in (0,1)) of a histogram, derived
-  /// from its integer bucket counts — deterministic across thread counts.
+  /// from its integer bucket counts, never the float sum.
   void track_quantile(const std::string& name, double q, Labels labels = {});
 
   /// Records one point per tracked series at the interval boundary <= now,

@@ -155,17 +155,17 @@ void Tracer::clear() {
 }
 
 namespace {
-thread_local Tracer* t_thread_tracer = nullptr;
+Tracer* g_tracer_override = nullptr;
 }  // namespace
 
-Tracer* set_thread_tracer(Tracer* tracer) {
-  Tracer* prev = t_thread_tracer;
-  t_thread_tracer = tracer;
+Tracer* set_default_tracer(Tracer* tracer) {
+  Tracer* prev = g_tracer_override;
+  g_tracer_override = tracer;
   return prev;
 }
 
 Tracer& default_tracer() {
-  if (t_thread_tracer != nullptr) return *t_thread_tracer;
+  if (g_tracer_override != nullptr) return *g_tracer_override;
   static Tracer tracer;
   return tracer;
 }

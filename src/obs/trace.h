@@ -147,9 +147,9 @@ class Tracer {
 
   // --- sharded execution ----------------------------------------------------
   /// Starts span/trace-id allocation at `base` instead of 1. The sharded
-  /// simulator gives each shard tracer a disjoint id range so spans recorded
-  /// concurrently on different shards stay globally unique and deterministic
-  /// regardless of thread interleaving. Call before recording anything.
+  /// simulator gives each shard tracer a disjoint id range so span ids stay
+  /// globally unique and each shard's ids depend only on its own event
+  /// sequence. Call before recording anything.
   void set_id_base(std::uint64_t base) { next_id_ = base; }
 
   /// Moves every *closed* span and event out of `src` and appends them here
@@ -170,9 +170,9 @@ class Tracer {
 
   void clear();
 
-  /// Shard-ownership tag for the ring (a Tracer is single-threaded; the
-  /// sharded simulator pins each shard tracer to its shard). Identity and
-  /// owner are set by whoever owns the tracer; unowned tracers are exempt.
+  /// Shard-ownership tag for the ring (the sharded simulator pins each
+  /// shard tracer to its shard). Identity and owner are set by whoever owns
+  /// the tracer; unowned tracers are exempt.
   [[nodiscard]] analysis::ShardGuard& guard() { return guard_; }
 
  private:
@@ -193,25 +193,25 @@ class Tracer {
   analysis::ShardGuard guard_{"tracer", 0};
 };
 
-/// The calling thread's ambient tracer: the thread-local override installed
-/// by set_thread_tracer() when one is active (shard workers point it at
-/// their shard's tracer), otherwise the process-wide tracer paired with
+/// The ambient tracer: the override installed by set_default_tracer() when
+/// one is active (the sharded engine points it at the executing shard's
+/// tracer), otherwise the process-wide tracer paired with
 /// obs::default_registry().
 Tracer& default_tracer();
 
-/// Installs `tracer` as this thread's default_tracer() (nullptr restores
-/// the process-wide tracer). Returns the previous override. A Tracer itself
-/// is single-threaded; the override is how each shard worker routes ambient
-/// recording to the shard-owned tracer it is currently executing.
-Tracer* set_thread_tracer(Tracer* tracer);
+/// Installs `tracer` as the default_tracer() (nullptr restores the
+/// process-wide tracer). Returns the previous override. The override is how
+/// the engine routes ambient recording to the shard-owned tracer whose
+/// events are executing.
+Tracer* set_default_tracer(Tracer* tracer);
 
-/// RAII guard around set_thread_tracer().
-class ThreadTracerScope {
+/// RAII guard around set_default_tracer().
+class DefaultTracerScope {
  public:
-  explicit ThreadTracerScope(Tracer* tracer) : prev_(set_thread_tracer(tracer)) {}
-  ~ThreadTracerScope() { set_thread_tracer(prev_); }
-  ThreadTracerScope(const ThreadTracerScope&) = delete;
-  ThreadTracerScope& operator=(const ThreadTracerScope&) = delete;
+  explicit DefaultTracerScope(Tracer* tracer) : prev_(set_default_tracer(tracer)) {}
+  ~DefaultTracerScope() { set_default_tracer(prev_); }
+  DefaultTracerScope(const DefaultTracerScope&) = delete;
+  DefaultTracerScope& operator=(const DefaultTracerScope&) = delete;
 
  private:
   Tracer* prev_;

@@ -19,9 +19,9 @@
 //   * EventRef      — the 24-byte priority-queue element {when, seq, slot}.
 //
 // Determinism: slot numbers are a pure function of the per-shard event
-// sequence (acquire/release order), never of addresses or thread timing, so
-// the fresh/recycled split exported as sim_alloc_total{kind=...} is
-// byte-identical across --threads values.
+// sequence (acquire/release order), never of addresses, so the
+// fresh/recycled split exported as sim_alloc_total{kind=...} is
+// byte-identical run to run.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +43,11 @@ namespace softmow::sim {
 /// populated.
 class SmallFn {
  public:
-  /// Inline capacity. Sized so a capture of `this` plus ~7 words stays
-  /// inline; larger captures are boxed with a single allocation.
-  static constexpr std::size_t kInlineBytes = 64;
+  /// Inline capacity. Sized so a capture of `this` plus ~11 words stays
+  /// inline — a discovery frame in transit between switches (hub, endpoint
+  /// and payload, 88 bytes) included; larger captures are boxed with a
+  /// single allocation.
+  static constexpr std::size_t kInlineBytes = 96;
 
   SmallFn() noexcept = default;
 
@@ -158,7 +160,7 @@ struct EventLater {
 /// queue discipline. Handles are dense u32s; slabs grow by fixed chunks and
 /// are retained until clear(), so steady-state scheduling recycles instead
 /// of allocating. Recycling is LIFO — deterministic given the acquire /
-/// release sequence, which itself is thread-count-invariant.
+/// release sequence, which itself repeats exactly run to run.
 class EventPool {
  public:
   static constexpr std::uint32_t kChunkShift = 10;

@@ -10,16 +10,15 @@ namespace softmow::sim {
 
 namespace {
 
-// Shard execution context of the calling thread. Set for the duration of
-// execute_shard(); components reached from an event use it to find the
-// shard they run on (e.g. southbound channels deciding same-shard vs.
-// cross-shard delivery).
-thread_local ShardId t_current_shard = 0;
-thread_local bool t_in_shard_event = false;
+// Shard execution context. Set for the duration of execute_shard();
+// components reached from an event use it to find the shard they run on
+// (e.g. southbound channels deciding same-shard vs. cross-shard delivery).
+ShardId g_current_shard = 0;
+bool g_in_shard_event = false;
 
 // Process-wide run() wall-clock, in nanoseconds (a bench may build several
 // engines across scenarios; the harness exports the sum).
-std::atomic<std::uint64_t> g_engine_wall_ns{0};
+std::uint64_t g_engine_wall_ns = 0;
 
 // Disjoint span-id ranges per shard: the process tracer allocates upward
 // from 1, shard s from (s + 1) << 40 — no overlap until 2^40 spans, far
@@ -27,16 +26,14 @@ std::atomic<std::uint64_t> g_engine_wall_ns{0};
 constexpr std::uint64_t kShardIdStride = std::uint64_t{1} << 40;
 
 // Process-wide ring of profiler counter samples (per window per shard) for
-// the Chrome-trace exporter. Pushed by the coordinator at window barriers,
-// drained once by the bench harness at export; bounded so multi-hour runs
-// with profiling left on cannot grow without limit.
+// the Chrome-trace exporter. Pushed at window barriers, drained once by the
+// bench harness at export; bounded so multi-hour runs with profiling left
+// on cannot grow without limit.
 constexpr std::size_t kProfileSampleCap = std::size_t{1} << 15;
-std::mutex g_profile_samples_mu;
 std::vector<obs::CounterSample> g_profile_samples;
 std::uint64_t g_profile_samples_dropped = 0;
 
 void push_profile_sample(obs::CounterSample sample) {
-  std::lock_guard<std::mutex> lock(g_profile_samples_mu);
   if (g_profile_samples.size() >= kProfileSampleCap) {
     ++g_profile_samples_dropped;
     return;
@@ -55,8 +52,7 @@ std::uint64_t steady_now_ns() {
 ShardedSimulator::ShardedSimulator(std::size_t shards) : ShardedSimulator(shards, Options{}) {}
 
 ShardedSimulator::ShardedSimulator(std::size_t shards, Options opts)
-    : threads_(opts.threads == 0 ? 1 : opts.threads),
-      lookahead_(opts.lookahead),
+    : lookahead_(opts.lookahead),
       profile_(opts.profile),
       events_counter_(obs::default_registry().counter("sim_events_executed_total")) {
   assert(shards > 0 && "need at least one shard");
@@ -80,16 +76,15 @@ ShardedSimulator::ShardedSimulator(std::size_t shards, Options opts)
 
 ShardedSimulator::~ShardedSimulator() = default;
 
-ShardId ShardedSimulator::current_shard() { return t_current_shard; }
+ShardId ShardedSimulator::current_shard() { return g_current_shard; }
 
-bool ShardedSimulator::in_shard_event() { return t_in_shard_event; }
+bool ShardedSimulator::in_shard_event() { return g_in_shard_event; }
 
 double ShardedSimulator::process_wall_ms() {
-  return static_cast<double>(g_engine_wall_ns.load(std::memory_order_relaxed)) / 1e6;
+  return static_cast<double>(g_engine_wall_ns) / 1e6;
 }
 
 std::vector<obs::CounterSample> ShardedSimulator::drain_profile_samples(std::uint64_t* dropped) {
-  std::lock_guard<std::mutex> lock(g_profile_samples_mu);
   if (dropped != nullptr) *dropped = g_profile_samples_dropped;
   std::vector<obs::CounterSample> out;
   out.swap(g_profile_samples);
@@ -99,8 +94,8 @@ std::vector<obs::CounterSample> ShardedSimulator::drain_profile_samples(std::uin
 
 void ShardedSimulator::schedule(ShardId shard, Duration delay, Callback fn) {
   assert(shard < shards_.size());
-  TimePoint base = (t_in_shard_event && t_current_shard < shards_.size())
-                       ? shards_[t_current_shard]->now
+  TimePoint base = (g_in_shard_event && g_current_shard < shards_.size())
+                       ? shards_[g_current_shard]->now
                        : shards_[shard]->now;
   schedule_at(shard, base + delay, std::move(fn));
 }
@@ -108,24 +103,23 @@ void ShardedSimulator::schedule(ShardId shard, Duration delay, Callback fn) {
 void ShardedSimulator::schedule_at(ShardId shard, TimePoint when, Callback fn) {
   assert(shard < shards_.size());
   Shard& dest = *shards_[shard];
-  if (t_in_shard_event && t_current_shard != shard) {
+  if (g_in_shard_event && g_current_shard != shard) {
     // Cross-shard from inside an event: conservative synchronization only
     // holds if the delivery is at least `lookahead` ahead of the sender, so
     // clamp and route through the destination mailbox.
-    Shard& src = *shards_[t_current_shard];
+    Shard& src = *shards_[g_current_shard];
     TimePoint earliest = src.now + lookahead_;
     if (when < earliest && !clamp_disabled_for_test_) {
       when = earliest;
-      clamps_.fetch_add(1, std::memory_order_relaxed);
+      ++clamps_;
     }
-    cross_posts_.fetch_add(1, std::memory_order_relaxed);
-    Mail mail{when, t_current_shard, src.send_seq++, std::move(fn),
+    ++cross_posts_;
+    Mail mail{when, g_current_shard, src.send_seq++, std::move(fn),
               obs::default_tracer().current()};
     // The one sanctioned way to touch another shard's state from inside an
     // event: the guard access below is counted as a handoff, not a finding.
     analysis::HandoffScope handoff(shard);
     SHARD_CHECKED(dest.guard, kWrite);
-    std::lock_guard<std::mutex> lock(dest.mail_mu);
     dest.mailbox.push_back(std::move(mail));
     return;
   }
@@ -149,7 +143,7 @@ std::uint64_t ShardedSimulator::alloc_recycled_total() const {
 
 void ShardedSimulator::post(ShardId to, Duration delay, Callback fn) {
   assert(to < shards_.size());
-  TimePoint base = t_in_shard_event ? shards_[t_current_shard]->now : shards_[to]->now;
+  TimePoint base = g_in_shard_event ? shards_[g_current_shard]->now : shards_[to]->now;
   schedule_at(to, base + delay, std::move(fn));
 }
 
@@ -160,9 +154,7 @@ TimePoint ShardedSimulator::now(ShardId shard) const {
 
 bool ShardedSimulator::idle() const {
   for (const auto& s : shards_) {
-    if (!s->queue.empty()) return false;
-    std::lock_guard<std::mutex> lock(s->mail_mu);
-    if (!s->mailbox.empty()) return false;
+    if (!s->queue.empty() || !s->mailbox.empty()) return false;
   }
   return true;
 }
@@ -171,15 +163,12 @@ void ShardedSimulator::deliver_mail() {
   for (std::size_t index = 0; index < shards_.size(); ++index) {
     Shard& s = *shards_[index];
     std::vector<Mail> mail;
-    {
-      std::lock_guard<std::mutex> lock(s.mail_mu);
-      mail.swap(s.mailbox);
-    }
+    mail.swap(s.mailbox);
     if (mail.empty()) continue;
     if (profile_) s.recv_count += mail.size();
-    // (delivery time, sender shard, sender sequence) is a total order that
-    // does not depend on which worker executed the sender — the key to
-    // thread-count-invariant schedules.
+    // (delivery time, sender shard, sender sequence) is a total order fixed
+    // by the senders' own event sequences — the key to reproducible
+    // schedules.
     std::sort(mail.begin(), mail.end(), [](const Mail& a, const Mail& b) {
       if (a.when != b.when) return a.when < b.when;
       if (a.src != b.src) return a.src < b.src;
@@ -201,11 +190,11 @@ void ShardedSimulator::execute_shard(std::size_t index, TimePoint horizon) {
   // Two clock reads per shard-window when profiling, zero when not — the
   // event loop itself is never instrumented per event.
   const std::uint64_t busy_start = profile_ ? steady_now_ns() : 0;
-  obs::ThreadTracerScope tracer_scope(s.tracer.get());
-  ShardId prev_shard = t_current_shard;
-  bool prev_in_event = t_in_shard_event;
-  t_current_shard = index;
-  t_in_shard_event = true;
+  obs::DefaultTracerScope tracer_scope(s.tracer.get());
+  ShardId prev_shard = g_current_shard;
+  bool prev_in_event = g_in_shard_event;
+  g_current_shard = index;
+  g_in_shard_event = true;
   while (!s.queue.empty() && s.queue.top().when < horizon) {
     EventRef ev = s.queue.top();
     s.queue.pop();
@@ -226,77 +215,16 @@ void ShardedSimulator::execute_shard(std::size_t index, TimePoint horizon) {
     fn();
   }
   analysis::clear_event_context();
-  t_current_shard = prev_shard;
-  t_in_shard_event = prev_in_event;
+  g_current_shard = prev_shard;
+  g_in_shard_event = prev_in_event;
   if (profile_) s.window_busy_ns = steady_now_ns() - busy_start;
-}
-
-void ShardedSimulator::start_workers() {
-  // Each worker starts from the epoch current at spawn time: epoch_ persists
-  // across run() calls, so a fresh pool must neither mistake the previous
-  // run's last epoch for new work nor (if spawned late) skip this run's
-  // first window.
-  std::uint64_t spawn_epoch;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    shutdown_ = false;
-    spawn_epoch = epoch_;
-  }
-  workers_.reserve(threads_);
-  for (std::size_t t = 0; t < threads_; ++t)
-    workers_.emplace_back([this, spawn_epoch] { worker_loop(spawn_epoch); });
-}
-
-void ShardedSimulator::stop_workers() {
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-}
-
-void ShardedSimulator::worker_loop(std::uint64_t seen_epoch) {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
-      if (shutdown_) return;
-      seen_epoch = epoch_;
-    }
-    for (;;) {
-      std::size_t i = next_work_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= window_work_.size()) break;
-      execute_shard(window_work_[i], window_horizon_);
-    }
-    {
-      // threads_ (not workers_.size()): the vector is still growing on the
-      // coordinator thread while early workers run their first wait.
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      ++finished_;
-      if (finished_ == threads_) done_cv_.notify_all();
-    }
-  }
-}
-
-void ShardedSimulator::run_window_parallel() {
-  next_work_.store(0, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    finished_ = 0;
-    ++epoch_;
-  }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(pool_mu_);
-  done_cv_.wait(lock, [this] { return finished_ == threads_; });
 }
 
 void ShardedSimulator::flush_profile() {
   // Exported at the end of each run(), as deltas since the previous flush:
   // benches reuse one engine across phases, and counters must only ever
   // increase. Count-based series (events, mail, windows) are pure functions
-  // of the event timeline — byte-identical across `--threads` — while every
+  // of the event timeline — byte-identical run to run — while every
   // wall-derived series carries the `profile_wall_` prefix so determinism
   // diffs can strip it like bench_wall_ms.
   auto& reg = obs::default_registry();
@@ -339,8 +267,7 @@ std::uint64_t ShardedSimulator::run() {
   if constexpr (analysis::kShardCheckCompiled) {
     for (auto& s : shards_) s->audit_now_ns = -1;
   }
-  const bool parallel = threads_ > 1 && shards_.size() > 1;
-  if (parallel) start_workers();
+  std::vector<std::size_t> window_work;
   for (;;) {
     deliver_mail();
     bool any = false;
@@ -358,19 +285,18 @@ std::uint64_t ShardedSimulator::run() {
     }
     if (!any) break;
     const TimePoint horizon = window_start + lookahead_;
-    window_work_.clear();
+    window_work.clear();
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       if (!shards_[i]->queue.empty() && shards_[i]->queue.top().when < horizon)
-        window_work_.push_back(i);
+        window_work.push_back(i);
     }
-    window_horizon_ = horizon;
     ++windows_;
     analysis::note_window(windows_, window_start.since_start().to_nanos(),
                           horizon.since_start().to_nanos());
     std::uint64_t window_wall_start = 0;
     if (profile_) {
       ++shards_[bounding]->windows_bounded;
-      for (std::size_t i : window_work_) {
+      for (std::size_t i : window_work) {
         Shard& s = *shards_[i];
         ++s.windows_participated;
         s.exec_before = s.executed;
@@ -378,14 +304,8 @@ std::uint64_t ShardedSimulator::run() {
       }
       window_wall_start = steady_now_ns();
     }
-    if (parallel) {
-      run_window_parallel();
-    } else {
-      for (std::size_t i : window_work_) execute_shard(i, horizon);
-    }
+    for (std::size_t i : window_work) execute_shard(i, horizon);
     if (profile_) {
-      // Post-barrier accounting: worker writes to window_busy_ns/executed
-      // happen-before these reads via the pool_mu_ rendezvous (or ran inline).
       const std::uint64_t window_wall = steady_now_ns() - window_wall_start;
       const std::int64_t at_ns = window_start.since_start().to_nanos();
       std::size_t critical = shards_.size();
@@ -393,7 +313,7 @@ std::uint64_t ShardedSimulator::run() {
       std::size_t participant = 0;
       for (std::size_t i = 0; i < shards_.size(); ++i) {
         Shard& s = *shards_[i];
-        if (participant < window_work_.size() && window_work_[participant] == i) {
+        if (participant < window_work.size() && window_work[participant] == i) {
           ++participant;
           const std::uint64_t busy = std::min(s.window_busy_ns, window_wall);
           s.busy_ns += busy;
@@ -414,10 +334,9 @@ std::uint64_t ShardedSimulator::run() {
     }
     // Sim-time sampling at the barrier: counters observed here reflect the
     // deterministic set of events with `when < horizon`, so recorded series
-    // match for any thread count.
+    // repeat exactly run to run.
     if (sampler_ != nullptr) sampler_->sample(window_start);
   }
-  if (parallel) stop_workers();
   if (profile_) flush_profile();
   running_ = false;
   std::uint64_t total = 0;
@@ -428,7 +347,7 @@ std::uint64_t ShardedSimulator::run() {
                      std::chrono::steady_clock::now() - wall_start)
                      .count();
   wall_ms_ += static_cast<double>(wall_ns) / 1e6;
-  g_engine_wall_ns.fetch_add(static_cast<std::uint64_t>(wall_ns), std::memory_order_relaxed);
+  g_engine_wall_ns += static_cast<std::uint64_t>(wall_ns);
   return executed_total_ - before;
 }
 

@@ -1,44 +1,37 @@
-// Region-sharded parallel discrete-event engine.
+// Region-sharded discrete-event engine.
 //
 // SoftMoW's regions are independent control domains joined only by
 // bounded-latency parent links (§3, §4.1), so the event timeline decomposes
-// into one shard per leaf region plus one shard per non-leaf controller
-// level. Shards execute on a worker-thread pool under *conservative*
-// synchronization: in each window the coordinator computes
+// into one logical shard per leaf region plus one shard per non-leaf
+// controller level. Every shard runs on the thread that called run(), under
+// *conservative* windows: in each window the engine computes
 //
 //     W = min over shards of (earliest pending event)
 //     H = W + lookahead
 //
-// and every shard executes its events with `when < H`. Cross-shard work is
-// handed off through per-shard mailboxes stamped with a delivery time at
-// least `lookahead` in the future — exactly the inter-region propagation
-// delay already modeled by the topology and the southbound channels — so a
-// message sent during a window can never land inside it, and no shard ever
-// receives an event from its past.
+// and executes, shard by shard in index order, every event with `when < H`.
+// Cross-shard work is handed off through per-shard mailboxes stamped with a
+// delivery time at least `lookahead` in the future — exactly the
+// inter-region propagation delay already modeled by the topology and the
+// southbound channels — so a message sent during a window can never land
+// inside it, and no shard ever receives an event from its past.
 //
-// Determinism: the window schedule is a pure function of the event timeline
-// (thread count only sizes the pool). Mailboxes are drained at window
-// barriers sorted by (delivery time, sender shard, sender sequence), and
-// each shard executes its queue in (when, seq) order, so at a fixed seed the
-// engine executes the *identical* event sequence for any `--threads` value —
-// including 1, where shards run inline on the calling thread. The
-// single-queue `Simulator` remains the 1-shard degenerate case and the
-// reference oracle for equivalence tests.
+// Determinism: the window schedule is a pure function of the event
+// timeline. Mailboxes are drained at window barriers sorted by (delivery
+// time, sender shard, sender sequence), and each shard executes its queue in
+// (when, seq) order, so at a fixed seed every run executes the identical
+// event sequence. The single-queue `Simulator` remains the 1-shard
+// degenerate case and the reference oracle for equivalence tests.
 //
 // Observability: each shard owns an obs::Tracer with a disjoint id range,
-// installed as the worker's thread-local default_tracer() while the shard
-// runs; after run() the shard tracers merge into the caller's tracer in
-// shard-index order, so exported traces and critical-path tables are
-// byte-identical across thread counts.
+// installed as the default_tracer() while the shard runs; after run() the
+// shard tracers merge into the caller's tracer in shard-index order, so
+// exported span ids and order depend only on the event timeline.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "analysis/shard_guard.h"
@@ -62,8 +55,7 @@ class ShardedSimulator {
   using Callback = SmallFn;
 
   struct Options {
-    /// Worker threads executing shards within a window. 1 = run shards
-    /// inline on the calling thread (same schedule, no pool).
+    /// Ignored: shards always run on the calling thread.
     std::size_t threads = 1;
     /// Conservative synchronization horizon: the minimum cross-shard
     /// propagation delay. Must be > 0.
@@ -81,7 +73,6 @@ class ShardedSimulator {
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] std::size_t threads() const { return threads_; }
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
   /// Schedules `fn` on `shard`, `delay` after that shard's clock. Events at
@@ -117,12 +108,12 @@ class ShardedSimulator {
   [[nodiscard]] std::uint64_t windows_executed() const { return windows_; }
   [[nodiscard]] std::uint64_t cross_shard_posts() const { return cross_posts_; }
   [[nodiscard]] std::uint64_t lookahead_clamps() const { return clamps_; }
-  /// Wall-clock milliseconds spent inside run() so far (the parallel phase
-  /// `--threads` accelerates; exported as bench_wall_ms{phase=sim}).
+  /// Wall-clock milliseconds spent inside run() so far (exported as
+  /// bench_wall_ms{phase=sim}).
   [[nodiscard]] double wall_ms() const { return wall_ms_; }
 
-  /// The shard the calling thread is currently executing an event for.
-  /// Valid only when in_shard_event().
+  /// The shard whose event is currently executing. Valid only when
+  /// in_shard_event().
   [[nodiscard]] static ShardId current_shard();
   [[nodiscard]] static bool in_shard_event();
   /// True when work bound to `engine` (possibly null) must be posted onto it
@@ -139,8 +130,8 @@ class ShardedSimulator {
   [[nodiscard]] bool profiling() const { return profile_; }
 
   /// Installs a sim-time sampler polled once per window barrier with the
-  /// window's start time (a deterministic instant: the recorded series are
-  /// byte-identical across thread counts when the tracked metrics are).
+  /// window's start time (a deterministic instant, so the recorded series
+  /// are as reproducible as the tracked metrics).
   /// Independent of Options::profile; nullptr detaches.
   void set_sampler(obs::TimeSeriesRecorder* sampler) { sampler_ = sampler; }
 
@@ -160,7 +151,7 @@ class ShardedSimulator {
  private:
   /// A cross-shard message awaiting delivery at a window barrier. Sorted by
   /// (when, src, src_seq) before delivery so the destination's execution
-  /// order never depends on which worker ran the sender. The callable rides
+  /// order depends only on the senders' own sequences. The callable rides
   /// in the mail itself (not a pool slot): it crosses shards, and slot
   /// handles are only meaningful against their owning shard's pool.
   struct Mail {
@@ -173,7 +164,7 @@ class ShardedSimulator {
   struct Shard {
     std::priority_queue<EventRef, std::vector<EventRef>, EventLater> queue;
     /// Event arena: slots referenced by `queue`, recycled at pop. Touched
-    /// only under the same ownership discipline as `queue` itself.
+    /// only by the shard's own events, like `queue` itself.
     EventPool pool;
     TimePoint now;
     std::uint64_t seq = 0;       ///< local schedule order (FIFO ties)
@@ -186,23 +177,19 @@ class ShardedSimulator {
     /// a finished phase already executed. Maintained only when the checker
     /// is compiled in.
     std::int64_t audit_now_ns = -1;
-    // --- Profiler state (touched only when Options::profile is set, except
-    // where noted). Worker-written fields (window_busy_ns, executed) are read
-    // by the coordinator only after the window barrier's pool_mu_
-    // synchronization, so plain integers suffice.
+    // --- Profiler state (touched only when Options::profile is set).
     std::uint64_t window_busy_ns = 0;   ///< wall ns inside execute_shard this window
     std::uint64_t exec_before = 0;      ///< `executed` snapshot at window start
     std::uint64_t exec_flushed = 0;     ///< `executed` already exported to profile_*
     std::uint64_t sent_flushed = 0;     ///< `send_seq` already exported
-    std::uint64_t recv_count = 0;       ///< mailbox messages delivered (coordinator-only)
+    std::uint64_t recv_count = 0;       ///< mailbox messages delivered
     std::uint64_t windows_participated = 0;
     std::uint64_t windows_bounded = 0;  ///< windows whose W this shard's head event set
-    std::uint64_t critical_windows = 0; ///< windows this shard finished last (max busy)
+    std::uint64_t critical_windows = 0; ///< windows this shard was busiest in
     std::uint64_t busy_ns = 0;
-    std::uint64_t stall_ns = 0;  ///< barrier wait: window wall minus own busy
+    std::uint64_t stall_ns = 0;  ///< window wall minus own busy (other shards' turns)
     std::uint64_t idle_ns = 0;   ///< windows this shard sat out entirely
     std::unique_ptr<obs::Tracer> tracer;
-    std::mutex mail_mu;
     std::vector<Mail> mailbox;
     /// Ownership tag for the shard's event queue + mailbox: owned by the
     /// shard itself from construction; the mailbox push in schedule_at is
@@ -213,13 +200,8 @@ class ShardedSimulator {
   void deliver_mail();
   void flush_profile();
   void execute_shard(std::size_t index, TimePoint horizon);
-  void worker_loop(std::uint64_t seen_epoch);
-  void run_window_parallel();
-  void start_workers();
-  void stop_workers();
 
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t threads_;
   Duration lookahead_;
   bool profile_ = false;
   bool clamp_disabled_for_test_ = false;
@@ -228,24 +210,10 @@ class ShardedSimulator {
   std::uint64_t executed_total_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t windows_flushed_ = 0;
-  std::atomic<std::uint64_t> cross_posts_{0};
-  std::atomic<std::uint64_t> clamps_{0};
+  std::uint64_t cross_posts_ = 0;
+  std::uint64_t clamps_ = 0;
   double wall_ms_ = 0;
   obs::Counter* events_counter_;  ///< sim_events_executed_total (shared with Simulator)
-
-  // Worker pool (parallel runs only). Workers rendezvous with the
-  // coordinator at window barriers through epoch_/finished_ under pool_mu_;
-  // shard ownership within a window is claimed via next_work_.
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::size_t> window_work_;
-  TimePoint window_horizon_;
-  std::atomic<std::size_t> next_work_{0};
-  std::uint64_t epoch_ = 0;
-  std::size_t finished_ = 0;
-  bool shutdown_ = false;
 };
 
 }  // namespace softmow::sim

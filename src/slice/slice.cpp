@@ -129,7 +129,7 @@ Result<std::size_t> SliceManager::provision(SliceId id, std::size_t count) {
 
   // Per-slice deterministic stream: the rotation start depends on the
   // manager seed and the slice id only, so provisioning order is stable
-  // across runs and thread counts.
+  // across runs.
   Rng rng(opts_.seed * 1000003 + id.value * 8191 + 13);
   std::size_t start = rng.uniform_u64(0, groups.size() - 1);
 

@@ -92,8 +92,8 @@ Channel::Fate Channel::roll_impairment(Direction dir, std::uint64_t messages) {
 
 void Channel::impair(const Impairment& profile, std::uint64_t seed) {
   impair_ = profile;
-  // Distinct streams per direction; each side sends from one shard, so the
-  // streams stay single-writer under parallel execution.
+  // Distinct streams per direction; each side sends from one shard, so each
+  // stream's draws follow that shard's own event order.
   lane(Direction::kToDevice).impair = Rng(seed * 2 + 1);
   lane(Direction::kToController).impair = Rng(seed * 2 + 2);
 }

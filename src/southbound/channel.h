@@ -10,7 +10,7 @@
 // unit is instead posted as ONE delivery event into the receiving side's
 // shard with the channel's propagation delay — same-shard hops stay
 // immediate-order events, cross-shard hops ride the engine's mailboxes — so
-// control traffic between regions executes in parallel yet deterministically.
+// control traffic between regions is timed and ordered deterministically.
 //
 // Control-plane message volume — the "east-west" load the region
 // optimization of §5.3 minimizes — is reported per direction through the
@@ -101,9 +101,8 @@ class Channel {
 
   /// Applies `profile` to everything sent from now on. Each direction rolls
   /// an independent stream derived from `seed` (each side of a channel sends
-  /// from exactly one shard, so the streams have a single consumer even in
-  /// parallel runs) — a fixed scenario impairs the same delivery units for
-  /// any worker-thread count.
+  /// from exactly one shard, so each stream has a single consumer) — a fixed
+  /// scenario impairs the same delivery units on every run.
   void impair(const Impairment& profile, std::uint64_t seed);
   void clear_impairment() { impair_ = Impairment{}; }
   [[nodiscard]] bool impaired() const { return impair_.any(); }
@@ -119,7 +118,7 @@ class Channel {
   };
 
   /// One direction of the channel. Each side sends from exactly one shard,
-  /// so a lane has a single writer even in parallel runs.
+  /// so a lane has a single writer.
   struct Lane {
     Handler receiver;                  ///< the receiving side's handler
     Rng impair{0};                     ///< impairment stream

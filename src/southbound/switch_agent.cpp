@@ -210,8 +210,7 @@ void SwitchAgent::handle(const Message& msg) {
     if (const auto* disc = std::get_if<DiscoveryPayload>(&out->body)) {
       // Transmit the discovery frame over the physical link at `from`.
       const dataplane::Link* link = net->link_at(from);
-      auto peer = net->peer_of(from);
-      if (!peer || link == nullptr) {
+      if (link == nullptr || !link->up) {
         count_agent_dropped("unwired_port");
         SOFTMOW_LOG(LogLevel::kTrace, "agent")
             << sw_.str() << " discovery frame out unwired/down port " << out->port.str();
@@ -226,7 +225,7 @@ void SwitchAgent::handle(const Message& msg) {
         // switch's owning shard after the link latency — cross-region links
         // become cross-shard mailbox hops.
         Hub* hub = hub_;
-        Endpoint to = *peer;
+        Endpoint to = link->other(from);
         hub_->engine()->post(hub_->owner_of(to.sw), link->latency,
                              [hub, to, frame = std::move(p)] {
                                if (SwitchAgent* a = hub->find_agent(to.sw))
@@ -234,7 +233,8 @@ void SwitchAgent::handle(const Message& msg) {
                              });
         return;
       }
-      if (SwitchAgent* peer_agent = hub_->agent(peer->sw)) peer_agent->receive_frame(*peer, p);
+      const Endpoint peer = link->other(from);
+      if (SwitchAgent* peer_agent = hub_->agent(peer.sw)) peer_agent->receive_frame(peer, p);
       return;
     }
     if (const auto* pkt = std::get_if<Packet>(&out->body)) {

@@ -32,11 +32,11 @@ class Hub {
     });
   }
 
-  /// Creates (or returns) the agent for `sw`. Not safe during a parallel
-  /// engine run (may insert); shard-event code paths use find_agent().
+  /// Creates (or returns) the agent for `sw`. Not for shard events (may
+  /// insert into shared state); shard-event code paths use find_agent().
   SwitchAgent* agent(SwitchId sw);
-  /// Lookup without creating — safe from concurrent shard events, where
-  /// every adopted switch's agent already exists.
+  /// Lookup without creating — safe from any shard event, where every
+  /// adopted switch's agent already exists.
   [[nodiscard]] SwitchAgent* find_agent(SwitchId sw) const;
   [[nodiscard]] dataplane::PhysicalNetwork* net() { return net_; }
 

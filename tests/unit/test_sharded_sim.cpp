@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -82,26 +82,22 @@ TEST(ShardedSim, CrossShardPostAtOrBeyondLookaheadIsNotClamped) {
 }
 
 TEST(ShardedSim, MailboxDeliversInSenderOrderAtEqualTimes) {
-  // Two senders race mail to shard 2 for the same delivery instant; the
+  // Two senders post mail to shard 2 for the same delivery instant; the
   // barrier sorts by (when, src shard, src send-seq), so execution order is
-  // shard 0's messages (in send order), then shard 1's — for any thread
-  // count.
-  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    ShardedSimulator::Options opts;
-    opts.threads = threads;
-    opts.lookahead = Duration::millis(1);
-    ShardedSimulator engine(3, opts);
-    std::vector<std::string> order;
-    engine.schedule(0, Duration{}, [&] {
-      engine.post(2, Duration::millis(1), [&] { order.push_back("a0"); });
-      engine.post(2, Duration::millis(1), [&] { order.push_back("a1"); });
-    });
-    engine.schedule(1, Duration{}, [&] {
-      engine.post(2, Duration::millis(1), [&] { order.push_back("b0"); });
-    });
-    engine.run();
-    EXPECT_EQ(order, (std::vector<std::string>{"a0", "a1", "b0"})) << threads << " threads";
-  }
+  // shard 0's messages (in send order), then shard 1's.
+  ShardedSimulator::Options opts;
+  opts.lookahead = Duration::millis(1);
+  ShardedSimulator engine(3, opts);
+  std::vector<std::string> order;
+  engine.schedule(0, Duration{}, [&] {
+    engine.post(2, Duration::millis(1), [&] { order.push_back("a0"); });
+    engine.post(2, Duration::millis(1), [&] { order.push_back("a1"); });
+  });
+  engine.schedule(1, Duration{}, [&] {
+    engine.post(2, Duration::millis(1), [&] { order.push_back("b0"); });
+  });
+  engine.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a0", "a1", "b0"}));
 }
 
 TEST(ShardedSim, WindowNeverExecutesEventsPastHorizon) {
@@ -122,12 +118,11 @@ TEST(ShardedSim, WindowNeverExecutesEventsPastHorizon) {
   EXPECT_GE(engine.windows_executed(), 2u);
 }
 
-TEST(ShardedSim, DeterministicAcrossThreadCounts) {
+TEST(ShardedSim, RepeatRunsExecuteIdenticalPerShardSequences) {
   // A ping-pong workload across 4 shards: the executed (shard, time, tag)
-  // sequence collected per shard must be identical for 1, 2, and 8 threads.
-  auto run_with = [](std::size_t threads) {
+  // sequence collected per shard must be identical on a fresh engine.
+  auto run_once = [] {
     ShardedSimulator::Options opts;
-    opts.threads = threads;
     opts.lookahead = Duration::millis(1);
     ShardedSimulator engine(4, opts);
     std::vector<std::vector<std::string>> per_shard(4);
@@ -146,22 +141,33 @@ TEST(ShardedSim, DeterministicAcrossThreadCounts) {
     engine.run();
     return per_shard;
   };
-  auto baseline = run_with(1);
-  EXPECT_EQ(run_with(2), baseline);
-  EXPECT_EQ(run_with(8), baseline);
+  auto baseline = run_once();
+  EXPECT_EQ(baseline[0].size(), 4u);  // its own start plus one from each peer
+  EXPECT_EQ(run_once(), baseline);
 }
 
-TEST(ShardedSim, ParallelExecutionActuallyUsesWorkers) {
-  // Not a timing assertion — just that the pool path executes all events.
+TEST(ShardedSim, EveryEventRunsOnTheCallingThread) {
+  // Options::threads is ignored: shards, and the mail between them, run on
+  // the thread that called run().
   ShardedSimulator::Options opts;
   opts.threads = 4;
-  ShardedSimulator engine(8, opts);
-  std::atomic<int> ran{0};
-  for (std::size_t s = 0; s < 8; ++s)
-    for (int i = 0; i < 100; ++i)
-      engine.schedule(s, Duration::millis(i), [&] { ran.fetch_add(1); });
-  EXPECT_EQ(engine.run(), 800u);
-  EXPECT_EQ(ran.load(), 800);
+  opts.lookahead = Duration::millis(1);
+  ShardedSimulator engine(3, opts);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on;
+  for (std::size_t s = 0; s < 3; ++s) {
+    engine.schedule(s, Duration::millis(static_cast<double>(s)), [&, s] {
+      ran_on.push_back(std::this_thread::get_id());
+      for (std::size_t peer = 0; peer < 3; ++peer) {
+        if (peer != s)
+          engine.post(peer, Duration{}, [&] { ran_on.push_back(std::this_thread::get_id()); });
+      }
+    });
+  }
+  EXPECT_EQ(engine.run(), 9u);
+  EXPECT_EQ(engine.cross_shard_posts(), 6u);
+  ASSERT_EQ(ran_on.size(), 9u);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
 }
 
 TEST(ShardedSim, RunReturnsDeltaNotTotal) {
@@ -200,7 +206,7 @@ TEST(ShardedSim, ShardClocksNeverRegress) {
 namespace {
 
 /// Per-shard profile_* count deltas from one profiled run (wall-derived
-/// profile_wall_* gauges excluded: those legitimately vary with threads).
+/// profile_wall_* gauges excluded: those vary run to run).
 using ProfileCounts = std::vector<std::vector<std::uint64_t>>;
 
 constexpr const char* kProfileCounters[] = {
@@ -239,12 +245,11 @@ void profiled_workload(ShardedSimulator& engine, std::size_t shards) {
 
 namespace {
 
-TEST(ShardedSimProfile, CountSeriesIdenticalAcrossThreadCounts) {
+TEST(ShardedSimProfile, CountSeriesIdenticalAcrossRepeatRuns) {
   constexpr std::size_t kShards = 3;
-  auto run_once = [](std::size_t threads) {
+  auto run_once = [] {
     ProfileCounts before = profile_counter_values(kShards);
     ShardedSimulator::Options opts;
-    opts.threads = threads;
     opts.lookahead = Duration::millis(1);
     opts.profile = true;
     ShardedSimulator engine(kShards, opts);
@@ -265,14 +270,12 @@ TEST(ShardedSimProfile, CountSeriesIdenticalAcrossThreadCounts) {
     return std::pair{delta, event_samples};
   };
 
-  auto baseline = run_once(1);
+  auto baseline = run_once();
   EXPECT_GT(baseline.first[0][0], 0u);  // shard 0 executed events
   EXPECT_GT(baseline.second.size(), 0u);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    auto got = run_once(threads);
-    EXPECT_EQ(got.first, baseline.first) << "threads=" << threads;
-    EXPECT_EQ(got.second, baseline.second) << "threads=" << threads;
-  }
+  auto repeat = run_once();
+  EXPECT_EQ(repeat.first, baseline.first);
+  EXPECT_EQ(repeat.second, baseline.second);
 }
 
 TEST(ShardedSimProfile, OffMeansNoSamplesAndNoFlush) {

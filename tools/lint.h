@@ -1,6 +1,7 @@
 // Determinism lint: a lightweight static pass over the C++ sources that
 // flags the constructs most likely to break the engine's event-for-event
-// determinism guarantee (DESIGN §8: identical runs across --threads 1/2/4/8).
+// determinism guarantee (DESIGN §8: run-to-run identity — two runs at the
+// same seed execute the same events and export the same bytes).
 //
 // This is a regex/heuristic scanner, not a compiler plugin — it needs no
 // libclang and runs anywhere the repo builds. It catches the hazard classes

@@ -59,14 +59,17 @@ std::string sample_line(const obs::MetricSample& s) {
 
 /// Builds the scenario fresh, binds it to the sharded engine and runs the
 /// whole migration workload. Everything observable must repeat exactly.
-MigrationRunResult run_migration_plan() {
+/// `threads` is passed as `Options::threads`, which the engine ignores.
+MigrationRunResult run_migration_plan(std::size_t threads = 1) {
   topo::ScenarioParams params = topo::small_scenario_params();
   params.seed = 7;
   auto scenario = topo::build_scenario(params);
   auto& mp = *scenario->mgmt;
   obs::default_registry().reset_values();
 
-  sim::ShardedSimulator engine(mp.natural_shard_count());
+  sim::ShardedSimulator::Options opts;
+  opts.threads = threads;
+  sim::ShardedSimulator engine(mp.natural_shard_count(), opts);
   const sim::Duration parent_delay = sim::Duration::millis(5);
   mp.bind_shards(engine, parent_delay);
 
@@ -124,6 +127,20 @@ MigrationRunResult run_migration_plan() {
     r.metrics.push_back(sample_line(s));
   }
   return r;
+}
+
+TEST(MigrationDeterminism, WorkloadByteIdenticalAcrossThreadCounts) {
+  // Options::threads is still accepted (the benchmark driver sets it) but the
+  // shards always run on the calling thread, so no value may change a byte.
+  MigrationRunResult baseline = run_migration_plan(1);
+  ASSERT_EQ(baseline.records.size(), 5u);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    MigrationRunResult r = run_migration_plan(threads);
+    EXPECT_EQ(baseline.records, r.records) << threads << " threads";
+    EXPECT_EQ(baseline.placements, r.placements) << threads << " threads";
+    EXPECT_EQ(baseline.messages, r.messages) << threads << " threads";
+    EXPECT_EQ(baseline.metrics, r.metrics) << threads << " threads";
+  }
 }
 
 TEST(MigrationDeterminism, RepeatedRunsAreStable) {

@@ -124,6 +124,21 @@ void BM_AbstractionRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_AbstractionRecompute);
 
+/// The per-GBR-bearer vFabric upkeep: a reservation change on one link, then
+/// the bandwidth-only refresh of the entries crossing it.
+void BM_VfabricBandwidthUpdate(benchmark::State& state) {
+  auto& fx = ScenarioFixture::get();
+  auto& leaf = fx.scenario->mgmt->leaf(0);
+  leaf.abstraction().refresh();
+  const Endpoint at = leaf.nib().links().front().a;
+  for (auto _ : state) {
+    (void)leaf.nib().reserve_link_bandwidth(at, 1.0);
+    (void)leaf.nib().release_link_bandwidth(at, 1.0);
+    leaf.abstraction().refresh();
+  }
+}
+BENCHMARK(BM_VfabricBandwidthUpdate);
+
 /// ConsoleReporter that also records one headline per primary run. Wall-time
 /// headlines gate with the coarse cross-machine tolerance; aggregate and
 /// errored runs are skipped (repetitions report means separately).

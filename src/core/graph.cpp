@@ -128,6 +128,8 @@ void Graph::begin_query() const {
     s.via_edge.resize(n);
     s.settled.resize(n);
     s.metrics.resize(n);
+    s.via_node.resize(n);
+    s.tree_pos.resize(n);
   }
   ++s.epoch;
   s.heap.clear();
@@ -263,7 +265,8 @@ Result<GraphPath> Graph::shortest_path(NodeKey src, NodeKey dst, Metric metric,
 }
 
 core::FlatMap<NodeKey, EdgeMetrics> Graph::shortest_tree(NodeKey src, Metric metric,
-                                                         double min_bandwidth_kbps) const {
+                                                         double min_bandwidth_kbps,
+                                                         std::vector<TreeVia>* via) const {
   core::FlatMap<NodeKey, EdgeMetrics> best;
   const std::uint32_t src_index = node_index(src);
   if (src_index == kNoNode) return best;
@@ -296,6 +299,8 @@ core::FlatMap<NodeKey, EdgeMetrics> Graph::shortest_tree(NodeKey src, Metric met
       if (np < s.primary[to]) {
         s.primary[to] = np;
         s.metrics[to] = nm;
+        s.via_edge[to] = ek;
+        s.via_node[to] = item.node;
         s.heap.push_back({np, secondary_of(nm, metric), to});
         std::push_heap(s.heap.begin(), s.heap.end(), HeapGreater{});
       }
@@ -309,7 +314,24 @@ core::FlatMap<NodeKey, EdgeMetrics> Graph::shortest_tree(NodeKey src, Metric met
     if (s.node_epoch[i] == s.epoch && s.settled[i] != 0)
       best.try_emplace((adjacency_.begin() + i)->first, s.metrics[i]);
   }
+  if (via != nullptr) fill_tree_via(src_index, *via);
   return best;
+}
+
+void Graph::fill_tree_via(std::uint32_t src_index, std::vector<TreeVia>& via) const {
+  // Same order as shortest_tree's map. Parents start as node indexes, since
+  // a parent's position may not be assigned yet, and are then translated.
+  Scratch& s = scratch_;
+  via.clear();
+  for (std::uint32_t i = 0; i < adjacency_.size(); ++i) {
+    if (s.node_epoch[i] != s.epoch || s.settled[i] == 0) continue;
+    s.tree_pos[i] = static_cast<std::uint32_t>(via.size());
+    via.push_back(i == src_index ? TreeVia{} : TreeVia{s.via_edge[i], s.via_node[i]});
+  }
+  // Every settled node but the root has a settled parent.
+  for (TreeVia& v : via) {
+    if (v.parent != TreeVia::kRoot) v.parent = s.tree_pos[v.parent];
+  }
 }
 
 std::vector<GraphPath> Graph::k_shortest_paths(NodeKey src, NodeKey dst, std::size_t k,

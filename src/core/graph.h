@@ -78,6 +78,15 @@ struct GraphPath {
   }
 };
 
+/// How a shortest-tree node was reached: the tree edge into it and its
+/// parent's position in the tree. Walking `parent` links up to the root
+/// yields the node's tree path with array lookups only.
+struct TreeVia {
+  static constexpr std::uint32_t kRoot = 0xffffffffu;
+  EdgeKey edge = 0;             ///< 0 at the root
+  std::uint32_t parent = kRoot;
+};
+
 /// Directed multigraph with stable edge IDs and O(1) node/edge lookup.
 class Graph {
  public:
@@ -114,9 +123,14 @@ class Graph {
 
   /// Shortest-path tree from `src`: best metrics per reachable node (for
   /// vFabric computation, which needs all border-port pairs at once).
-  /// Iteration order is node-insertion order — deterministic.
+  /// Iteration order is node-insertion order — deterministic. A node is only
+  /// re-parented by a strictly better primary metric, so with a 0 kbps floor
+  /// over non-negative bandwidths the tree's shape never depends on
+  /// bandwidth. When `via` is given, it is overwritten with one TreeVia per
+  /// returned entry, position-aligned with the map.
   [[nodiscard]] core::FlatMap<NodeKey, EdgeMetrics> shortest_tree(
-      NodeKey src, Metric metric, double min_bandwidth_kbps = 0.0) const;
+      NodeKey src, Metric metric, double min_bandwidth_kbps = 0.0,
+      std::vector<TreeVia>* via = nullptr) const;
 
   /// Yen's algorithm: up to k loop-free shortest paths, best first (§3.2
   /// "multiple shortest paths for each port pair").
@@ -145,6 +159,8 @@ class Graph {
     std::vector<EdgeKey> via_edge;
     std::vector<std::uint8_t> settled;
     std::vector<EdgeMetrics> metrics;       ///< tree queries only
+    std::vector<std::uint32_t> via_node;    ///< tree queries: parent's node index
+    std::vector<std::uint32_t> tree_pos;    ///< tree queries: position in the result
     std::vector<std::uint64_t> ban_node_epoch;
     std::vector<std::uint64_t> ban_edge_epoch;  ///< per edge index (key - 1)
     std::vector<HeapItem> heap;
@@ -165,6 +181,10 @@ class Graph {
   [[nodiscard]] bool edge_banned(EdgeKey edge) const;
   /// Lazily initializes scratch state for node `index` in this epoch.
   void touch(std::uint32_t index) const;
+
+  /// Writes the TreeVia records of the tree query that just ran from
+  /// `src_index` (see shortest_tree).
+  void fill_tree_via(std::uint32_t src_index, std::vector<TreeVia>& via) const;
 
   /// Runs under the bans currently marked in scratch (clear_bans() first for
   /// an unrestricted query).

@@ -18,6 +18,11 @@ void Nib::bump() {
   notifying_ = false;
 }
 
+void Nib::stamp_bandwidth(LinkRecord& l) {
+  SHARD_CHECKED(guard_, kWrite);
+  l.bandwidth_epoch = ++bandwidth_epoch_;
+}
+
 template <class IdT, class MapT>
 std::span<const IdT> Nib::cached_ids(IdCache<IdT>& cache, const MapT& map,
                                      std::uint64_t version) {
@@ -96,6 +101,7 @@ void Nib::upsert_link(Endpoint a, Endpoint b, EdgeMetrics metrics) {
   if (const std::uint32_t* slot = link_by_pair_.find_value(std::pair{a, b})) {
     LinkRecord& l = links_[*slot];
     l.metrics = metrics;
+    l.metrics.bandwidth_kbps = std::max(0.0, metrics.bandwidth_kbps - l.reserved_kbps);
     l.up = true;
     bump();
     return;
@@ -169,8 +175,12 @@ Result<void> Nib::reserve_link_bandwidth(Endpoint at, double kbps) {
   LinkRecord& l = links_[*slot];
   if (l.metrics.bandwidth_kbps + 1e-9 < kbps)
     return {ErrorCode::kExhausted, "insufficient bandwidth on the link"};
-  l.metrics.bandwidth_kbps -= kbps;
-  bump();
+  // Floored: the admission test tolerates 1e-9 kbps of overdraw, and
+  // available bandwidth stays non-negative (a 0 kbps routing floor then
+  // admits every link, which keeps vFabric trees bandwidth-independent).
+  l.metrics.bandwidth_kbps = std::max(0.0, l.metrics.bandwidth_kbps - kbps);
+  l.reserved_kbps += kbps;
+  stamp_bandwidth(l);
   return Ok();
 }
 
@@ -178,8 +188,12 @@ Result<void> Nib::release_link_bandwidth(Endpoint at, double kbps) {
   const std::uint32_t* slot = link_at_.find_value(at);
   if (slot == nullptr)
     return {ErrorCode::kNotFound, "no link at " + at.sw.str() + ":" + at.port.str()};
-  links_[*slot].metrics.bandwidth_kbps += kbps;
-  bump();
+  LinkRecord& l = links_[*slot];
+  l.metrics.bandwidth_kbps += kbps;
+  // Floored: a release may outlive its reservation when the link was
+  // removed and rediscovered in between (failure recovery).
+  l.reserved_kbps = std::max(0.0, l.reserved_kbps - kbps);
+  stamp_bandwidth(l);
   return Ok();
 }
 

@@ -47,8 +47,13 @@ struct SwitchRecord {
 struct LinkRecord {
   Endpoint a;
   Endpoint b;
-  EdgeMetrics metrics;
+  EdgeMetrics metrics;  ///< bandwidth_kbps is *available* bandwidth
   bool up = true;
+  /// Bandwidth this NIB has reserved on the link; rediscovery re-derives the
+  /// available bandwidth as measured capacity minus this.
+  double reserved_kbps = 0;
+  /// Nib::bandwidth_epoch() of the last reservation change on this link.
+  std::uint64_t bandwidth_epoch = 0;
 };
 
 /// An interdomain route learned at an egress point (§4.2): reaching `prefix`
@@ -78,7 +83,9 @@ class Nib {
   [[nodiscard]] std::size_t total_ports() const;
 
   // --- links ----------------------------------------------------------------
-  /// Records a discovered link (idempotent; endpoints normalized).
+  /// Records a discovered link (idempotent; endpoints normalized). On a
+  /// known link the measured bandwidth is reduced by the link's reservations
+  /// (floored at 0): rediscovery must not hand reserved bandwidth back.
   void upsert_link(Endpoint a, Endpoint b, EdgeMetrics metrics);
   /// Forgets a discovered link (kNotFound when the pair is not recorded).
   Result<void> remove_link(Endpoint a, Endpoint b);
@@ -92,7 +99,9 @@ class Nib {
   /// Bandwidth admission bookkeeping: link metrics carry *available*
   /// bandwidth; reservations reduce it, releases restore it. Fails without
   /// side effects when the link is unknown or too thin (§3.2). O(1) via the
-  /// endpoint index — this is the per-bearer hot path.
+  /// endpoint index — this is the per-bearer hot path. A bandwidth change,
+  /// not a topology change: it stamps the link with a new bandwidth_epoch()
+  /// and leaves version() and the subscribers alone.
   Result<void> reserve_link_bandwidth(Endpoint at, double kbps);
   Result<void> release_link_bandwidth(Endpoint at, double kbps);
 
@@ -133,18 +142,28 @@ class Nib {
   [[nodiscard]] std::vector<ExternalRoute> all_external_routes() const;
 
   // --- change notification ------------------------------------------------------
-  /// Monotonic version, bumped on every mutation. Subscribers run after each
-  /// bump (topology-change hooks for RecA re-abstraction, §5.3.2).
+  // Two kinds of change. A topology change (any mutation but a bandwidth
+  // reservation) bumps version() and runs the subscribers: consumers rebuild
+  // (RecA re-abstraction, §5.3.2). A bandwidth change bumps only
+  // bandwidth_epoch() and stamps the link: consumers patch the stamped links
+  // (LinkRecord::bandwidth_epoch newer than the epoch they last saw).
+  /// Monotonic topology version. Subscribers run after each bump.
   [[nodiscard]] std::uint64_t version() const { return version_; }
   void subscribe(std::function<void()> on_change);
+  /// Monotonic bandwidth epoch, bumped on every reserve/release.
+  [[nodiscard]] std::uint64_t bandwidth_epoch() const { return bandwidth_epoch_; }
 
-  /// Shard-ownership tag. Every mutator funnels through bump() (and the
-  /// non-bumping external-route upsert), so a single check there catches any
-  /// off-shard NIB write. Identity/owner are set by the owning controller.
+  /// Shard-ownership tag. Every mutator funnels through bump() or
+  /// stamp_bandwidth() (or checks directly, like the non-bumping
+  /// external-route upsert), so any off-shard NIB write is caught. Identity
+  /// and owner are set by the owning controller.
   [[nodiscard]] analysis::ShardGuard& guard() { return guard_; }
 
  private:
   void bump();
+  /// Records a reservation change on `l`: the bandwidth-change counterpart
+  /// of bump().
+  void stamp_bandwidth(LinkRecord& l);
   /// Reindexes links after a structural erase (replays discovery order, so
   /// "first link at endpoint" semantics survive removals).
   void rebuild_link_indexes();
@@ -171,6 +190,7 @@ class Nib {
   core::FlatMap<MiddleboxId, southbound::GMiddleboxAnnounce> middleboxes_;
   core::FlatMap<PrefixId, std::vector<ExternalRoute>> external_routes_;
   std::uint64_t version_ = 0;
+  std::uint64_t bandwidth_epoch_ = 0;
   std::vector<std::function<void()>> subscribers_;
   bool notifying_ = false;
   mutable IdCache<SwitchId> switch_ids_;

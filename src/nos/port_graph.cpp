@@ -4,7 +4,7 @@
 
 namespace softmow::nos {
 
-Graph build_port_graph(const Nib& nib) {
+Graph build_port_graph(const Nib& nib, PortGraphLinks* links) {
   Graph g;
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -31,10 +31,16 @@ Graph build_port_graph(const Nib& nib) {
     }
   }
 
-  for (const LinkRecord& l : nib.links()) {
+  if (links != nullptr) {
+    links->first_edge = g.edge_count() + 1;  // the build removes no edges
+    links->slot_of_pair.clear();
+  }
+  for (std::uint32_t slot = 0; slot < nib.links().size(); ++slot) {
+    const LinkRecord& l = nib.links()[slot];
     if (!l.up) continue;
     g.add_edge(port_key(l.a.sw, l.a.port), port_key(l.b.sw, l.b.port), l.metrics);
     g.add_edge(port_key(l.b.sw, l.b.port), port_key(l.a.sw, l.a.port), l.metrics);
+    if (links != nullptr) links->slot_of_pair.push_back(slot);
   }
   return g;
 }

@@ -37,8 +37,23 @@ struct RouteHop {
   friend bool operator==(const RouteHop&, const RouteHop&) = default;
 };
 
-/// Builds the port-level graph for the NIB's current topology.
-[[nodiscard]] Graph build_port_graph(const Nib& nib);
+/// Where the NIB's links landed in a port graph. Link edges are added last,
+/// two per up link (a->b, then b->a), so they form one contiguous key range:
+/// up link k has edges first_edge + 2k and first_edge + 2k + 1.
+struct PortGraphLinks {
+  static constexpr std::uint32_t kNoLink = 0xffffffffu;
+  EdgeKey first_edge = 1;
+  std::vector<std::uint32_t> slot_of_pair;  ///< NIB link slot of up link k
+
+  /// NIB link slot behind edge `e`, or kNoLink for an intra-switch edge.
+  [[nodiscard]] std::uint32_t slot_of(EdgeKey e) const {
+    return e < first_edge ? kNoLink : slot_of_pair[(e - first_edge) / 2];
+  }
+};
+
+/// Builds the port-level graph for the NIB's current topology, recording the
+/// link edges in `links` when given.
+[[nodiscard]] Graph build_port_graph(const Nib& nib, PortGraphLinks* links = nullptr);
 
 /// Converts a port-graph path into per-switch hops. The first node is where
 /// the flow enters its first switch; the last node is where it leaves.

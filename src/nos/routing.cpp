@@ -28,15 +28,26 @@ void stitch(GraphPath& acc, const GraphPath& seg) {
 
 const Graph& RoutingService::port_graph() const {
   if (cache_version_ != nib_->version()) {
-    graph_cache_ = build_port_graph(*nib_);
+    graph_cache_ = build_port_graph(*nib_, &links_cache_);
     cache_version_ = nib_->version();
+    cache_bandwidth_epoch_ = nib_->bandwidth_epoch();
+  } else if (cache_bandwidth_epoch_ != nib_->bandwidth_epoch()) {
+    const std::vector<std::uint32_t>& up_links = links_cache_.slot_of_pair;
+    for (std::size_t k = 0; k < up_links.size(); ++k) {
+      const LinkRecord& l = nib_->links()[up_links[k]];
+      if (l.bandwidth_epoch <= cache_bandwidth_epoch_) continue;
+      const EdgeKey ab = links_cache_.first_edge + 2 * k;
+      (void)graph_cache_.set_edge_metrics(ab, l.metrics);
+      (void)graph_cache_.set_edge_metrics(ab + 1, l.metrics);
+    }
+    cache_bandwidth_epoch_ = nib_->bandwidth_epoch();
   }
   return graph_cache_;
 }
 
-core::FlatMap<NodeKey, EdgeMetrics> RoutingService::reachability(Endpoint source,
-                                                                 Metric metric) const {
-  return port_graph().shortest_tree(port_key(source.sw, source.port), metric);
+core::FlatMap<NodeKey, EdgeMetrics> RoutingService::reachability(
+    Endpoint source, Metric metric, std::vector<TreeVia>* via) const {
+  return port_graph().shortest_tree(port_key(source.sw, source.port), metric, 0.0, via);
 }
 
 Result<ComputedRoute> RoutingService::route(const RoutingRequest& req) const {

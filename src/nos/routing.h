@@ -79,12 +79,19 @@ class RoutingService {
 
   /// Best-path metrics from `source` to every reachable port node —
   /// the building block of vFabric computation. Deterministic iteration
-  /// (node-insertion order of the port graph).
+  /// (node-insertion order of the port graph). `via`, when given, receives
+  /// the tree edges (Graph::shortest_tree).
   [[nodiscard]] core::FlatMap<NodeKey, EdgeMetrics> reachability(
-      Endpoint source, Metric metric) const;
+      Endpoint source, Metric metric, std::vector<TreeVia>* via = nullptr) const;
 
-  /// The (possibly cached) port graph for the current NIB version.
+  /// The port graph for the current NIB state. Cached: a topology change
+  /// (NIB version) rebuilds it; a bandwidth change (NIB bandwidth epoch)
+  /// patches the two edges of each stamped link in place, which leaves it
+  /// edge-for-edge equal to a rebuild.
   [[nodiscard]] const Graph& port_graph() const;
+  /// Where the NIB links sit in port_graph(); valid until the next NIB
+  /// topology change.
+  [[nodiscard]] const PortGraphLinks& port_graph_links() const { return links_cache_; }
 
  private:
   struct StageNode {
@@ -98,7 +105,9 @@ class RoutingService {
 
   const Nib* nib_;
   mutable Graph graph_cache_;
+  mutable PortGraphLinks links_cache_;
   mutable std::uint64_t cache_version_ = ~0ull;
+  mutable std::uint64_t cache_bandwidth_epoch_ = 0;
 };
 
 }  // namespace softmow::nos

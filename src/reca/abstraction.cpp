@@ -1,6 +1,7 @@
 #include "reca/abstraction.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "core/log.h"
 #include "nos/port_graph.h"
@@ -12,7 +13,15 @@ using nos::port_key;
 TopologyAbstraction::TopologyAbstraction(ControllerId self, int level, const nos::Nib* nib,
                                          const nos::RoutingService* routing)
     : self_(self), level_(level), gswitch_id_(gswitch_id_for(self)), nib_(nib),
-      routing_(routing) {}
+      routing_(routing) {
+  obs::MetricsRegistry& reg = obs::default_registry();
+  const std::string lvl = std::to_string(level);
+  full_refresh_metric_ =
+      reg.counter("abstraction_refresh_total", {{"level", lvl}, {"kind", "full"}});
+  bandwidth_refresh_metric_ =
+      reg.counter("abstraction_refresh_total", {{"level", lvl}, {"kind", "bandwidth"}});
+  entries_recomputed_metric_ = reg.counter("vfabric_entries_recomputed_total", {{"level", lvl}});
+}
 
 void TopologyAbstraction::set_border_gbs(std::set<GBsId> border) {
   border_gbs_ = std::move(border);
@@ -29,11 +38,88 @@ PortId TopologyAbstraction::exposed_port_for(Endpoint local) {
 }
 
 void TopologyAbstraction::refresh() {
-  if (dirty_) recompute();
+  if (dirty_)
+    recompute();
+  else if (nib_->bandwidth_epoch() != seen_bandwidth_epoch_)
+    refresh_bandwidth();
+}
+
+void TopologyAbstraction::refresh_bandwidth() {
+  if (!paths_built_) build_paths();
+  const std::vector<nos::LinkRecord>& links = nib_->links();
+  ++refresh_stamp_;
+  std::uint64_t recomputed = 0;
+  bool changed = false;
+  for (std::uint32_t slot = 0; slot + 1 < link_begin_.size(); ++slot) {
+    if (links[slot].bandwidth_epoch <= seen_bandwidth_epoch_) continue;
+    for (std::uint32_t k = link_begin_[slot]; k < link_begin_[slot + 1]; ++k) {
+      const std::uint32_t entry = link_entries_[k];
+      if (entry_stamp_[entry] == refresh_stamp_) continue;
+      entry_stamp_[entry] = refresh_stamp_;
+      ++recomputed;
+      double bandwidth = fixed_bandwidth_[entry];
+      for (std::uint32_t j = path_begin_[entry]; j < path_begin_[entry + 1]; ++j)
+        bandwidth = std::min(bandwidth, links[path_slots_[j]].metrics.bandwidth_kbps);
+      double& exposed = features_.vfabric[entry].metrics.bandwidth_kbps;
+      if (bandwidth != exposed) {
+        exposed = bandwidth;
+        changed = true;
+      }
+    }
+  }
+  seen_bandwidth_epoch_ = nib_->bandwidth_epoch();
+  if (changed) ++vfabric_generation_;
+  bandwidth_refresh_metric_->inc();
+  entries_recomputed_metric_->inc(recomputed);
+}
+
+void TopologyAbstraction::build_paths() {
+  const Graph& graph = routing_->port_graph();
+  const nos::PortGraphLinks& links = routing_->port_graph_links();
+  path_slots_.clear();
+  path_begin_.assign(1, 0);
+  fixed_bandwidth_.clear();
+  // Same loops as recompute()'s step 4, so entries line up with the vFabric.
+  for (const Endpoint& from : exposed_locals_) {
+    auto tree = routing_->reachability(from, Metric::kHops, &via_);
+    for (const Endpoint& to : exposed_locals_) {
+      if (from == to) continue;
+      auto it = tree.find(port_key(to.sw, to.port));
+      if (it == tree.end()) continue;
+      double fixed = std::numeric_limits<double>::infinity();
+      for (auto pos = static_cast<std::uint32_t>(it - tree.begin());
+           via_[pos].parent != TreeVia::kRoot; pos = via_[pos].parent) {
+        const EdgeKey edge = via_[pos].edge;
+        const std::uint32_t slot = links.slot_of(edge);
+        if (slot == nos::PortGraphLinks::kNoLink)
+          fixed = std::min(fixed, graph.edge(edge)->metrics.bandwidth_kbps);
+        else
+          path_slots_.push_back(slot);
+      }
+      fixed_bandwidth_.push_back(fixed);
+      path_begin_.push_back(static_cast<std::uint32_t>(path_slots_.size()));
+    }
+  }
+
+  // Counting sort of (slot, entry) pairs by slot; entries stay ascending
+  // within a slot.
+  link_begin_.assign(nib_->links().size() + 1, 0);
+  for (std::uint32_t slot : path_slots_) ++link_begin_[slot + 1];
+  for (std::size_t s = 1; s < link_begin_.size(); ++s) link_begin_[s] += link_begin_[s - 1];
+  link_entries_.resize(path_slots_.size());
+  std::vector<std::uint32_t> fill(link_begin_.begin(), link_begin_.end() - 1);
+  for (std::uint32_t entry = 0; entry + 1 < path_begin_.size(); ++entry) {
+    for (std::uint32_t j = path_begin_[entry]; j < path_begin_[entry + 1]; ++j)
+      link_entries_[fill[path_slots_[j]]++] = entry;
+  }
+  entry_stamp_.assign(fixed_bandwidth_.size(), 0);
+  paths_built_ = true;
 }
 
 void TopologyAbstraction::recompute() {
   dirty_ = false;
+  seen_bandwidth_epoch_ = nib_->bandwidth_epoch();
+  ++vfabric_generation_;
   features_ = southbound::FeaturesReply{};
   features_.sw = gswitch_id_;
   features_.is_gswitch = true;
@@ -163,6 +249,9 @@ void TopologyAbstraction::recompute() {
 
   // 4. vFabric: best-path metrics between every exposed port pair (§3.2),
   //    computed from the controller's own (port-level) topology.
+  exposed_locals_.clear();
+  for (const Exposure& e : exposures) exposed_locals_.push_back(e.local);
+  paths_built_ = false;
   for (const Exposure& from : exposures) {
     auto tree = routing_->reachability(from.local, Metric::kHops);
     PortId from_port = local_to_port_.at(from.local);
@@ -174,6 +263,8 @@ void TopologyAbstraction::recompute() {
           southbound::VFabricEntry{from_port, local_to_port_.at(to.local), it->second});
     }
   }
+  full_refresh_metric_->inc();
+  entries_recomputed_metric_->inc(features_.vfabric.size());
 
   SOFTMOW_LOG(LogLevel::kDebug, "reca")
       << self_.str() << " abstraction: " << features_.ports.size() << " ports, "

@@ -21,6 +21,7 @@
 #include "core/ids.h"
 #include "nos/nib.h"
 #include "nos/routing.h"
+#include "obs/metrics.h"
 #include "southbound/messages.h"
 
 namespace softmow::reca {
@@ -51,14 +52,26 @@ class TopologyAbstraction {
   void set_border_gbs(std::set<GBsId> border);
   [[nodiscard]] const std::set<GBsId>& border_gbs() const { return border_gbs_; }
 
+  /// Flags a topology change: the next refresh() recomputes everything.
   void mark_dirty() { dirty_ = true; }
-  [[nodiscard]] bool dirty() const { return dirty_; }
+  /// True when refresh() has work: a topology change, or a NIB bandwidth
+  /// change since the abstraction was last brought up to date.
+  [[nodiscard]] bool dirty() const {
+    return dirty_ || nib_->bandwidth_epoch() != seen_bandwidth_epoch_;
+  }
 
   /// Rebuilds the abstraction from the current NIB (§4.1.3). Exposed port
   /// numbers are stable across recomputes for unchanged local endpoints.
   void recompute();
-  /// recompute() only if dirty.
+  /// Brings the abstraction up to date: recompute() after a topology change;
+  /// after bandwidth changes only, recomputes the bottleneck of just the
+  /// vFabric entries whose path crosses a stamped link. Both give the same
+  /// features().vfabric: bandwidth never changes the hop-optimal trees
+  /// (Graph::shortest_tree), and a bottleneck is an exact min.
   void refresh();
+  /// Moves whenever features().vfabric may have changed: on every
+  /// recompute() and on every bandwidth refresh that changed an entry.
+  [[nodiscard]] std::uint64_t vfabric_generation() const { return vfabric_generation_; }
 
   /// The G-switch description: ports + vFabric (answer to FeaturesRequest).
   [[nodiscard]] const southbound::FeaturesReply& features() const { return features_; }
@@ -98,6 +111,15 @@ class TopologyAbstraction {
 
  private:
   PortId exposed_port_for(Endpoint local);
+  /// Records every vFabric entry's tree path in the per-entry path storage
+  /// and indexes the entries by link. Deferred from recompute() to the
+  /// first bandwidth refresh after it, so a full recompute costs what it
+  /// did without incremental upkeep. It reruns recompute()'s trees, which
+  /// is exact: only a topology change could alter them, and that makes the
+  /// abstraction dirty instead.
+  void build_paths();
+  /// The bandwidth-only refresh.
+  void refresh_bandwidth();
 
   ControllerId self_;
   int level_;
@@ -114,6 +136,28 @@ class TopologyAbstraction {
   std::unordered_map<Endpoint, PortId> local_to_port_;
   std::unordered_map<PortId, std::vector<Endpoint>> port_constituents_;
   std::uint64_t next_port_ = 1;
+
+  // Incremental bandwidth upkeep (§3.2). Entry i of features_.vfabric
+  // crosses the NIB link slots path_slots_[path_begin_[i] .. path_begin_[i + 1]);
+  // its other edges (intra-switch, G-switch vFabric) bottleneck at
+  // fixed_bandwidth_[i].
+  std::vector<Endpoint> exposed_locals_;  ///< recompute()'s exposures, in order
+  bool paths_built_ = false;
+  std::vector<TreeVia> via_;  ///< build_paths() scratch
+  std::vector<std::uint32_t> path_slots_;
+  std::vector<std::uint32_t> path_begin_;
+  std::vector<double> fixed_bandwidth_;
+  /// Entries crossing link slot s: link_entries_[link_begin_[s] .. link_begin_[s + 1]).
+  std::vector<std::uint32_t> link_begin_;
+  std::vector<std::uint32_t> link_entries_;
+  std::vector<std::uint64_t> entry_stamp_;  ///< per entry: last refresh that visited it
+  std::uint64_t refresh_stamp_ = 0;
+  std::uint64_t seen_bandwidth_epoch_ = 0;  ///< NIB bandwidth epoch last folded in
+  std::uint64_t vfabric_generation_ = 0;
+
+  obs::Counter* full_refresh_metric_ = nullptr;
+  obs::Counter* bandwidth_refresh_metric_ = nullptr;
+  obs::Counter* entries_recomputed_metric_ = nullptr;
 };
 
 }  // namespace softmow::reca

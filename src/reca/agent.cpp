@@ -65,11 +65,14 @@ void RecAAgent::announce() {
   announced_bandwidth_.clear();
   for (const southbound::VFabricEntry& e : update.entries)
     announced_bandwidth_[{e.from, e.to}] = e.metrics.bandwidth_kbps;
+  in_sync_generation_ = s_.abstraction->vfabric_generation();
 }
 
 void RecAAgent::maybe_announce_vfabric() {
   if (parent_ == nullptr) return;
   s_.abstraction->refresh();
+  if (s_.abstraction->vfabric_generation() == in_sync_generation_) return;
+  in_sync_generation_ = s_.abstraction->vfabric_generation();
   const auto& entries = s_.abstraction->features().vfabric;
   bool drifted = entries.size() != announced_bandwidth_.size();
   for (const southbound::VFabricEntry& e : entries) {

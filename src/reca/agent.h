@@ -70,7 +70,10 @@ class RecAAgent {
   /// Compares against the last announced vFabric and pushes an update when
   /// any pair drifted by more than `vfabric_threshold()` (fraction).
   void maybe_announce_vfabric();
-  void set_vfabric_threshold(double fraction) { vfabric_threshold_ = fraction; }
+  void set_vfabric_threshold(double fraction) {
+    vfabric_threshold_ = fraction;
+    in_sync_generation_ = kNever;  // the last in-sync verdict used the old threshold
+  }
   [[nodiscard]] double vfabric_threshold() const { return vfabric_threshold_; }
   [[nodiscard]] std::uint64_t vfabric_updates_sent() const { return vfabric_updates_sent_; }
 
@@ -120,6 +123,11 @@ class RecAAgent {
   std::set<GBsId> announced_gbs_;
   /// Bandwidth per port pair as of the last announcement (§3.2 threshold).
   std::map<std::pair<PortId, PortId>, double> announced_bandwidth_;
+  /// Abstraction vFabric generation last found within the threshold of
+  /// announced_bandwidth_ (or announced): while it has not moved, the drift
+  /// compare would find nothing.
+  static constexpr std::uint64_t kNever = ~0ull;
+  std::uint64_t in_sync_generation_ = kNever;
   double vfabric_threshold_ = 0.1;
   std::uint64_t vfabric_updates_sent_ = 0;
 };

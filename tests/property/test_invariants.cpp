@@ -72,6 +72,7 @@ TEST_P(InvariantTest, VfabricMatchesChildShortestPaths) {
       ASSERT_NE(it, tree.end());
       EXPECT_NEAR(it->second.hop_count, entry.metrics.hop_count, 1e-9);
       EXPECT_NEAR(it->second.latency_us, entry.metrics.latency_us, 1e-9);
+      EXPECT_EQ(it->second.bandwidth_kbps, entry.metrics.bandwidth_kbps);
     }
   }
 }

@@ -135,6 +135,32 @@ TEST(ShardCheckEngine, OffShardNibMutationIsCaught) {
   EXPECT_EQ(f.event_seq, 0u);       // first event scheduled onto shard 0
 }
 
+// A bandwidth reservation is not a topology bump, but it is still a NIB
+// write: an off-shard one is caught the same way.
+TEST(ShardCheckEngine, OffShardReservationIsCaught) {
+  SKIP_UNLESS_INSTRUMENTED();
+  nos::Nib nib;
+  nib.upsert_link(Endpoint{SwitchId{1}, PortId{1}}, Endpoint{SwitchId{2}, PortId{1}},
+                  EdgeMetrics{0, 1, 1000});
+  nib.guard().set_identity("nib", 7);
+  nib.guard().set_owner(1);
+
+  ShardChecker checker;
+  sim::ShardedSimulator engine(2);
+  engine.schedule(0, sim::Duration::millis(1), [&] {
+    (void)nib.reserve_link_bandwidth(Endpoint{SwitchId{1}, PortId{1}}, 100);
+  });
+  engine.run();
+
+  AnalysisReport report = checker.report();
+  ASSERT_EQ(report.count(FindingKind::kForeignWrite), 1u) << report.summary();
+  const Finding& f = report.findings.front();
+  EXPECT_EQ(f.structure, "nib");
+  EXPECT_EQ(f.instance, 7u);
+  EXPECT_EQ(f.owner, 1u);
+  EXPECT_EQ(f.accessor, 0u);
+}
+
 // Seeded violation 2 (ISSUE): a flow-table install that skips the mailbox
 // handoff — a direct foreign write instead of engine.post to the owner.
 TEST(ShardCheckEngine, InstallSkippingMailboxHandoffIsCaught) {

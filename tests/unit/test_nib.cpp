@@ -144,6 +144,52 @@ TEST(Nib, SubscribersFireOnTopologyChange) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(Nib, ReservationsAreBandwidthChangesNotTopologyChanges) {
+  Nib nib;
+  nib.upsert_link({SwitchId{1}, PortId{1}}, {SwitchId{2}, PortId{1}},
+                  EdgeMetrics{5000, 1, 1000});
+  nib.upsert_link({SwitchId{2}, PortId{2}}, {SwitchId{3}, PortId{1}},
+                  EdgeMetrics{5000, 1, 1000});
+  int fired = 0;
+  nib.subscribe([&] { ++fired; });
+  const auto version = nib.version();
+  const auto epoch = nib.bandwidth_epoch();
+
+  ASSERT_TRUE(nib.reserve_link_bandwidth({SwitchId{2}, PortId{2}}, 400).ok());
+  EXPECT_EQ(nib.bandwidth_epoch(), epoch + 1);
+  EXPECT_EQ(nib.links()[1].bandwidth_epoch, nib.bandwidth_epoch());  // stamped
+  EXPECT_LE(nib.links()[0].bandwidth_epoch, epoch);                   // untouched
+  ASSERT_TRUE(nib.release_link_bandwidth({SwitchId{3}, PortId{1}}, 400).ok());
+  EXPECT_EQ(nib.bandwidth_epoch(), epoch + 2);
+  EXPECT_EQ(nib.links()[1].bandwidth_epoch, nib.bandwidth_epoch());
+  // A refused reservation changes nothing.
+  EXPECT_EQ(nib.reserve_link_bandwidth({SwitchId{1}, PortId{1}}, 5000).code(),
+            ErrorCode::kExhausted);
+  EXPECT_EQ(nib.bandwidth_epoch(), epoch + 2);
+
+  EXPECT_EQ(nib.version(), version);
+  EXPECT_EQ(fired, 0);
+}
+
+TEST(Nib, RediscoveryKeepsReservations) {
+  Nib nib;
+  const Endpoint a{SwitchId{1}, PortId{1}};
+  const Endpoint b{SwitchId{2}, PortId{1}};
+  nib.upsert_link(a, b, EdgeMetrics{5000, 1, 1000});
+  ASSERT_TRUE(nib.reserve_link_bandwidth(a, 700).ok());
+  // Discovery measures the full capacity again; the reservation stays.
+  nib.upsert_link(b, a, EdgeMetrics{5000, 1, 1000});
+  EXPECT_DOUBLE_EQ(nib.links()[0].metrics.bandwidth_kbps, 300);
+  EXPECT_DOUBLE_EQ(nib.links()[0].reserved_kbps, 700);
+  // A capacity below the reservations floors the available bandwidth at 0.
+  nib.upsert_link(a, b, EdgeMetrics{5000, 1, 500});
+  EXPECT_DOUBLE_EQ(nib.links()[0].metrics.bandwidth_kbps, 0);
+  ASSERT_TRUE(nib.release_link_bandwidth(a, 700).ok());
+  EXPECT_DOUBLE_EQ(nib.links()[0].reserved_kbps, 0);
+  nib.upsert_link(a, b, EdgeMetrics{5000, 1, 1000});
+  EXPECT_DOUBLE_EQ(nib.links()[0].metrics.bandwidth_kbps, 1000);
+}
+
 TEST(Nib, SetVfabricOnUnknownSwitchFails) {
   Nib nib;
   EXPECT_EQ(nib.set_vfabric(SwitchId{9}, {}).code(), ErrorCode::kNotFound);

@@ -245,5 +245,42 @@ TEST_F(HierarchyReservationTest, AdmissionRejectsWhatNoLongerFits) {
   EXPECT_FALSE(second.ok());
 }
 
+TEST_F(HierarchyReservationTest, ReservationDirtiesTheAbstractionUntilRefresh) {
+  auto& west = mp->leaf(0);
+  west.abstraction().refresh();
+  ASSERT_FALSE(west.abstraction().dirty());
+  const auto version = west.nib().version();
+  const nos::LinkRecord& spine = west.nib().links().front();
+  ASSERT_TRUE(west.nib().reserve_link_bandwidth(spine.a, 100).ok());
+  EXPECT_EQ(west.nib().version(), version);  // a bandwidth change only
+  EXPECT_TRUE(west.abstraction().dirty());
+  west.abstraction().refresh();
+  EXPECT_FALSE(west.abstraction().dirty());
+  ASSERT_TRUE(west.nib().release_link_bandwidth(spine.a, 100).ok());
+  EXPECT_TRUE(west.abstraction().dirty());
+  west.abstraction().refresh();
+  EXPECT_FALSE(west.abstraction().dirty());
+}
+
+// Regression: rediscovery used to overwrite a link's available bandwidth
+// with the measured capacity, handing reserved bandwidth back.
+TEST_F(HierarchyReservationTest, RediscoveryKeepsReservations) {
+  auto& west = mp->leaf(0);
+  auto& mobility = suite->mobility(west);
+  ASSERT_TRUE(mobility.ue_attach(UeId{1}, bs_a).ok());
+  ASSERT_TRUE(mobility.ue_attach(UeId{2}, bs_a).ok());
+  ASSERT_TRUE(mobility.request_bearer(gbr(UeId{1}, 700)).ok());
+  auto spine_bandwidth = [&] {
+    double min_bw = 1e18;
+    for (const nos::LinkRecord& l : west.nib().links())
+      min_bw = std::min(min_bw, l.metrics.bandwidth_kbps);
+    return min_bw;
+  };
+  EXPECT_NEAR(spine_bandwidth(), 300, 1e-6);
+  west.run_link_discovery();
+  EXPECT_NEAR(spine_bandwidth(), 300, 1e-6);
+  EXPECT_FALSE(mobility.request_bearer(gbr(UeId{2}, 700)).ok());
+}
+
 }  // namespace
 }  // namespace softmow

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "core/rng.h"
 #include "nos/routing.h"
 
 namespace softmow::nos {
@@ -189,6 +192,47 @@ TEST_F(RoutingFixture, GraphCacheInvalidatesOnTopologyChange) {
   nib.set_links_at_up({SwitchId{1}, PortId{2}}, false);
   auto after = routing.route(req);
   EXPECT_FALSE(after.ok());
+}
+
+TEST_F(RoutingFixture, BandwidthChangesPatchThePortGraphInPlace) {
+  // Edge-for-edge equality with a fresh build, bandwidth compared bitwise.
+  auto expect_same_as_rebuild = [&](const Graph& patched) {
+    Graph fresh = build_port_graph(nib);
+    auto want = fresh.all_edges();
+    auto got = patched.all_edges();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i]->id, want[i]->id);
+      EXPECT_EQ(got[i]->from, want[i]->from);
+      EXPECT_EQ(got[i]->to, want[i]->to);
+      EXPECT_EQ(got[i]->up, want[i]->up);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]->metrics.bandwidth_kbps),
+                std::bit_cast<std::uint64_t>(want[i]->metrics.bandwidth_kbps));
+      EXPECT_EQ(got[i]->metrics.latency_us, want[i]->metrics.latency_us);
+      EXPECT_EQ(got[i]->metrics.hop_count, want[i]->metrics.hop_count);
+    }
+  };
+  const Endpoint ends[] = {{SwitchId{1}, PortId{2}}, {SwitchId{2}, PortId{1}},
+                           {SwitchId{2}, PortId{2}}, {SwitchId{3}, PortId{1}}};
+  std::vector<std::pair<Endpoint, double>> held;
+  Rng rng(11);
+  for (int step = 0; step < 200; ++step) {
+    if (step == 100) {
+      // A topology change in the middle: rebuild, then patch again.
+      nib.set_links_at_up({SwitchId{2}, PortId{2}}, false);
+      expect_same_as_rebuild(routing.port_graph());
+      nib.set_links_at_up({SwitchId{2}, PortId{2}}, true);
+    }
+    if (!held.empty() && rng.bernoulli(0.5)) {
+      ASSERT_TRUE(nib.release_link_bandwidth(held.back().first, held.back().second).ok());
+      held.pop_back();
+    } else {
+      Endpoint at = ends[rng.uniform_u64(0, 3)];
+      double kbps = rng.uniform(1, 3e5);
+      if (nib.reserve_link_bandwidth(at, kbps).ok()) held.emplace_back(at, kbps);
+    }
+    expect_same_as_rebuild(routing.port_graph());
+  }
 }
 
 }  // namespace

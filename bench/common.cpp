@@ -1,8 +1,10 @@
 #include "bench/common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 
 #include "analysis/shard_check.h"
@@ -451,6 +453,73 @@ InternalCostTable compute_internal_costs(topo::Scenario& scenario) {
     }
   }
   return table;
+}
+
+EgressEvaluation evaluate_egress(topo::Scenario& scenario, const InternalCostTable& internal,
+                                 EgressMetric metric, int snapshots) {
+  EgressEvaluation out;
+  const std::size_t groups = internal.groups.size();
+  const std::size_t egresses = internal.egresses.size();
+  if (egresses == 0) return out;
+  const bool hops = metric == EgressMetric::kHops;
+  // A missing internal or external leg costs +inf: it never wins a min and
+  // never passes the kNoPath test, exactly like skipping it.
+  constexpr double kNoPath = 1e18;
+  constexpr double kMissing = std::numeric_limits<double>::infinity();
+  auto sample = [hops](double best) { return hops ? best : 2.0 * best / 1000.0; };
+
+  // [group][egress] internal cost, and the PGW by mean internal cost.
+  std::vector<double> in(groups * egresses, kMissing);
+  std::vector<std::pair<double, std::size_t>> by_mean;
+  for (std::size_t e = 0; e < egresses; ++e) {
+    double sum = 0;
+    std::size_t n = 0;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const EdgeMetrics& m = internal.cost[g][e];
+      if (m.hop_count < 0) continue;
+      double& c = in[g * egresses + e];
+      c = hops ? m.hop_count : m.latency_us;
+      sum += c;
+      ++n;
+    }
+    by_mean.emplace_back(n > 0 ? sum / static_cast<double>(n) : kNoPath, e);
+  }
+  std::sort(by_mean.begin(), by_mean.end());
+  out.pgw_index = by_mean[by_mean.size() / 2].second;
+
+  topo::IPlaneModel& iplane = *scenario.iplane;
+  const int prior_snapshot = iplane.snapshot();
+  const std::vector<PrefixId> prefixes = iplane.prefixes();
+  std::vector<double> ext(prefixes.size() * egresses);  // [prefix][egress]
+  SampleSet* const softmow[] = {&out.egress2, &out.egress4, &out.egress8};
+  const std::size_t first_n[] = {std::min<std::size_t>(2, egresses),
+                                 std::min<std::size_t>(4, egresses),
+                                 std::min<std::size_t>(8, egresses)};
+  for (int snap = 0; snap < snapshots; ++snap) {
+    iplane.set_snapshot(snap);
+    for (std::size_t p = 0; p < prefixes.size(); ++p) {
+      for (std::size_t e = 0; e < egresses; ++e) {
+        auto c = iplane.cost(internal.egresses[e], prefixes[p]);
+        ext[p * egresses + e] = !c ? kMissing : hops ? c->hops : c->latency_us;
+      }
+    }
+    for (std::size_t g = 0; g < groups; ++g) {
+      const double* in_g = &in[g * egresses];
+      for (std::size_t p = 0; p < prefixes.size(); ++p) {
+        const double* ext_p = &ext[p * egresses];
+        double best = kNoPath;
+        std::size_t e = 0;
+        for (std::size_t k = 0; k < 3; ++k) {
+          for (; e < first_n[k]; ++e) best = std::min(best, in_g[e] + ext_p[e]);
+          if (best < kNoPath) softmow[k]->add(sample(best));
+        }
+        const double lte = in_g[out.pgw_index] + ext_p[out.pgw_index];
+        if (lte < kNoPath) out.lte.add(sample(lte));
+      }
+    }
+  }
+  iplane.set_snapshot(prior_snapshot);
+  return out;
 }
 
 }  // namespace softmow::bench

@@ -176,4 +176,26 @@ struct InternalCostTable {
 
 InternalCostTable compute_internal_costs(topo::Scenario& scenario);
 
+/// The cost an egress evaluation minimizes: end-to-end hops (Fig. 8) or
+/// latency (Fig. 9, sampled as RTT in ms: twice the one-way µs over 1000).
+enum class EgressMetric { kHops, kLatency };
+
+/// End-to-end samples of the §7.2 comparison, one per reachable
+/// (snapshot, group, prefix), in that insertion order.
+struct EgressEvaluation {
+  /// The rigid-LTE PGW: the median egress by mean internal cost over the
+  /// groups that reach it — a typical placement, neither best nor worst
+  /// (§1: distant Internet egress causes path inflation).
+  std::size_t pgw_index = 0;
+  SampleSet egress2, egress4, egress8;  ///< SoftMoW, best of the first 2/4/8 egresses
+  SampleSet lte;                        ///< every flow exits at the PGW
+};
+
+/// The Fig. 8/9 evaluator. For each of iPlane snapshots 0..`snapshots`-1 it
+/// tabulates the external cost of every (egress, prefix) once, then makes
+/// one running-min pass per (group, prefix) over the egresses in order.
+/// Leaves the iPlane model on the snapshot it found.
+EgressEvaluation evaluate_egress(topo::Scenario& scenario, const InternalCostTable& internal,
+                                 EgressMetric metric, int snapshots);
+
 }  // namespace softmow::bench

@@ -17,62 +17,22 @@ void run() {
   auto scenario = build_scenario_timed(paper_scale_params(0, 4, /*originate=*/false));
   maybe_verify(*scenario);
   auto internal = compute_internal_costs(*scenario);
-  auto prefixes = scenario->iplane->prefixes();
-
-  // LTE baseline: one rigid region, one centralized PGW complex. The PGW
-  // sits wherever the operator's Internet edge happens to be (the paper's
-  // §1 premise: "the lack of sufficiently close Internet egress points is a
-  // major cause of path inflation"). We model a *typical* placement — the
-  // median egress by mean internal distance — neither best- nor worst-case.
-  std::vector<std::pair<double, std::size_t>> by_mean;
-  for (std::size_t e = 0; e < internal.egresses.size(); ++e) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t g = 0; g < internal.groups.size(); ++g) {
-      if (internal.cost[g][e].hop_count < 0) continue;
-      sum += internal.cost[g][e].hop_count;
-      ++n;
-    }
-    by_mean.emplace_back(n > 0 ? sum / static_cast<double>(n) : 1e18, e);
-  }
-  std::sort(by_mean.begin(), by_mean.end());
-  std::size_t pgw_index = by_mean[by_mean.size() / 2].second;
+  // LTE baseline: one rigid region whose single centralized PGW complex sits
+  // at the median egress by mean internal hop count (see evaluate_egress).
+  EgressEvaluation eval = evaluate_egress(*scenario, internal, EgressMetric::kHops, 1);
 
   TextTable table({"config", "min", "p25", "median", "p75", "max", "mean"});
-  double lte_mean = 0, softmow8_mean = 0, softmow2_mean = 0;
-
-  auto evaluate = [&](const std::string& name, std::size_t egress_count, bool lte) -> double {
-    SampleSet hops;
-    for (std::size_t g = 0; g < internal.groups.size(); ++g) {
-      for (PrefixId prefix : prefixes) {
-        double best = 1e18;
-        if (lte) {
-          const EdgeMetrics& in = internal.cost[g][pgw_index];
-          auto ext = scenario->iplane->cost(internal.egresses[pgw_index], prefix);
-          if (in.hop_count >= 0 && ext) best = in.hop_count + ext->hops;
-        } else {
-          for (std::size_t e = 0; e < egress_count && e < internal.egresses.size(); ++e) {
-            const EdgeMetrics& in = internal.cost[g][e];
-            if (in.hop_count < 0) continue;
-            auto ext = scenario->iplane->cost(internal.egresses[e], prefix);
-            if (!ext) continue;
-            best = std::min(best, in.hop_count + ext->hops);
-          }
-        }
-        if (best < 1e18) hops.add(best);
-      }
-    }
+  auto add_row = [&](const std::string& name, const SampleSet& hops) {
     BoxStats box = box_stats(hops);
     table.add_row({name, TextTable::num(box.min, 1), TextTable::num(box.p25, 1),
                    TextTable::num(box.median, 1), TextTable::num(box.p75, 1),
                    TextTable::num(box.max, 1), TextTable::num(box.mean, 2)});
     return box.mean;
   };
-
-  softmow2_mean = evaluate("2-egrs", 2, false);
-  evaluate("4-egrs", 4, false);
-  softmow8_mean = evaluate("8-egrs", 8, false);
-  lte_mean = evaluate("LTE", 0, true);
+  double softmow2_mean = add_row("2-egrs", eval.egress2);
+  add_row("4-egrs", eval.egress4);
+  double softmow8_mean = add_row("8-egrs", eval.egress8);
+  double lte_mean = add_row("LTE", eval.lte);
   table.print();
 
   std::printf("\nmeasured: mean %.2f (2-egrs) -> %.2f (8-egrs)\n", softmow2_mean,

@@ -52,11 +52,13 @@ void traced_bearer_setups(mgmt::ManagementPlane& mp) {
       setup_ms.add((done - t0).to_millis());
     }
   }
+  // p95 first: it sorts the samples, and mean() then sums them in sorted order.
+  const double p95 = setup_ms.percentile(95);
+  const double mean = setup_ms.mean();
   std::printf("\ncontrol plane: %zu modeled bearer setups delegated to the root — mean "
               "%.1f ms, p95 %.1f ms (span trees: --trace-chrome; breakdown: "
               "--latency-budget)\n",
-              static_cast<std::size_t>(kBearerBurstPerLeaf) * leaves.size(),
-              setup_ms.mean(), setup_ms.percentile(95));
+              static_cast<std::size_t>(kBearerBurstPerLeaf) * leaves.size(), mean, p95);
 }
 
 void run() {
@@ -66,55 +68,13 @@ void run() {
   auto scenario = build_scenario_timed(paper_scale_params(0, 4, /*originate=*/false));
   maybe_verify(*scenario);
   auto internal = compute_internal_costs(*scenario);
-  auto prefixes = scenario->iplane->prefixes();
-
-  // The same PGW model as Fig. 8: typical (median) placement, by latency.
-  std::vector<std::pair<double, std::size_t>> by_mean;
-  for (std::size_t e = 0; e < internal.egresses.size(); ++e) {
-    double sum = 0;
-    std::size_t n = 0;
-    for (std::size_t g = 0; g < internal.groups.size(); ++g) {
-      if (internal.cost[g][e].hop_count < 0) continue;
-      sum += internal.cost[g][e].latency_us;
-      ++n;
-    }
-    by_mean.emplace_back(n > 0 ? sum / static_cast<double>(n) : 1e18, e);
-  }
-  std::sort(by_mean.begin(), by_mean.end());
-  std::size_t pgw_index = by_mean[by_mean.size() / 2].second;
-
-  auto evaluate = [&](std::size_t egress_count, bool lte) {
-    SampleSet rtt_ms;
-    for (int snap = 0; snap < kSnapshots; ++snap) {
-      scenario->iplane->set_snapshot(snap);
-      for (std::size_t g = 0; g < internal.groups.size(); ++g) {
-        for (PrefixId prefix : prefixes) {
-          double best = 1e18;
-          if (lte) {
-            const EdgeMetrics& in = internal.cost[g][pgw_index];
-            auto ext = scenario->iplane->cost(internal.egresses[pgw_index], prefix);
-            if (in.hop_count >= 0 && ext) best = in.latency_us + ext->latency_us;
-          } else {
-            for (std::size_t e = 0; e < egress_count && e < internal.egresses.size(); ++e) {
-              const EdgeMetrics& in = internal.cost[g][e];
-              if (in.hop_count < 0) continue;
-              auto ext = scenario->iplane->cost(internal.egresses[e], prefix);
-              if (!ext) continue;
-              best = std::min(best, in.latency_us + ext->latency_us);
-            }
-          }
-          if (best < 1e18) rtt_ms.add(2.0 * best / 1000.0);  // one-way us -> RTT ms
-        }
-      }
-    }
-    scenario->iplane->set_snapshot(0);
-    return rtt_ms;
-  };
-
-  SampleSet lte = evaluate(0, true);
-  SampleSet e2 = evaluate(2, false);
-  SampleSet e4 = evaluate(4, false);
-  SampleSet e8 = evaluate(8, false);
+  // The same PGW model as Fig. 8 (typical, median placement), by latency.
+  EgressEvaluation eval =
+      evaluate_egress(*scenario, internal, EgressMetric::kLatency, kSnapshots);
+  const SampleSet& lte = eval.lte;
+  const SampleSet& e2 = eval.egress2;
+  const SampleSet& e4 = eval.egress4;
+  const SampleSet& e8 = eval.egress8;
 
   TextTable cdf({"RTT percentile", "LTE (ms)", "2-egrs", "4-egrs", "8-egrs"});
   for (double p : {10.0, 25.0, 50.0, 75.0, 85.0, 95.0, 99.0}) {

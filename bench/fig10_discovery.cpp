@@ -91,7 +91,7 @@ void run() {
 
   // Flat baseline: one controller, one queue, as its own span tree so the
   // --latency-budget table contrasts it with the recursive round.
-  std::uint64_t flat_messages = baseline::flat_discovery_message_count(scenario->net);
+  std::uint64_t flat_messages = nos::flat_discovery_message_count(scenario->net);
   obs::TraceContext flat_round =
       tracer.open_span_under({}, t0, "discovery.round.flat", 0, "flat");
   sim::TimePoint flat_done = traced_convergence(flat_messages, "flat", 0, flat_round, t0);

@@ -26,9 +26,15 @@ SeriesResult simulate(const topo::LteTrace& trace,
                       const std::vector<std::size_t>& initial_region, std::size_t /*regions*/,
                       bool optimize) {
   SeriesResult result;
-  std::map<GBsId, SwitchId> attach;  // region encoded as a pseudo G-switch ID
-  for (std::size_t g = 0; g < trace.groups.size(); ++g)
-    attach[mgmt::gbs_id_for_group(trace.groups[g])] = SwitchId{initial_region[g]};
+  // Per-group replay state, indexed like trace.groups; the region is encoded
+  // as a pseudo G-switch ID.
+  const std::size_t groups = trace.groups.size();
+  std::vector<GBsId> gbs(groups);
+  std::vector<SwitchId> attach(groups);
+  for (std::size_t g = 0; g < groups; ++g) {
+    gbs[g] = mgmt::gbs_id_for_group(trace.groups[g]);
+    attach[g] = SwitchId{initial_region[g]};
+  }
 
   // Region adjacency + movable set derive from the full-trace adjacency:
   // moves are allowed between regions that exchange handovers (those
@@ -44,45 +50,41 @@ SeriesResult simulate(const topo::LteTrace& trace,
     movable.insert(mgmt::gbs_id_for_group(key.second));
   }
 
-  WeightedAdjacency<GBsId> window_graph;
-  std::map<GBsId, double> window_load;
+  WeightedAdjacency<GBsId> window_graph;  // only the optimizer reads it
+  std::vector<double> window_load(groups, 0.0);
   double hour_count = 0;
 
   for (std::size_t minute = 0; minute < trace.bins.size(); ++minute) {
     const topo::TraceBin& bin = trace.bins[minute];
     for (const auto& [ga, gb, count] : bin.handovers) {
-      GBsId a = mgmt::gbs_id_for_group(trace.groups[ga]);
-      GBsId b = mgmt::gbs_id_for_group(trace.groups[gb]);
-      if (attach.at(a) != attach.at(b)) hour_count += count;
-      window_graph.add(a, b, count);
-      window_load[a] += count;
-      window_load[b] += count;
+      if (attach[ga] != attach[gb]) hour_count += count;
+      if (optimize) window_graph.add(gbs[ga], gbs[gb], count);
+      window_load[ga] += count;
+      window_load[gb] += count;
     }
-    for (std::size_t g = 0; g < trace.groups.size(); ++g) {
-      GBsId id = mgmt::gbs_id_for_group(trace.groups[g]);
-      window_load[id] += static_cast<double>(bin.bearer_arrivals[g]) + bin.ue_arrivals[g];
-    }
+    for (std::size_t g = 0; g < groups; ++g)
+      window_load[g] += static_cast<double>(bin.bearer_arrivals[g]) + bin.ue_arrivals[g];
 
     if ((minute + 1) % 60 == 0) {
       result.hourly.push_back(hour_count);
       result.total += hour_count;
       hour_count = 0;
     }
-    if (optimize && (minute + 1) % kReconfigEveryMinutes == 0) {
-      apps::RegionOptInput input;
-      input.graph = window_graph;
-      input.attach = attach;
-      input.movable = movable;
-      input.gswitch_links = region_links;
-      input.load = window_load;
-      apps::RegionOptConstraints constraints;  // ±30% defaults (§7.4)
-      auto opt = apps::greedy_region_optimization(std::move(input), constraints);
-      attach = opt.final_attach;
-      window_graph.clear();
-      window_load.clear();
-    } else if (!optimize && (minute + 1) % kReconfigEveryMinutes == 0) {
-      window_graph.clear();
-      window_load.clear();
+    if ((minute + 1) % kReconfigEveryMinutes == 0) {
+      if (optimize) {
+        apps::RegionOptInput input;
+        input.graph = std::exchange(window_graph, {});
+        for (std::size_t g = 0; g < groups; ++g) {
+          input.attach.emplace(gbs[g], attach[g]);
+          input.load.emplace(gbs[g], window_load[g]);
+        }
+        input.movable = movable;
+        input.gswitch_links = region_links;
+        apps::RegionOptConstraints constraints;  // ±30% defaults (§7.4)
+        auto opt = apps::greedy_region_optimization(std::move(input), constraints);
+        for (std::size_t g = 0; g < groups; ++g) attach[g] = opt.final_attach.at(gbs[g]);
+      }
+      std::fill(window_load.begin(), window_load.end(), 0.0);
     }
   }
   return result;

@@ -1,6 +1,7 @@
 #include "nos/discovery.h"
 
 #include "core/log.h"
+#include "dataplane/network.h"
 
 namespace softmow::nos {
 
@@ -129,6 +130,20 @@ DiscoveryVerdict DiscoveryModule::on_discovery_packet_in(
 
 void DiscoveryModule::on_link_down(Endpoint a, Endpoint b) {
   (void)nib_->set_link_up(a, b, false);
+}
+
+std::uint64_t flat_discovery_message_count(const dataplane::PhysicalNetwork& net) {
+  std::uint64_t switches = 0, switch_ports = 0;
+  for (SwitchId sw : net.all_switches()) {
+    ++switches;
+    for (const auto& [pid, port] : net.sw(sw)->ports()) {
+      if (port.peer == dataplane::PeerKind::kSwitch) ++switch_ports;
+    }
+  }
+  // Hello + FeaturesRequest + FeaturesReply per switch, one LLDP probe sent
+  // per switch-facing port, one Packet-In per received probe (every such
+  // port also receives its peer's probe).
+  return 3 * switches + 2 * switch_ports;
 }
 
 }  // namespace softmow::nos

@@ -20,6 +20,10 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
+namespace softmow::dataplane {
+class PhysicalNetwork;
+}  // namespace softmow::dataplane
+
 namespace softmow::nos {
 
 struct DiscoveryStats {
@@ -92,5 +96,11 @@ class DiscoveryModule {
   obs::Counter* frames_received_metric_; ///< discovery_frames_total{level,kind=received}
   obs::Counter* links_metric_;           ///< discovery_links_total{level}
 };
+
+/// Control-plane messages a flat single controller processes to discover the
+/// whole physical topology with standard LLDP (the Fig. 10 baseline):
+/// features exchange per switch, one probe per switch-facing port, one report
+/// per link direction.
+[[nodiscard]] std::uint64_t flat_discovery_message_count(const dataplane::PhysicalNetwork& net);
 
 }  // namespace softmow::nos

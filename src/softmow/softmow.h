@@ -86,4 +86,3 @@
 #include "topo/trace_driver.h"        // IWYU pragma: export
 #include "topo/wan_generator.h"       // IWYU pragma: export
 
-#include "baseline/lte_baseline.h"  // IWYU pragma: export

@@ -2,8 +2,8 @@
 
 #include <set>
 
-#include "baseline/lte_baseline.h"
 #include "core/stats.h"
+#include "nos/discovery.h"
 #include "topo/bs_group_inference.h"
 #include "topo/iplane_model.h"
 #include "topo/lte_trace.h"
@@ -328,36 +328,13 @@ TEST(IPlaneModel, UnknownInputsReturnNullopt) {
 }
 
 // ---------------------------------------------------------------- baseline
-TEST(LteBaselineTest, SamplesInternalPlusExternal) {
-  dataplane::PhysicalNetwork net;
-  SwitchId a = net.add_switch({0, 0});
-  SwitchId b = net.add_switch({1, 0});
-  (void)net.connect(a, b);
-  BsGroupId g = net.add_bs_group(a);
-  EgressId pgw = net.add_egress(b, {1, 0});
-
-  struct Fixed : apps::ExternalPathProvider {
-    std::vector<PrefixId> prefixes() const override { return {PrefixId{1}}; }
-    std::optional<apps::ExternalCost> cost(EgressId, PrefixId) const override {
-      return apps::ExternalCost{10, 20000};
-    }
-  } provider;
-
-  baseline::LteBaseline lte(net, pgw);
-  auto sample = lte.sample(g, PrefixId{1}, provider);
-  ASSERT_TRUE(sample.ok());
-  // 1 access hop + 1 core hop + 10 external.
-  EXPECT_DOUBLE_EQ(sample->hops, 12);
-  EXPECT_FALSE(lte.sample(BsGroupId{99}, PrefixId{1}, provider).ok());
-}
-
 TEST(LteBaselineTest, FlatDiscoveryCountScalesWithTopology) {
   dataplane::PhysicalNetwork net;
   SwitchId a = net.add_switch();
   SwitchId b = net.add_switch();
-  std::uint64_t before = baseline::flat_discovery_message_count(net);
+  std::uint64_t before = nos::flat_discovery_message_count(net);
   (void)net.connect(a, b);
-  std::uint64_t after = baseline::flat_discovery_message_count(net);
+  std::uint64_t after = nos::flat_discovery_message_count(net);
   EXPECT_GT(after, before);
 }
 

@@ -259,7 +259,6 @@ bool export_metrics(const BenchOptions& opts) {
 
 namespace {
 BenchOptions g_options;
-std::function<void(verify::ControlState&)> g_verify_annotator;
 double g_setup_wall_ms = 0;
 }  // namespace
 
@@ -276,26 +275,57 @@ std::unique_ptr<topo::Scenario> build_scenario_timed(topo::ScenarioParams params
 
 const BenchOptions& current_bench_options() { return g_options; }
 
-void set_verify_annotator(std::function<void(verify::ControlState&)> annotator) {
-  g_verify_annotator = std::move(annotator);
-}
-
 bool maybe_verify(topo::Scenario& scenario, const char* tag) {
   if (!current_bench_options().verify) return true;
-  verify::ControlState state;
-  {
-    std::vector<const reca::Controller*> controllers;
-    for (reca::Controller* c : scenario.mgmt->all_controllers()) controllers.push_back(c);
-    state = verify::collect_control_state(controllers);
-  }
+  verify::ControlState state = scenario.mgmt->control_state();
   if (scenario.apps) state.bearers = scenario.apps->bearer_claims();
-  if (g_verify_annotator) g_verify_annotator(state);
   verify::VerifyReport report =
       verify::verify_data_plane(scenario.net, &state, scenario.mgmt->verify_options());
   std::printf("%s%s%s\n", tag, *tag != '\0' ? ": " : "", report.summary().c_str());
   for (const verify::Finding& f : report.findings)
     std::printf("  %s\n", f.str().c_str());
   return report.clean();
+}
+
+std::string fmt_ms(double ms) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.1f", ms);
+  return buf;
+}
+
+std::string fmt_x(double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.2fx", x);
+  return buf;
+}
+
+void attach_probes(topo::Scenario& scenario, faults::RecoveryCoordinator& coord,
+                   std::uint64_t first_ue) {
+  auto& mp = *scenario.mgmt;
+  std::uint64_t next_ue = first_ue;
+  for (const auto& region : scenario.partition.group_regions) {
+    std::size_t added = 0;
+    for (BsGroupId group : region) {
+      if (added >= 3) break;
+      const auto* bs_group = scenario.net.bs_group(group);
+      reca::Controller* leaf = mp.leaf_of_group(group);
+      if (bs_group == nullptr || bs_group->members.empty() || leaf == nullptr) continue;
+      BsId bs = bs_group->members.front();
+      apps::MobilityApp& mobility = scenario.apps->mobility(*leaf);
+      UeId ue{next_ue++};
+      if (!mobility.ue_attach(ue, bs).ok()) continue;
+      apps::BearerRequest request;
+      request.ue = ue;
+      request.bs = bs;
+      request.dst_prefix = PrefixId{17};
+      if (!mobility.request_bearer(request).ok()) {
+        (void)mobility.ue_detach(ue);  // attached just above: cannot miss
+        continue;
+      }
+      coord.add_probe({ue, bs, request.dst_prefix});
+      ++added;
+    }
+  }
 }
 
 ShardedRun::ShardedRun(topo::Scenario& scenario, sim::Duration parent_link_delay,

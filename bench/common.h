@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,15 +62,23 @@ const BenchOptions& current_bench_options();
 
 /// When `--verify` is set: runs the static data-plane verifier over the
 /// scenario's installed state (label-mode-aware options, live-path and
-/// bearer cross-checks) and prints the report summary. Findings land in the
+/// bearer cross-checks, and tenant isolation once a slice manager installed
+/// its annotator) and prints the report summary. Findings land in the
 /// default metrics registry either way. Returns true when clean or skipped.
 bool maybe_verify(topo::Scenario& scenario, const char* tag = "");
 
-/// Hook applied to the control state maybe_verify collects, before the
-/// verifier runs. The slicing benches install the slice manager's UE->slice
-/// map here so `--verify` also enforces tenant-isolation invariants. Pass
-/// nullptr to clear.
-void set_verify_annotator(std::function<void(verify::ControlState&)> annotator);
+/// "12.3": a modeled duration in ms, one decimal.
+std::string fmt_ms(double ms);
+/// "1.23x": a speedup ratio, two decimals.
+std::string fmt_x(double x);
+
+/// Registers a few live bearers per region (up to three groups each, prefix
+/// 17, UE ids counting up from `first_ue`) as liveness probes of `coord`:
+/// their uplink flows are re-injected around faults and migrations to count
+/// disrupted bearers and blackholed packets, and again afterwards to prove
+/// the data plane still serves traffic.
+void attach_probes(topo::Scenario& scenario, faults::RecoveryCoordinator& coord,
+                   std::uint64_t first_ue);
 
 /// Writes the default registry (and tracer, for JSON) to the requested
 /// paths, plus the Chrome trace for `--trace-chrome`. No-op for unset

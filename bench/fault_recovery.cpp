@@ -23,50 +23,6 @@
 namespace softmow::bench {
 namespace {
 
-std::string fmt_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.1f", ms);
-  return buf;
-}
-
-std::string fmt_x(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2fx", x);
-  return buf;
-}
-
-/// Registers a handful of live bearers per region as liveness probes: their
-/// uplink flows are re-injected around every fault to count disrupted
-/// bearers and blackholed packets, and again after the plan to prove the
-/// data plane actually serves traffic post-recovery.
-void attach_probes(topo::Scenario& scenario, faults::RecoveryCoordinator& coord) {
-  auto& mp = *scenario.mgmt;
-  std::uint64_t next_ue = 1;
-  for (const auto& region : scenario.partition.group_regions) {
-    std::size_t added = 0;
-    for (BsGroupId group : region) {
-      if (added >= 3) break;
-      const auto* bs_group = scenario.net.bs_group(group);
-      reca::Controller* leaf = mp.leaf_of_group(group);
-      if (bs_group == nullptr || bs_group->members.empty() || leaf == nullptr) continue;
-      BsId bs = bs_group->members.front();
-      apps::MobilityApp& mobility = scenario.apps->mobility(*leaf);
-      UeId ue{next_ue++};
-      if (!mobility.ue_attach(ue, bs).ok()) continue;
-      apps::BearerRequest request;
-      request.ue = ue;
-      request.bs = bs;
-      request.dst_prefix = PrefixId{17};
-      if (!mobility.request_bearer(request).ok()) {
-        (void)mobility.ue_detach(ue);
-        continue;
-      }
-      coord.add_probe({ue, bs, request.dst_prefix});
-      ++added;
-    }
-  }
-}
-
 void run() {
   const BenchOptions& opts = current_bench_options();
   const std::string plan_name = opts.faults.empty() ? "mixed" : opts.faults;
@@ -105,7 +61,7 @@ void run() {
   ropts.recorder = &recorder;
   faults::RecoveryCoordinator coord(*scenario, &sharded.engine(), ropts);
   coord.harden();
-  attach_probes(*scenario, coord);
+  attach_probes(*scenario, coord, /*first_ue=*/1);
   std::printf("plan '%s' (fault seed %llu): %zu events over %zu leaf regions; "
               "%zu baseline probe failures\n",
               plan.name.c_str(), (unsigned long long)opts.fault_seed,

@@ -25,49 +25,6 @@
 namespace softmow::bench {
 namespace {
 
-std::string fmt_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.1f", ms);
-  return buf;
-}
-
-std::string fmt_x(double x) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.2fx", x);
-  return buf;
-}
-
-/// Same probe idiom as bench/fault_recovery: a few live bearers per region
-/// whose uplink flows are re-injected around the migration to prove zero
-/// data-plane disruption.
-void attach_probes(topo::Scenario& scenario, faults::RecoveryCoordinator& coord) {
-  auto& mp = *scenario.mgmt;
-  std::uint64_t next_ue = 90001;  // clear of any other UE population
-  for (const auto& region : scenario.partition.group_regions) {
-    std::size_t added = 0;
-    for (BsGroupId group : region) {
-      if (added >= 3) break;
-      const auto* bs_group = scenario.net.bs_group(group);
-      reca::Controller* leaf = mp.leaf_of_group(group);
-      if (bs_group == nullptr || bs_group->members.empty() || leaf == nullptr) continue;
-      BsId bs = bs_group->members.front();
-      apps::MobilityApp& mobility = scenario.apps->mobility(*leaf);
-      UeId ue{next_ue++};
-      if (!mobility.ue_attach(ue, bs).ok()) continue;
-      apps::BearerRequest request;
-      request.ue = ue;
-      request.bs = bs;
-      request.dst_prefix = PrefixId{17};
-      if (!mobility.request_bearer(request).ok()) {
-        (void)mobility.ue_detach(ue);
-        continue;
-      }
-      coord.add_probe({ue, bs, request.dst_prefix});
-      ++added;
-    }
-  }
-}
-
 struct LevelResult {
   std::string level;
   migrate::MigrationRecord planned;
@@ -202,7 +159,7 @@ LevelResult run_level(const std::string& label, bool with_mid, bool continuous) 
   ShardedRun sharded(*scenario);
   faults::RecoveryCoordinator coord(*scenario, &sharded.engine());
   coord.harden();
-  attach_probes(*scenario, coord);
+  attach_probes(*scenario, coord, /*first_ue=*/90001);  // clear of any other UE population
   const std::size_t baseline_failures = coord.probe_failures();
 
   migrate::MigrationOptions mopts;

@@ -38,6 +38,23 @@ class SpanGuard {
   std::string detail_;
 };
 
+AppMessage app_message(std::string type, std::any body) {
+  AppMessage msg;
+  msg.type = std::move(type);
+  msg.body = std::move(body);
+  return msg;
+}
+
+/// Reply callback storing a `Body` reply into `out`. Channels deliver
+/// synchronously in-process, so `out` holds the reply when the send returns;
+/// no reply (or a foreign body) leaves it default-constructed, i.e. failed.
+template <typename Body>
+std::function<void(const AppMessage&)> reply_into(Body& out) {
+  return [&out](const AppMessage& reply) {
+    if (const auto* body = std::any_cast<Body>(&reply.body)) out = *body;
+  };
+}
+
 }  // namespace
 
 MobilityApp::MobilityApp(reca::Controller* controller, const dataplane::PhysicalNetwork* net)
@@ -57,103 +74,53 @@ void MobilityApp::register_handlers() {
       kBearerRequestMsg, [this](SwitchId child, const AppMessage& msg) {
         const auto* delegation = std::any_cast<BearerDelegation>(&msg.body);
         if (delegation == nullptr) return;
-        auto served = serve_bearer(*delegation);
-        if (served.ok()) {
-          AppMessage reply;
-          reply.type = kBearerRequestMsg;
-          reply.body = *served;
-          controller_->send_app_response(child, msg.request_id, std::move(reply));
-          return;
-        }
-        if (controller_->reca().has_parent()) {
-          // Not satisfiable here: climb further (§5.1), re-addressing the
-          // source G-BS into our parent's ID space.
-          if (controller_->abstraction().dirty()) controller_->refresh_abstraction();
-          BearerDelegation remapped = *delegation;
-          remapped.source_gbs = controller_->abstraction().exposed_gbs_id(remapped.source_gbs);
-          AppMessage up;
-          up.type = kBearerRequestMsg;
-          up.body = remapped;
-          controller_->reca().delegate(
-              std::move(up), [this, child, rid = msg.request_id](const AppMessage& resp) {
-                AppMessage reply = resp;
-                controller_->send_app_response(child, rid, std::move(reply));
-              });
-          return;
-        }
-        AppMessage reply;
-        reply.type = kBearerRequestMsg;
-        reply.body = BearerOutcome{false, controller_->level(), 0, served.error().message};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
+        serve_or_climb(delegation->request, delegation->source_gbs,
+                       relay_to({child, msg.request_id}));
       });
 
   controller_->register_child_app_handler(
       kHandoverRequestMsg, [this](SwitchId child, const AppMessage& msg) {
         const auto* delegation = std::any_cast<HandoverDelegation>(&msg.body);
         if (delegation == nullptr) return;
+        Requester from{child, msg.request_id};
         ++stats_.handover_requests;
         auto served = serve_handover(*delegation);
         if (served.ok()) {
-          AppMessage reply;
-          reply.type = kHandoverRequestMsg;
-          reply.body = *served;
-          controller_->send_app_response(child, msg.request_id, std::move(reply));
-          return;
-        }
-        if (served.code() == ErrorCode::kNotFound && controller_->reca().has_parent()) {
+          answer(from, app_message(kHandoverRequestMsg, std::move(*served)));
+        } else if (served.code() == ErrorCode::kNotFound && controller_->reca().has_parent()) {
           // Not the common ancestor: forward up (§5.2).
           ++stats_.handovers_delegated;
-          AppMessage up;
-          up.type = kHandoverRequestMsg;
-          up.body = *delegation;
-          controller_->reca().delegate(
-              std::move(up), [this, child, rid = msg.request_id](const AppMessage& resp) {
-                AppMessage reply = resp;
-                controller_->send_app_response(child, rid, std::move(reply));
-              });
-          return;
+          forward(from, app_message(kHandoverRequestMsg, *delegation));
+        } else {
+          ++stats_.handover_failures;
+          answer(from, app_message(kHandoverRequestMsg,
+                                   HandoverOutcome{false, controller_->level(),
+                                                   served.error().message}));
         }
-        ++stats_.handover_failures;
-        AppMessage reply;
-        reply.type = kHandoverRequestMsg;
-        reply.body = HandoverOutcome{false, controller_->level(), served.error().message};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
       });
 
   controller_->register_child_app_handler(
       kBearerDeactivateMsg, [this](SwitchId child, const AppMessage& msg) {
         const auto* req = std::any_cast<BearerDeactivate>(&msg.body);
         if (req == nullptr) return;
+        Requester from{child, msg.request_id};
         if (deactivate_ancestor_key(req->ancestor_key)) {
-          AppMessage reply;
-          reply.type = kBearerDeactivateMsg;
-          reply.body = BearerOutcome{true, controller_->level(), 0, {}};
-          controller_->send_app_response(child, msg.request_id, std::move(reply));
-          return;
+          answer(from, app_message(kBearerDeactivateMsg,
+                                   BearerOutcome{true, controller_->level(), 0, {}}));
+        } else if (controller_->reca().has_parent()) {
+          deactivate_upward(req->ue, req->ancestor_key, relay_to(from));
+        } else {
+          answer(from, app_message(kBearerDeactivateMsg,
+                                   BearerOutcome{false, controller_->level(), 0,
+                                                 "unknown path key"}));
         }
-        if (controller_->reca().has_parent()) {
-          AppMessage up;
-          up.type = kBearerDeactivateMsg;
-          up.body = *req;
-          controller_->reca().delegate(
-              std::move(up), [this, child, rid = msg.request_id](const AppMessage& resp) {
-                AppMessage reply = resp;
-                controller_->send_app_response(child, rid, std::move(reply));
-              });
-          return;
-        }
-        AppMessage reply;
-        reply.type = kBearerDeactivateMsg;
-        reply.body = BearerOutcome{false, controller_->level(), 0, "unknown path key"};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
       });
 
   controller_->register_child_app_handler(
       kFetchHandoverGraphMsg, [this](SwitchId child, const AppMessage& msg) {
-        AppMessage reply;
-        reply.type = kFetchHandoverGraphMsg;
-        reply.body = HandoverGraphBody{map_to_exposed(collect_handover_graph())};
-        controller_->send_app_response(child, msg.request_id, std::move(reply));
+        answer({child, msg.request_id},
+               app_message(kFetchHandoverGraphMsg,
+                           HandoverGraphBody{map_to_exposed(collect_handover_graph())}));
       });
 
   // --- requests arriving from the parent (travelling down) -------------------
@@ -161,15 +128,9 @@ void MobilityApp::register_handlers() {
       kHoAllocateMsg, [this](const AppMessage& msg) {
         const auto* alloc = std::any_cast<HoAllocate>(&msg.body);
         if (alloc == nullptr) return;
+        Requester from{SwitchId{}, msg.request_id};
         if (!controller_->is_leaf()) {
-          AppMessage down;
-          down.type = kHoAllocateMsg;
-          down.body = *alloc;
-          (void)send_toward_gbs(alloc->target_gbs, std::move(down),
-                                [this, rid = msg.request_id](const AppMessage& resp) {
-                                  AppMessage reply = resp;
-                                  controller_->reca().respond_up(rid, std::move(reply));
-                                });
+          forward(from, app_message(kHoAllocateMsg, *alloc), alloc->target_gbs);
           return;
         }
         // Leaf: take over the UE with its (ancestor-implemented) bearers.
@@ -178,83 +139,66 @@ void MobilityApp::register_handlers() {
         rec.bs = alloc->target_bs;
         rec.group = mgmt::group_for_gbs_id(alloc->target_gbs);
         for (std::size_t i = 0; i < alloc->bearers.size(); ++i) {
-          BearerRecord b;
-          b.id = BearerId{next_bearer_++};
-          b.request = alloc->bearers[i];
-          b.request.bs = alloc->target_bs;
-          b.handled_locally = false;
-          b.handled_level = alloc->by_level;
-          b.ancestor_key = i < alloc->ancestor_keys.size() ? alloc->ancestor_keys[i] : 0;
-          b.active = b.ancestor_key != 0;
-          rec.bearers.emplace(b.id, std::move(b));
+          std::uint64_t key = i < alloc->ancestor_keys.size() ? alloc->ancestor_keys[i] : 0;
+          BearerRequest request = alloc->bearers[i];
+          request.bs = alloc->target_bs;
+          add_bearer(rec, {.request = std::move(request),
+                           .active = key != 0,
+                           .handled_locally = false,
+                           .handled_level = alloc->by_level,
+                           .ancestor_key = key});
         }
         ues_[alloc->ue] = std::move(rec);
-        AppMessage reply;
-        reply.type = kHoAllocateMsg;
-        reply.body = HandoverOutcome{true, controller_->level(), {}};
-        controller_->reca().respond_up(msg.request_id, std::move(reply));
+        answer(from,
+               app_message(kHoAllocateMsg, HandoverOutcome{true, controller_->level(), {}}));
       });
 
   controller_->reca().register_app_handler(
       kHoReleaseMsg, [this](const AppMessage& msg) {
         const auto* release = std::any_cast<HoRelease>(&msg.body);
         if (release == nullptr) return;
+        Requester from{SwitchId{}, msg.request_id};
         if (!controller_->is_leaf()) {
-          AppMessage down;
-          down.type = kHoReleaseMsg;
-          down.body = *release;
-          (void)send_toward_gbs(release->source_gbs, std::move(down),
-                                [this, rid = msg.request_id](const AppMessage& resp) {
-                                  AppMessage reply = resp;
-                                  controller_->reca().respond_up(rid, std::move(reply));
-                                });
+          forward(from, app_message(kHoReleaseMsg, *release), release->source_gbs);
           return;
         }
+        // The serving ancestor tears down the ancestor paths itself (§5.2).
         auto it = ues_.find(release->ue);
         if (it != ues_.end()) {
           for (auto& [bid, bearer] : it->second.bearers) {
-            if (bearer.handled_locally && bearer.active)
-              (void)controller_->deactivate_path(bearer.local_path);
+            if (bearer.handled_locally && bearer.active) drop_path(bearer.local_path);
           }
           ues_.erase(it);
         }
-        AppMessage reply;
-        reply.type = kHoReleaseMsg;
-        reply.body = HandoverOutcome{true, controller_->level(), {}};
-        controller_->reca().respond_up(msg.request_id, std::move(reply));
+        answer(from,
+               app_message(kHoReleaseMsg, HandoverOutcome{true, controller_->level(), {}}));
       });
 
   controller_->reca().register_app_handler(
       kFetchHandoverGraphMsg, [this](const AppMessage& msg) {
-        AppMessage reply;
-        reply.type = kFetchHandoverGraphMsg;
-        reply.body = HandoverGraphBody{map_to_exposed(collect_handover_graph())};
-        controller_->reca().respond_up(msg.request_id, std::move(reply));
+        answer({SwitchId{}, msg.request_id},
+               app_message(kFetchHandoverGraphMsg,
+                           HandoverGraphBody{map_to_exposed(collect_handover_graph())}));
       });
 }
 
 void MobilityApp::enable_reactive_bearers() {
   reactive_ = true;
-  controller_->set_packet_in_handler(
-      [this](SwitchId sw, PortId in_port, const Packet& pkt) {
-        (void)sw;
-        (void)in_port;
-        auto it = ues_.find(pkt.ue);
-        if (it == ues_.end() || !pkt.dst_prefix.valid()) return;
-        // Deduplicate: an active bearer for this (UE, prefix) already covers
-        // the flow; the miss is transient (rules racing the packet).
-        for (const auto& [bid, bearer] : it->second.bearers) {
-          if (bearer.active && bearer.request.dst_prefix == pkt.dst_prefix) return;
-        }
-        BearerRequest request;
-        request.ue = pkt.ue;
-        request.bs = it->second.bs;
-        request.dst_prefix = pkt.dst_prefix;
-        if (request_bearer(request).ok()) ++reactive_bearers_;
-      });
+  controller_->set_packet_in_handler([this](SwitchId, PortId, const Packet& pkt) {
+    auto it = ues_.find(pkt.ue);
+    if (it == ues_.end() || !pkt.dst_prefix.valid()) return;
+    // Deduplicate: an active bearer for this (UE, prefix) already covers
+    // the flow; the miss is transient (rules racing the packet).
+    for (const auto& [bid, bearer] : it->second.bearers) {
+      if (bearer.active && bearer.request.dst_prefix == pkt.dst_prefix) return;
+    }
+    BearerRequest request;
+    request.ue = pkt.ue;
+    request.bs = it->second.bs;
+    request.dst_prefix = pkt.dst_prefix;
+    if (request_bearer(request).ok()) ++reactive_bearers_;
+  });
 }
-
-GBsId MobilityApp::gbs_of_group(BsGroupId group) const { return gbs_id_for_group(group); }
 
 std::optional<Endpoint> MobilityApp::gbs_attach(GBsId gbs) const {
   const southbound::GBsAnnounce* rec = controller_->nib().gbs(gbs);
@@ -262,93 +206,65 @@ std::optional<Endpoint> MobilityApp::gbs_attach(GBsId gbs) const {
   return Endpoint{rec->attached_switch, rec->attached_port};
 }
 
-Result<void> MobilityApp::send_toward_gbs(
-    GBsId gbs, AppMessage msg, std::function<void(const AppMessage&)> on_response) {
-  const southbound::GBsAnnounce* rec = controller_->nib().gbs(gbs);
-  if (rec == nullptr) return {ErrorCode::kNotFound, "G-BS not in this region"};
-  // At a non-leaf, the G-BS attaches to a child G-switch.
-  controller_->send_app_request(rec->attached_switch, std::move(msg), std::move(on_response));
-  return Ok();
-}
+// --- the recursive bearer core: the same steps at every level ----------------
 
-Result<void> MobilityApp::ue_attach(UeId ue, BsId bs) {
-  const dataplane::BaseStation* station = net_->base_station(bs);
-  if (station == nullptr) return {ErrorCode::kNotFound, "no such base station"};
-  ++stats_.ue_arrivals;
-  UeRecord rec;
-  rec.ue = ue;
-  rec.bs = bs;
-  rec.group = station->group;
-  ues_[ue] = std::move(rec);
-  return Ok();
-}
-
-Result<void> MobilityApp::ue_detach(UeId ue) {
-  auto it = ues_.find(ue);
-  if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
-  for (auto& [bid, bearer] : it->second.bearers) {
-    if (!bearer.active) continue;
-    if (bearer.handled_locally) {
-      (void)controller_->deactivate_path(bearer.local_path);
-    } else if (bearer.ancestor_key != 0) {
-      AppMessage up;
-      up.type = kBearerDeactivateMsg;
-      up.body = BearerDeactivate{ue, bearer.ancestor_key};
-      controller_->reca().delegate(std::move(up), nullptr);
-    }
+void MobilityApp::answer(Requester from, AppMessage reply) {
+  if (from.child.valid()) {
+    controller_->send_app_response(from.child, from.request_id, std::move(reply));
+  } else {
+    controller_->reca().respond_up(from.request_id, std::move(reply));
   }
-  ues_.erase(it);
-  return Ok();
 }
 
-Result<void> MobilityApp::ue_idle(UeId ue) {
-  auto it = ues_.find(ue);
-  if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
-  it->second.idle = true;
-  for (auto& [bid, bearer] : it->second.bearers) {
-    if (!bearer.active) continue;
-    bearer.active = false;
-    if (bearer.handled_locally) {
-      (void)controller_->deactivate_path(bearer.local_path);
-    } else if (bearer.ancestor_key != 0) {
-      // §5.1: "If the UE bearer has been handled by the parent controller,
-      // the mobility application continues to request bearer deactivation
-      // from its parent via RecA."
-      AppMessage up;
-      up.type = kBearerDeactivateMsg;
-      up.body = BearerDeactivate{ue, bearer.ancestor_key};
-      controller_->reca().delegate(std::move(up), nullptr);
-      bearer.ancestor_key = 0;
-    }
+MobilityApp::OnReply MobilityApp::relay_to(Requester from) {
+  return [this, from](const AppMessage& reply) { answer(from, reply); };
+}
+
+void MobilityApp::forward(Requester from, AppMessage msg, std::optional<GBsId> toward) {
+  if (!toward) {
+    controller_->reca().delegate(std::move(msg), relay_to(from));
+  } else if (auto at = gbs_attach(*toward)) {
+    // At a non-leaf, the G-BS attaches to a child G-switch.
+    controller_->send_app_request(at->sw, std::move(msg), relay_to(from));
+  } else {
+    // Only handover steps travel down, and they answer with a HandoverOutcome.
+    answer(from, app_message(std::move(msg.type), HandoverOutcome{false, controller_->level(),
+                                                                  "G-BS not in this region"}));
   }
-  return Ok();
 }
 
-Result<void> MobilityApp::ue_active(UeId ue) {
-  auto it = ues_.find(ue);
-  if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
-  it->second.idle = false;
-  for (auto& [bid, bearer] : it->second.bearers) {
-    if (bearer.active) continue;
-    if (bearer.handled_locally) {
-      if (controller_->paths().reactivate(bearer.local_path).ok()) bearer.active = true;
-    } else {
-      // Re-request through the hierarchy; the previous path was deactivated.
-      auto replaced = request_bearer(bearer.request);
-      if (replaced.ok()) bearer.active = false;  // superseded by the new record
-    }
+void MobilityApp::climb(const BearerRequest& request, GBsId source_gbs, OnReply on_reply) {
+  // The source G-BS is named in the *parent's* ID space: border groups keep
+  // their identity, internal ones collapse onto the aggregate G-BS. A dirty
+  // abstraction is re-announced first so the parent decides on fresh state
+  // (e.g. current G-middlebox utilization).
+  if (controller_->abstraction().dirty()) controller_->refresh_abstraction();
+  GBsId exposed = controller_->abstraction().exposed_gbs_id(source_gbs);
+  controller_->reca().delegate(
+      app_message(kBearerRequestMsg, BearerDelegation{request, exposed}), std::move(on_reply));
+}
+
+void MobilityApp::serve_or_climb(const BearerRequest& request, GBsId source_gbs,
+                                 OnReply on_reply) {
+  auto served = serve_bearer(request, source_gbs);
+  if (!served.ok() && controller_->reca().has_parent()) {
+    climb(request, source_gbs, std::move(on_reply));  // satisfiable only higher up
+    return;
   }
-  it->second.bearers.erase_if(
-      [](const auto& kv) { return !kv.second.active && !kv.second.handled_locally; });
-  return Ok();
+  on_reply(app_message(kBearerRequestMsg,
+                       served.ok() ? std::move(*served)
+                                   : BearerOutcome{false, controller_->level(), 0,
+                                                   served.error().message}));
 }
 
-Result<BearerId> MobilityApp::setup_local_bearer(UeRecord& rec, const BearerRequest& request) {
-  const dataplane::BsGroup* group = net_->bs_group(rec.group);
-  if (group == nullptr) return Error{ErrorCode::kNotFound, "UE group unknown"};
+void MobilityApp::deactivate_upward(UeId ue, std::uint64_t key, OnReply on_reply) {
+  controller_->reca().delegate(app_message(kBearerDeactivateMsg, BearerDeactivate{ue, key}),
+                               std::move(on_reply));
+}
 
+Result<PathId> MobilityApp::install_bearer_path(Endpoint source, const BearerRequest& request) {
   nos::RoutingRequest routing;
-  routing.source = Endpoint{group->access_switch, PortId{1}};
+  routing.source = source;
   routing.dst_prefix = request.dst_prefix;
   routing.constraints = request.qos;
   routing.policy = request.policy;
@@ -365,26 +281,108 @@ Result<BearerId> MobilityApp::setup_local_bearer(UeRecord& rec, const BearerRequ
   // Sliced bearer under tag encapsulation: classify onto the shared
   // (slice, clause, ingress, egress) policy tag so same-aggregate bearers
   // share transit rules (SoftCell compression) instead of a per-path label.
+  // A delegated bearer carries its originating slice, so an ancestor
+  // aggregates same-tag bearers onto shared G-switch rules — children then
+  // translate one aggregate, not N paths.
   if (controller_->tag_allocator() != nullptr && request.slice.valid() &&
       !route->hops.empty()) {
     Endpoint egress{route->hops.back().sw, route->hops.back().out};
     options.shared_tag =
         Label{controller_->tag_allocator()->tag_for(request.slice, request.policy_clause,
-                                                    routing.source, egress),
+                                                    source, egress),
               static_cast<std::uint8_t>(controller_->level())};
   }
-  auto path = controller_->path_setup(*route, classifier, options);
-  if (!path.ok()) return path.error();
+  return controller_->path_setup(*route, classifier, options);
+}
 
-  BearerRecord bearer;
+void MobilityApp::release_bearer(UeId ue, BearerRecord& bearer) {
+  if (!bearer.active) return;
+  bearer.active = false;
+  if (bearer.handled_locally) {
+    drop_path(bearer.local_path);
+  } else if (bearer.ancestor_key != 0) {
+    // §5.1: "If the UE bearer has been handled by the parent controller,
+    // the mobility application continues to request bearer deactivation
+    // from its parent via RecA."
+    deactivate_upward(ue, bearer.ancestor_key);
+    bearer.ancestor_key = 0;
+  }
+}
+
+void MobilityApp::drop_path(PathId id) {
+  // Deactivation fails only for an id missing from this controller's path
+  // table, and then there is nothing installed left to tear down.
+  (void)controller_->deactivate_path(id);
+}
+
+void MobilityApp::resetup_bearer(const BearerRequest& request, LogLevel level,
+                                 const char* when) {
+  auto replaced = request_bearer(request);
+  if (!replaced.ok()) {
+    SOFTMOW_LOG(level, "mobility") << controller_->name() << " bearer re-setup " << when
+                                   << " failed: " << replaced.error().message;
+  }
+}
+
+BearerId MobilityApp::add_bearer(UeRecord& rec, BearerRecord bearer) {
   bearer.id = BearerId{next_bearer_++};
-  bearer.request = request;
-  bearer.handled_locally = true;
-  bearer.local_path = *path;
-  bearer.handled_level = controller_->level();
   BearerId id = bearer.id;
   rec.bearers.emplace(id, std::move(bearer));
   return id;
+}
+
+// --- UE lifecycle and bearers --------------------------------------------------
+
+Result<void> MobilityApp::ue_attach(UeId ue, BsId bs) {
+  const dataplane::BaseStation* station = net_->base_station(bs);
+  if (station == nullptr) return {ErrorCode::kNotFound, "no such base station"};
+  ++stats_.ue_arrivals;
+  UeRecord rec;
+  rec.ue = ue;
+  rec.bs = bs;
+  rec.group = station->group;
+  ues_[ue] = std::move(rec);
+  return Ok();
+}
+
+Result<void> MobilityApp::ue_detach(UeId ue) {
+  auto it = ues_.find(ue);
+  if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
+  for (auto& [bid, bearer] : it->second.bearers) release_bearer(ue, bearer);
+  ues_.erase(it);
+  return Ok();
+}
+
+Result<void> MobilityApp::ue_idle(UeId ue) {
+  auto it = ues_.find(ue);
+  if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
+  it->second.idle = true;
+  for (auto& [bid, bearer] : it->second.bearers) release_bearer(ue, bearer);
+  return Ok();
+}
+
+Result<void> MobilityApp::ue_active(UeId ue) {
+  auto it = ues_.find(ue);
+  if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
+  it->second.idle = false;
+  auto& bearers = it->second.bearers;
+  // By position, over the records present on entry: a re-request adds its
+  // replacement record, which can reallocate the store under an iterator.
+  for (std::size_t i = 0, n = bearers.size(); i < n; ++i) {
+    BearerRecord& bearer = bearers.begin()[i].second;
+    if (bearer.active) continue;
+    if (bearer.handled_locally) {
+      if (controller_->paths().reactivate(bearer.local_path).ok()) bearer.active = true;
+      continue;
+    }
+    // Re-request through the hierarchy (from a copy: the store may move);
+    // the previous path was deactivated and the inactive record is
+    // superseded (dropped below).
+    resetup_bearer(BearerRequest{bearer.request}, LogLevel::kDebug, "on UE activation");
+  }
+  bearers.erase_if(
+      [](const auto& kv) { return !kv.second.active && !kv.second.handled_locally; });
+  return Ok();
 }
 
 Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
@@ -396,54 +394,40 @@ Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
   SpanGuard span("bearer.setup", controller_->level(), controller_->name());
   span.detail("failed");
 
-  auto local = setup_local_bearer(rec, request);
+  const dataplane::BsGroup* group = net_->bs_group(rec.group);
+  Result<PathId> local =
+      group != nullptr ? install_bearer_path(Endpoint{group->access_switch, PortId{1}}, request)
+                       : Error{ErrorCode::kNotFound, "UE group unknown"};
   if (local.ok()) {
     ++stats_.bearers_local;
     span.detail("local");
-    return local;
+    return add_bearer(rec, {.request = request,
+                            .local_path = *local,
+                            .handled_level = controller_->level()});
   }
   if (local.code() != ErrorCode::kNotFound && local.code() != ErrorCode::kUnsatisfiable)
-    return local;
+    return local.error();
 
   if (!controller_->reca().has_parent()) {
     ++stats_.bearers_failed;
-    return local;
+    return local.error();
   }
 
   // §5.1: delegate the request to RecA, which forwards it to the parent.
-  // The source G-BS is named in the *parent's* ID space: border groups keep
-  // their identity, internal ones collapse onto the aggregate G-BS. A dirty
-  // abstraction is re-announced first so the parent decides on fresh state
-  // (e.g. current G-middlebox utilization).
   ++stats_.bearers_delegated;
-  if (controller_->abstraction().dirty()) controller_->refresh_abstraction();
-  AppMessage up;
-  up.type = kBearerRequestMsg;
-  up.body = BearerDelegation{
-      request, controller_->abstraction().exposed_gbs_id(gbs_of_group(rec.group))};
   BearerOutcome outcome;
-  bool responded = false;
-  controller_->reca().delegate(std::move(up), [&](const AppMessage& resp) {
-    if (const auto* body = std::any_cast<BearerOutcome>(&resp.body)) outcome = *body;
-    responded = true;
-  });
-  // Channels deliver synchronously in-process, so the response has arrived.
-  if (!responded || !outcome.ok) {
+  climb(request, gbs_id_for_group(rec.group), reply_into(outcome));
+  if (!outcome.ok) {
     ++stats_.bearers_failed;
     return Error{ErrorCode::kUnsatisfiable,
                  outcome.error.empty() ? "no ancestor could satisfy the bearer"
                                        : outcome.error};
   }
-  BearerRecord bearer;
-  bearer.id = BearerId{next_bearer_++};
-  bearer.request = request;
-  bearer.handled_locally = false;
-  bearer.handled_level = outcome.handled_level;
-  bearer.ancestor_key = outcome.ancestor_key;
-  BearerId id = bearer.id;
-  rec.bearers.emplace(id, std::move(bearer));
   span.detail("delegated L" + std::to_string(outcome.handled_level));
-  return id;
+  return add_bearer(rec, {.request = request,
+                          .handled_locally = false,
+                          .handled_level = outcome.handled_level,
+                          .ancestor_key = outcome.ancestor_key});
 }
 
 Result<void> MobilityApp::deactivate_bearer(UeId ue, BearerId bearer_id) {
@@ -451,54 +435,20 @@ Result<void> MobilityApp::deactivate_bearer(UeId ue, BearerId bearer_id) {
   if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
   auto bit = it->second.bearers.find(bearer_id);
   if (bit == it->second.bearers.end()) return {ErrorCode::kNotFound, "no such bearer"};
-  BearerRecord& bearer = bit->second;
-  if (bearer.active) {
-    if (bearer.handled_locally) {
-      (void)controller_->deactivate_path(bearer.local_path);
-    } else if (bearer.ancestor_key != 0) {
-      AppMessage up;
-      up.type = kBearerDeactivateMsg;
-      up.body = BearerDeactivate{ue, bearer.ancestor_key};
-      controller_->reca().delegate(std::move(up), nullptr);
-    }
-  }
+  release_bearer(ue, bit->second);
   it->second.bearers.erase(bit);
   return Ok();
 }
 
-Result<BearerOutcome> MobilityApp::serve_bearer(const BearerDelegation& delegation) {
-  auto source = gbs_attach(delegation.source_gbs);
+Result<BearerOutcome> MobilityApp::serve_bearer(const BearerRequest& request,
+                                                GBsId source_gbs) {
+  auto source = gbs_attach(source_gbs);
   if (!source) return Error{ErrorCode::kNotFound, "source G-BS not in this region"};
 
   SpanGuard span("bearer.serve", controller_->level(), controller_->name());
   span.detail("failed");
 
-  nos::RoutingRequest routing;
-  routing.source = *source;
-  routing.dst_prefix = delegation.request.dst_prefix;
-  routing.constraints = delegation.request.qos;
-  routing.policy = delegation.request.policy;
-  routing.objective = delegation.request.objective;
-  auto route = controller_->compute_route(routing);
-  if (!route.ok()) return route.error();
-
-  dataplane::Match classifier;
-  classifier.ue = delegation.request.ue;
-  classifier.dst_prefix = delegation.request.dst_prefix;
-  nos::PathSetupOptions options;
-  options.reserve_kbps = delegation.request.qos.min_bandwidth_kbps;
-  // Delegated sliced bearer: the ancestor tags with the *originating* slice
-  // (carried in the delegation), aggregating same-tag bearers onto shared
-  // G-switch rules — children then translate one aggregate, not N paths.
-  if (controller_->tag_allocator() != nullptr && delegation.request.slice.valid() &&
-      !route->hops.empty()) {
-    Endpoint egress{route->hops.back().sw, route->hops.back().out};
-    options.shared_tag = Label{
-        controller_->tag_allocator()->tag_for(delegation.request.slice,
-                                              delegation.request.policy_clause, *source, egress),
-        static_cast<std::uint8_t>(controller_->level())};
-  }
-  auto path = controller_->path_setup(*route, classifier, options);
+  auto path = install_bearer_path(*source, request);
   if (!path.ok()) return path.error();
 
   std::uint64_t key = (controller_->id().value << 32) | next_ancestor_key_++;
@@ -510,7 +460,7 @@ Result<BearerOutcome> MobilityApp::serve_bearer(const BearerDelegation& delegati
 bool MobilityApp::deactivate_ancestor_key(std::uint64_t key) {
   auto it = ancestor_paths_.find(key);
   if (it == ancestor_paths_.end()) return false;
-  (void)controller_->deactivate_path(it->second);
+  drop_path(it->second);
   ancestor_paths_.erase(it);
   return true;
 }
@@ -535,8 +485,8 @@ Result<void> MobilityApp::handover(UeId ue, BsId target_bs) {
   SpanGuard span("handover", controller_->level(), controller_->name());
   span.detail("failed");
 
-  GBsId source_gbs = gbs_of_group(rec.group);
-  GBsId target_gbs = gbs_of_group(target->group);
+  GBsId source_gbs = gbs_id_for_group(rec.group);
+  GBsId target_gbs = gbs_id_for_group(target->group);
   handover_log_.add(source_gbs, target_gbs, 1.0);
 
   if (controller_->nib().gbs(target_gbs) != nullptr) {
@@ -545,33 +495,19 @@ Result<void> MobilityApp::handover(UeId ue, BsId target_bs) {
     rec.bs = target_bs;
     rec.group = target->group;
     // Tear down the old paths first, collect the requests, then re-create
-    // them from the new group (replacements must not be re-visited).
+    // them from the new group (replacements must not be re-visited). An
+    // ancestor's classification rule points at the old access switch, so
+    // delegated bearers are re-delegated too.
     std::vector<BearerRequest> to_restore;
     for (auto& [bid, bearer] : rec.bearers) {
       if (!bearer.active) continue;
-      if (bearer.handled_locally) {
-        (void)controller_->deactivate_path(bearer.local_path);
-      } else if (bearer.ancestor_key != 0) {
-        // The ancestor's classification rule points at the old access
-        // switch: tear down and re-delegate from the new group.
-        AppMessage up;
-        up.type = kBearerDeactivateMsg;
-        up.body = BearerDeactivate{ue, bearer.ancestor_key};
-        controller_->reca().delegate(std::move(up), nullptr);
-      }
-      bearer.active = false;
+      release_bearer(ue, bearer);
       bearer.request.bs = target_bs;
       to_restore.push_back(bearer.request);
     }
     rec.bearers.erase_if([](const auto& kv) { return !kv.second.active; });
-    for (const BearerRequest& request : to_restore) {
-      auto replaced = request_bearer(request);
-      if (!replaced.ok()) {
-        SOFTMOW_LOG(LogLevel::kDebug, "mobility")
-            << controller_->name() << " bearer re-setup after intra handover failed: "
-            << replaced.error().message;
-      }
-    }
+    for (const BearerRequest& request : to_restore)
+      resetup_bearer(request, LogLevel::kDebug, "after intra handover");
     span.detail("intra-region");
     return Ok();
   }
@@ -595,16 +531,10 @@ Result<void> MobilityApp::handover(UeId ue, BsId target_bs) {
       delegation.old_ancestor_keys.push_back(bearer.ancestor_key);
   }
 
-  AppMessage up;
-  up.type = kHandoverRequestMsg;
-  up.body = delegation;
   HandoverOutcome outcome;
-  bool responded = false;
-  controller_->reca().delegate(std::move(up), [&](const AppMessage& resp) {
-    if (const auto* body = std::any_cast<HandoverOutcome>(&resp.body)) outcome = *body;
-    responded = true;
-  });
-  if (!responded || !outcome.ok) {
+  controller_->reca().delegate(app_message(kHandoverRequestMsg, std::move(delegation)),
+                               reply_into(outcome));
+  if (!outcome.ok) {
     ++stats_.handover_failures;
     return Error{ErrorCode::kUnsatisfiable,
                  outcome.error.empty() ? "handover rejected" : outcome.error};
@@ -636,24 +566,10 @@ Result<HandoverOutcome> MobilityApp::serve_handover(const HandoverDelegation& de
   alloc.target_bs = delegation.target_bs;
   alloc.by_level = controller_->level();
   for (const BearerRequest& request : delegation.active_bearers) {
-    BearerDelegation as_delegation{request, delegation.target_gbs};
-    auto served = serve_bearer(as_delegation);
-    std::uint64_t key = 0;
-    if (served.ok()) {
-      key = served->ancestor_key;
-    } else if (controller_->reca().has_parent()) {
-      // QoS satisfiable only higher up: climb.
-      AppMessage up;
-      up.type = kBearerRequestMsg;
-      up.body = as_delegation;
-      controller_->reca().delegate(std::move(up), [&key](const AppMessage& resp) {
-        if (const auto* body = std::any_cast<BearerOutcome>(&resp.body)) {
-          if (body->ok) key = body->ancestor_key;
-        }
-      });
-    }
+    BearerOutcome outcome;
+    serve_or_climb(request, delegation.target_gbs, reply_into(outcome));
     alloc.bearers.push_back(request);
-    alloc.ancestor_keys.push_back(key);
+    alloc.ancestor_keys.push_back(outcome.ok ? outcome.ancestor_key : 0);
   }
 
   // (2) Transfer path for in-flight packets between the two G-BSes.
@@ -671,37 +587,26 @@ Result<HandoverOutcome> MobilityApp::serve_handover(const HandoverDelegation& de
 
   // (3) Resource allocation at the target (§5.2 "requests G-BS2 to allocate
   //     the resources at the BS2").
-  bool allocated = false;
-  AppMessage alloc_msg;
-  alloc_msg.type = kHoAllocateMsg;
-  alloc_msg.body = alloc;
-  (void)send_toward_gbs(delegation.target_gbs, std::move(alloc_msg),
-                        [&allocated](const AppMessage& resp) {
-                          if (const auto* body = std::any_cast<HandoverOutcome>(&resp.body))
-                            allocated = body->ok;
-                        });
+  HandoverOutcome allocated;
+  controller_->send_app_request(target->sw, app_message(kHoAllocateMsg, std::move(alloc)),
+                                reply_into(allocated));
 
   // (4) Tear down old paths (ours by key; others forwarded up).
   for (std::uint64_t key : delegation.old_ancestor_keys) {
-    if (deactivate_ancestor_key(key)) continue;
-    AppMessage up;
-    up.type = kBearerDeactivateMsg;
-    up.body = BearerDeactivate{delegation.ue, key};
-    controller_->reca().delegate(std::move(up), nullptr);
+    if (!deactivate_ancestor_key(key)) deactivate_upward(delegation.ue, key);
   }
 
   // (5) Release at the source (§5.2 "asks G-BS1 to release the resources").
-  AppMessage release_msg;
-  release_msg.type = kHoReleaseMsg;
-  release_msg.body = HoRelease{delegation.ue, delegation.source_gbs};
-  (void)send_toward_gbs(delegation.source_gbs, std::move(release_msg), nullptr);
+  controller_->send_app_request(
+      source->sw, app_message(kHoReleaseMsg, HoRelease{delegation.ue, delegation.source_gbs}),
+      nullptr);
 
   // (6) The in-flight transfer path is short-lived: removed once the
   //     handover completes (§5.2 "removes old paths ... between G-BS1 and
   //     G-BS2").
-  if (transfer_path) (void)controller_->deactivate_path(*transfer_path);
+  if (transfer_path) drop_path(*transfer_path);
 
-  if (!allocated)
+  if (!allocated.ok)
     return Error{ErrorCode::kUnavailable, "target G-BS failed to allocate resources"};
   span.detail("served");
   return HandoverOutcome{true, controller_->level(), {}};
@@ -759,7 +664,7 @@ std::vector<UeRecord> MobilityApp::extract_group_state(BsGroupId group) {
       // Ancestor-implemented paths survive the leaf change untouched.
       for (auto& [bid, bearer] : it->second.bearers) {
         if (!bearer.active || !bearer.handled_locally) continue;
-        (void)controller_->deactivate_path(bearer.local_path);
+        drop_path(bearer.local_path);
         bearer.local_path = PathId{};
         bearer.active = false;
         bearer.pending_rehome = true;
@@ -786,14 +691,8 @@ void MobilityApp::rehome_transferred_bearers(BsGroupId group) {
     }
     rec.bearers.erase_if([](const auto& kv) { return kv.second.pending_rehome; });
   }
-  for (const BearerRequest& request : to_restore) {
-    auto restored = request_bearer(request);
-    if (!restored.ok()) {
-      SOFTMOW_LOG(LogLevel::kWarn, "mobility")
-          << controller_->name() << " bearer re-setup after reconfiguration failed: "
-          << restored.error().message;
-    }
-  }
+  for (const BearerRequest& request : to_restore)
+    resetup_bearer(request, LogLevel::kWarn, "after reconfiguration");
 }
 
 }  // namespace softmow::apps

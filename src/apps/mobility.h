@@ -14,12 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/flat_map.h"
 #include "core/ids.h"
+#include "core/log.h"
 #include "core/result.h"
 #include "core/weighted_adjacency.h"
 #include "dataplane/network.h"
@@ -218,20 +220,55 @@ class MobilityApp {
   void rehome_transferred_bearers(BsGroupId group);
 
  private:
+  using OnReply = std::function<void(const southbound::AppMessage&)>;
+  /// The sender of a request awaiting our reply: a child G-switch, or the
+  /// parent when `child` is invalid.
+  struct Requester {
+    SwitchId child;
+    std::uint64_t request_id = 0;
+  };
+
   void register_handlers();
-  Result<BearerId> setup_local_bearer(UeRecord& rec, const BearerRequest& request);
+
+  // --- the recursive bearer core (§5.1/§5.2), shared by every level ---------
+  /// Routes `request` from `source` (a leaf's access port or an ancestor's
+  /// G-BS attach port) and installs the classified path, reserving GBR
+  /// bandwidth and sharing the slice's policy tag.
+  Result<PathId> install_bearer_path(Endpoint source, const BearerRequest& request);
+  /// Tears down an active bearer's path: locally, or by ancestor key upward.
+  void release_bearer(UeId ue, BearerRecord& bearer);
+  /// Delegates a bearer from our G-BS `source_gbs` to the parent, naming the
+  /// G-BS in the parent's ID space.
+  void climb(const BearerRequest& request, GBsId source_gbs, OnReply on_reply);
+  /// The recursive step (§5.1): serves a bearer from our G-BS `source_gbs`
+  /// here, or climbs when only an ancestor can; replies with a
+  /// BearerOutcome either way.
+  void serve_or_climb(const BearerRequest& request, GBsId source_gbs, OnReply on_reply);
+  /// Asks the ancestors to tear down the path behind `key`.
+  void deactivate_upward(UeId ue, std::uint64_t key, OnReply on_reply = nullptr);
+  /// Replies to `from`.
+  void answer(Requester from, southbound::AppMessage reply);
+  /// A callback relaying a reply received from elsewhere to `from`.
+  OnReply relay_to(Requester from);
+  /// Forwards a request to the parent, or down toward G-BS `toward`, and
+  /// relays the reply to `from`.
+  void forward(Requester from, southbound::AppMessage msg,
+               std::optional<GBsId> toward = std::nullopt);
+
   /// Ancestor-side: serve a delegated bearer request in this region.
-  Result<BearerOutcome> serve_bearer(const BearerDelegation& delegation);
+  Result<BearerOutcome> serve_bearer(const BearerRequest& request, GBsId source_gbs);
   /// Ancestor-side: serve a delegated handover (§5.2 example procedure).
   Result<HandoverOutcome> serve_handover(const HandoverDelegation& delegation);
   /// Tears down an ancestor path by key; returns false if the key is not ours.
   bool deactivate_ancestor_key(std::uint64_t key);
+  /// Deactivates one of this controller's paths.
+  void drop_path(PathId id);
+  /// Sets `request` up again after its old path went away, logging a
+  /// failure at `level`.
+  void resetup_bearer(const BearerRequest& request, LogLevel level, const char* when);
+  /// Stores `bearer` under a fresh bearer id.
+  BearerId add_bearer(UeRecord& rec, BearerRecord bearer);
   [[nodiscard]] std::optional<Endpoint> gbs_attach(GBsId gbs) const;
-  [[nodiscard]] GBsId gbs_of_group(BsGroupId group) const;
-  /// Sends an app request to the child whose NIB G-BS matches, recursively
-  /// reaching the owning leaf. Calls `on_response` with the reply.
-  Result<void> send_toward_gbs(GBsId gbs, southbound::AppMessage msg,
-                               std::function<void(const southbound::AppMessage&)> on_response);
 
   reca::Controller* controller_;
   const dataplane::PhysicalNetwork* net_;

@@ -460,20 +460,22 @@ verify::VerifyOptions ManagementPlane::verify_options() const {
   return options;
 }
 
-verify::VerifyReport ManagementPlane::verify_data_plane() {
+verify::ControlState ManagementPlane::control_state() {
   std::vector<const reca::Controller*> controllers;
   for (reca::Controller* c : all_controllers()) controllers.push_back(c);
   verify::ControlState state = verify::collect_control_state(controllers);
   if (slice_annotator_) slice_annotator_(state);
+  return state;
+}
+
+verify::VerifyReport ManagementPlane::verify_data_plane() {
+  verify::ControlState state = control_state();
   verifier_ = std::make_unique<verify::StaticVerifier>(net_, verify_options());
   return verifier_->verify(&state);
 }
 
 verify::VerifyReport ManagementPlane::reverify_data_plane(const std::vector<SwitchId>& dirty) {
-  std::vector<const reca::Controller*> controllers;
-  for (reca::Controller* c : all_controllers()) controllers.push_back(c);
-  verify::ControlState state = verify::collect_control_state(controllers);
-  if (slice_annotator_) slice_annotator_(state);
+  verify::ControlState state = control_state();
   if (!verifier_) verifier_ = std::make_unique<verify::StaticVerifier>(net_, verify_options());
   return verifier_->reverify(dirty, &state);
 }

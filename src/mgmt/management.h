@@ -168,6 +168,9 @@ class ManagementPlane {
   /// Verifier options matching this hierarchy: label depth 1 under recursive
   /// swapping (§4.3), hierarchy depth under the stacking strawman.
   [[nodiscard]] verify::VerifyOptions verify_options() const;
+  /// The live rules of every controller, annotated by the slice annotator
+  /// when one is installed: what a verify pass checks the data plane against.
+  [[nodiscard]] verify::ControlState control_state();
   /// Full static pass over every switch's installed rules, cross-checked
   /// against the live paths of every leaf controller.
   verify::VerifyReport verify_data_plane();

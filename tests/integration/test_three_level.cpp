@@ -4,6 +4,8 @@
 // single-label invariant across multi-level translated paths.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "softmow/softmow.h"
 
 namespace softmow {
@@ -132,6 +134,80 @@ TEST_F(ThreeLevelTest, HandoverMediatedByLowestCommonAncestor) {
   // the root.
   EXPECT_EQ(mid_mobility.stats().inter_region_handled, mid_before + 1);
   EXPECT_EQ(root_mobility.stats().inter_region_handled, root_before);
+}
+
+/// Interdomain routes for one prefix at a fixed set of egresses only.
+struct EgressSubsetProvider : apps::ExternalPathProvider {
+  PrefixId prefix;
+  std::set<EgressId> egresses;
+  std::vector<PrefixId> prefixes() const override { return {prefix}; }
+  std::optional<apps::ExternalCost> cost(EgressId e, PrefixId p) const override {
+    if (p != prefix || egresses.count(e) == 0) return std::nullopt;
+    return apps::ExternalCost{3, 5000};
+  }
+};
+
+TEST_F(ThreeLevelTest, MidHandoverClimbsRootBearerFromExposedGbs) {
+  // A same-mid, cross-leaf handover into a group internal to the mid (not
+  // one of its border G-BSes), of a UE whose bearer only the root can serve:
+  // its prefix is routable only through egresses under the other mid. The
+  // mid cannot re-serve the bearer from the target and climbs; the root
+  // knows the target only by the mid's exposed ID (its internal aggregate),
+  // so the climb must name it in that space (§5.1) or the bearer is lost.
+  auto& mp_ref = mp();
+  BsGroupId src, dst;
+  bool found = false;
+  for (const auto& [key, w] : scenario().trace.group_adjacency.edges()) {
+    for (auto [a, b] : {std::pair{key.first, key.second}, std::pair{key.second, key.first}}) {
+      std::size_t la = mp_ref.leaf_index_of_group(a);
+      std::size_t lb = mp_ref.leaf_index_of_group(b);
+      if (found || la == lb || mp_ref.mid_index_of_leaf(la) != mp_ref.mid_index_of_leaf(lb))
+        continue;
+      reca::Controller* mid = mp_ref.mids()[mp_ref.mid_index_of_leaf(la)];
+      if (mid->abstraction().dirty()) mid->refresh_abstraction();
+      if (mid->abstraction().border_gbs().contains(mgmt::gbs_id_for_group(b))) continue;
+      src = a;
+      dst = b;
+      found = true;
+    }
+  }
+  ASSERT_TRUE(found) << "no same-mid handover into a mid-internal group in this seed";
+
+  std::size_t mid_index = mp_ref.mid_index_of_leaf(mp_ref.leaf_index_of_group(src));
+  EgressSubsetProvider provider;
+  provider.prefix = PrefixId{900};
+  for (reca::Controller* leaf : mp_ref.mids()[1 - mid_index]->children()) {
+    for (SwitchId sw : leaf->nib().switches()) {
+      for (const auto& [pid, desc] : leaf->nib().sw(sw)->ports) {
+        if (desc.peer == dataplane::PeerKind::kExternal && desc.egress.valid())
+          provider.egresses.insert(desc.egress);
+      }
+    }
+  }
+  ASSERT_FALSE(provider.egresses.empty());
+  scenario().apps->originate_interdomain(provider);
+
+  auto& source = scenario().apps->mobility(*mp_ref.leaf_of_group(src));
+  BsId src_bs = scenario().net.bs_group(src)->members.front();
+  BsId dst_bs = scenario().net.bs_group(dst)->members.front();
+  UeId ue{9001};
+  ASSERT_TRUE(source.ue_attach(ue, src_bs).ok());
+  apps::BearerRequest request;
+  request.ue = ue;
+  request.bs = src_bs;
+  request.dst_prefix = provider.prefix;
+  auto bearer = source.request_bearer(request);
+  ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+  ASSERT_EQ(source.ue(ue)->bearers.at(*bearer).handled_level, 3);
+
+  ASSERT_TRUE(source.handover(ue, dst_bs).ok());
+  const apps::UeRecord* moved = scenario().apps->mobility(*mp_ref.leaf_of_group(dst)).ue(ue);
+  ASSERT_NE(moved, nullptr);
+  ASSERT_EQ(moved->bearers.size(), 1u);
+  const apps::BearerRecord& rec = moved->bearers.begin()->second;
+  EXPECT_TRUE(rec.active) << "bearer lost across the handover";
+  EXPECT_NE(rec.ancestor_key, 0u);
+  EXPECT_TRUE(scenario().apps->mobility(mp_ref.root()).ancestor_path_active(rec.ancestor_key));
 }
 
 TEST_F(ThreeLevelTest, CrossMidHandoverClimbsToRoot) {

@@ -149,6 +149,76 @@ TEST_F(MobilityFixture, IdleTearsDownAncestorBearerToo) {
   EXPECT_EQ(net.total_rules(), 0u);  // the root's path was deactivated via key
 }
 
+TEST_F(MobilityFixture, DeactivateTearsDownAncestorBearer) {
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
+  auto bearer = west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2}));
+  ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+  std::uint64_t key = west().ue(UeId{1})->bearers.at(*bearer).ancestor_key;
+  ASSERT_NE(key, 0u);
+  ASSERT_TRUE(root().ancestor_path_active(key));
+  ASSERT_GT(net.total_rules(), 0u);
+
+  ASSERT_TRUE(west().deactivate_bearer(UeId{1}, *bearer).ok());
+  EXPECT_EQ(net.total_rules(), 0u);
+  EXPECT_FALSE(root().ancestor_path_active(key));
+  EXPECT_TRUE(west().ue(UeId{1})->bearers.empty());
+}
+
+TEST_F(MobilityFixture, IntraRegionHandoverRedelegatesAncestorBearer) {
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
+  auto bearer = west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2}));
+  ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+  std::uint64_t old_key = west().ue(UeId{1})->bearers.at(*bearer).ancestor_key;
+  ASSERT_TRUE(root().ancestor_path_active(old_key));
+
+  ASSERT_TRUE(west().handover(UeId{1}, bs_b).ok());
+  EXPECT_EQ(west().stats().intra_region_handovers, 1u);
+  // The root's path classified at group a's access switch: torn down, and the
+  // bearer re-delegated from group b.
+  EXPECT_FALSE(root().ancestor_path_active(old_key));
+  EXPECT_EQ(west().stats().bearers_delegated, 2u);
+  const UeRecord* rec = west().ue(UeId{1});
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->bearers.size(), 1u);
+  const BearerRecord& replaced = rec->bearers.begin()->second;
+  EXPECT_FALSE(replaced.handled_locally);
+  EXPECT_TRUE(replaced.active);
+  EXPECT_NE(replaced.ancestor_key, 0u);
+  EXPECT_NE(replaced.ancestor_key, old_key);
+  EXPECT_TRUE(root().ancestor_path_active(replaced.ancestor_key));
+
+  Packet pkt;
+  pkt.ue = UeId{1};
+  pkt.dst_prefix = PrefixId{2};
+  auto report = net.inject_uplink(pkt, bs_b);
+  EXPECT_EQ(report.outcome, dataplane::DeliveryReport::Outcome::kExternal);
+  EXPECT_EQ(report.egress, egress_east);
+}
+
+TEST_F(MobilityFixture, ActiveRestoresDelegatedAndLocalBearers) {
+  // Delegated bearer first: its re-request on activation appends the
+  // replacement record while the local bearer after it is still pending.
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
+  ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2})).ok());
+  ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a)).ok());
+  std::size_t rules_active = net.total_rules();
+
+  ASSERT_TRUE(west().ue_idle(UeId{1}).ok());
+  ASSERT_EQ(net.total_rules(), 0u);
+  ASSERT_TRUE(west().ue_active(UeId{1}).ok());
+
+  const UeRecord* rec = west().ue(UeId{1});
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(rec->bearers.size(), 2u);
+  for (const auto& [id, bearer] : rec->bearers) {
+    EXPECT_TRUE(bearer.active) << id.str();
+    if (!bearer.handled_locally) {
+      EXPECT_TRUE(root().ancestor_path_active(bearer.ancestor_key));
+    }
+  }
+  EXPECT_EQ(net.total_rules(), rules_active);
+}
+
 TEST_F(MobilityFixture, DetachCleansEverything) {
   ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
   ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a)).ok());

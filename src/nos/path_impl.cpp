@@ -42,6 +42,16 @@ Label PathImplementer::allocate_label() {
   return Label{value, level_};
 }
 
+PathImplementer::HopRules PathImplementer::hop_rules(const InstalledPath& p) {
+  return {p.classifier, p.label, p.route, p.options, false};
+}
+
+PathImplementer::HopRules PathImplementer::hop_rules(const TagAggregate& agg) {
+  // Shared rules start at the second hop: they match on the tag alone.
+  static const dataplane::Match kTagOnly;
+  return {kTagOnly, agg.tag, agg.route, agg.options, true};
+}
+
 Result<PathId> PathImplementer::setup(const ComputedRoute& route,
                                       dataplane::Match classifier,
                                       PathSetupOptions options) {
@@ -52,41 +62,54 @@ Result<PathId> PathImplementer::setup(const ComputedRoute& route,
   InstalledPath p;
   p.id = PathId{next_path_++};
   p.classifier = std::move(classifier);
-  p.route = route;
-  p.options = options;
+  p.options = std::move(options);
+  place(p, route);
+  if (auto attached = attach(p); !attached.ok()) return attached.error();
+  PathId id = p.id;
+  paths_.emplace(id, std::move(p));
+  setups_metric_->inc();
+  return id;
+}
 
-  bool tagged = options.shared_tag.has_value() && route.hops.size() > 1;
-  if (tagged) {
-    p.label = *options.shared_tag;
-    auto agg = ensure_aggregate(p.label, p.route, p.options);
-    if (!agg.ok()) return agg.error();
-    // Attach to the aggregate's route: it is the route actually programmed
-    // (an existing aggregate may predate — and outlive — the offered one).
-    p.route = aggregates_.at(p.label.value).route;
+void PathImplementer::place(InstalledPath& p, const ComputedRoute& route) {
+  p.route = route;
+  if (p.options.shared_tag.has_value() && route.hops.size() > 1) {
+    p.label = *p.options.shared_tag;
   } else {
     // Single-switch tagged routes degenerate to plain paths: there is no
     // transit state to share and the local classifier says it all.
     p.options.shared_tag.reset();
     p.label = allocate_label();
   }
+}
+
+Result<void> PathImplementer::attach(InstalledPath& p) {
+  bool tagged = p.options.shared_tag.has_value();
+  if (tagged) {
+    auto agg = ensure_aggregate(p.label, p.route, p.options);
+    if (!agg.ok()) return agg;
+    // Attach to the aggregate's route: it is the route actually programmed
+    // (an existing aggregate may predate — and outlive — the offered one).
+    p.route = aggregates_.at(p.label.value).route;
+  }
 
   // Resources first: failing admission must not leave half a path behind.
   auto acquired = acquire_resources(p);
   if (!acquired.ok()) {
     if (tagged) gc_aggregate(p.label.value);
-    return acquired.error();
+    return acquired;
   }
-  auto installed = tagged ? install_classifier(p) : install_rules(p);
+  // A tagged path owns only its first-hop classifier; the aggregate holds
+  // the rest.
+  auto installed = program(hop_rules(p), 0, tagged ? 1 : p.route.hops.size(), p.rules);
   if (!installed.ok()) {
     release_resources(p);
     if (tagged) gc_aggregate(p.label.value);
-    return installed.error();
+    return installed;
   }
+  p.active = true;
   if (tagged) ++aggregates_.at(p.label.value).refs;
-  PathId id = p.id;
-  paths_.emplace(id, std::move(p));
-  setups_metric_->inc();
-  return id;
+  return Ok();
 }
 
 Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& route,
@@ -97,7 +120,7 @@ Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& r
     agg.tag = tag;
     agg.route = route;
     agg.options = options;
-    auto installed = install_aggregate_rules(agg);
+    auto installed = program(hop_rules(agg), 1, agg.route.hops.size(), agg.rules);
     if (!installed.ok()) {
       aggregates_.erase(it);
       return installed;
@@ -110,97 +133,18 @@ Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& r
   // place. Other attached paths refresh their stored route on their own
   // repair pass.
   if (agg.rules.empty() || (nib_ != nullptr && !route_intact(*nib_, agg.route))) {
-    remove_aggregate_rules(agg);
+    remove(agg.rules);
     agg.route = route;
     agg.options = options;
-    return install_aggregate_rules(agg);
+    return program(hop_rules(agg), 1, agg.route.hops.size(), agg.rules);
   }
-  return Ok();
-}
-
-Result<void> PathImplementer::install_aggregate_rules(TagAggregate& agg) {
-  const std::vector<RouteHop>& hops = agg.route.hops;
-  std::vector<southbound::Message> batch;
-  std::vector<std::pair<SwitchId, std::uint64_t>> batch_rules;
-  SwitchId batch_sw{};
-  auto flush = [&]() -> Result<void> {
-    if (batch.empty()) return Ok();
-    auto sent = bus_->send_batch(batch_sw, batch);
-    if (sent.ok())
-      for (auto& r : batch_rules) agg.rules.push_back(r);
-    batch.clear();
-    batch_rules.clear();
-    return sent;
-  };
-  for (std::size_t i = 1; i < hops.size(); ++i) {
-    dataplane::FlowRule rule =
-        build_rule({}, agg.tag, agg.route, agg.options, i, shared_tag_cookie(agg.tag.value, i));
-    flowmods_metric_->inc();
-    southbound::FlowMod mod;
-    mod.op = southbound::FlowMod::Op::kAdd;
-    mod.sw = hops[i].sw;
-    mod.rule = rule;
-    if (!batch.empty() && batch_sw != hops[i].sw) {
-      if (auto sent = flush(); !sent.ok()) {
-        remove_aggregate_rules(agg);
-        return sent;
-      }
-    }
-    batch_sw = hops[i].sw;
-    batch.push_back(std::move(mod));
-    batch_rules.emplace_back(hops[i].sw, rule.cookie);
-  }
-  if (auto sent = flush(); !sent.ok()) {
-    remove_aggregate_rules(agg);
-    return sent;
-  }
-  return Ok();
-}
-
-void PathImplementer::remove_aggregate_rules(TagAggregate& agg) {
-  std::size_t i = 0;
-  while (i < agg.rules.size()) {
-    SwitchId sw = agg.rules[i].first;
-    std::vector<southbound::Message> batch;
-    while (i < agg.rules.size() && agg.rules[i].first == sw) {
-      southbound::FlowMod rm;
-      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
-      rm.sw = sw;
-      rm.cookie = agg.rules[i].second;
-      batch.push_back(std::move(rm));
-      ++i;
-    }
-    (void)bus_->send_batch(sw, batch);
-  }
-  agg.rules.clear();
-}
-
-Result<void> PathImplementer::install_classifier(InstalledPath& p) {
-  dataplane::FlowRule rule = build_hop_rule(p, 0, allocate_cookie());
-  flowmods_metric_->inc();
-  for (const dataplane::Action& a : rule.actions) {
-    if (a.type == dataplane::ActionType::kPushLabel ||
-        a.type == dataplane::ActionType::kSwapLabel)
-      label_push_metric_->inc();
-  }
-  SwitchId sw = p.route.hops[0].sw;
-  southbound::FlowMod mod;
-  mod.op = southbound::FlowMod::Op::kAdd;
-  mod.sw = sw;
-  mod.rule = rule;
-  mod.reserve_kbps = p.options.reserve_kbps;
-  southbound::Message one[] = {std::move(mod)};
-  auto sent = bus_->send_batch(sw, one);
-  if (!sent.ok()) return sent;
-  p.rules.emplace_back(sw, rule.cookie);
-  p.active = true;
   return Ok();
 }
 
 void PathImplementer::gc_aggregate(std::uint32_t tag_value) {
   auto it = aggregates_.find(tag_value);
   if (it == aggregates_.end() || it->second.refs != 0) return;
-  remove_aggregate_rules(it->second);
+  remove(it->second.rules);
   aggregates_.erase(it);
   // Last path using the aggregate drained: let the allocator recycle the
   // tag's aggregate ids once nothing live references them.
@@ -232,7 +176,9 @@ Result<void> PathImplementer::acquire_resources(InstalledPath& p) {
 
 void PathImplementer::release_resources(InstalledPath& p) {
   if (nib_ == nullptr) return;
-  // The link may legitimately be gone by teardown time (failure recovery).
+  // Both releases fail only with kNotFound: the link or middlebox left the
+  // NIB (failure recovery, region reconfiguration) and took its reservation
+  // with it, so there is nothing left to give back.
   for (Endpoint at : p.reserved_links)
     (void)nib_->release_link_bandwidth(at, p.options.reserve_kbps);
   p.reserved_links.clear();
@@ -241,18 +187,13 @@ void PathImplementer::release_resources(InstalledPath& p) {
   p.reserved_middleboxes.clear();
 }
 
-dataplane::FlowRule PathImplementer::build_hop_rule(const InstalledPath& p,
-                                                    std::size_t i,
-                                                    std::uint64_t cookie) {
-  return build_rule(p.classifier, p.label, p.route, p.options, i, cookie);
-}
-
-dataplane::FlowRule PathImplementer::build_rule(const dataplane::Match& classifier, Label label,
-                                                const ComputedRoute& route,
-                                                const PathSetupOptions& options, std::size_t i,
+dataplane::FlowRule PathImplementer::build_rule(const HopRules& r, std::size_t i,
                                                 std::uint64_t cookie) {
   using dataplane::FlowRule;
-  const std::vector<RouteHop>& hops = route.hops;
+  const dataplane::Match& classifier = r.classifier;
+  const PathSetupOptions& options = r.options;
+  const Label label = r.label;
+  const std::vector<RouteHop>& hops = r.route.hops;
   const RouteHop& hop = hops[i];
   FlowRule rule;
   rule.cookie = cookie;
@@ -320,68 +261,82 @@ dataplane::FlowRule PathImplementer::build_rule(const dataplane::Match& classifi
   return rule;
 }
 
-Result<void> PathImplementer::install_rules(InstalledPath& p) {
-  const std::vector<RouteHop>& hops = p.route.hops;
+southbound::FlowMod PathImplementer::hop_mod(const HopRules& r, std::size_t i,
+                                             std::uint64_t cookie) {
+  flowmods_metric_->inc();
+  southbound::FlowMod mod;
+  mod.op = southbound::FlowMod::Op::kAdd;
+  mod.sw = r.route.hops[i].sw;
+  mod.rule = build_rule(r, i, cookie);
+  if (!r.shared) mod.reserve_kbps = r.options.reserve_kbps;
+  return mod;
+}
 
+Result<void> PathImplementer::program(const HopRules& r, std::size_t first, std::size_t last,
+                                      RuleList& rules) {
   // FlowMods for consecutive hops on the same switch share one southbound
   // batch, so a setup costs one delivery per switch instead of one per rule
   // (and one shard handoff under the sharded engine).
+  const std::size_t installed_from = rules.size();
   std::vector<southbound::Message> batch;
-  std::vector<std::pair<SwitchId, std::uint64_t>> batch_rules;
   SwitchId batch_sw{};
-  auto rollback = [&] {
-    for (auto& [sw, cookie] : p.rules) {
-      southbound::FlowMod rm;
-      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
-      rm.sw = sw;
-      rm.cookie = cookie;
-      (void)bus_->send(sw, rm);
-    }
-    p.rules.clear();
-  };
   auto flush = [&]() -> Result<void> {
     if (batch.empty()) return Ok();
     auto sent = bus_->send_batch(batch_sw, batch);
     if (sent.ok())
-      for (auto& r : batch_rules) p.rules.push_back(r);
+      for (const southbound::Message& m : batch)
+        rules.emplace_back(batch_sw, std::get<southbound::FlowMod>(m).rule.cookie);
     batch.clear();
-    batch_rules.clear();
     return sent;
   };
 
-  for (std::size_t i = 0; i < hops.size(); ++i) {
-    const RouteHop& hop = hops[i];
-    dataplane::FlowRule rule = build_hop_rule(p, i, allocate_cookie());
-
-    flowmods_metric_->inc();
-    for (const dataplane::Action& a : rule.actions) {
-      // A swap leaves a new label on the wire just like a push (§4.3).
-      if (a.type == dataplane::ActionType::kPushLabel ||
-          a.type == dataplane::ActionType::kSwapLabel)
-        label_push_metric_->inc();
+  for (std::size_t i = first; i < last; ++i) {
+    std::uint64_t cookie = r.shared ? shared_tag_cookie(r.label.value, i) : allocate_cookie();
+    southbound::FlowMod mod = hop_mod(r, i, cookie);
+    if (!r.shared) {
+      for (const dataplane::Action& a : mod.rule.actions) {
+        // A swap leaves a new label on the wire just like a push (§4.3).
+        if (a.type == dataplane::ActionType::kPushLabel ||
+            a.type == dataplane::ActionType::kSwapLabel)
+          label_push_metric_->inc();
+      }
     }
-
-    southbound::FlowMod mod;
-    mod.op = southbound::FlowMod::Op::kAdd;
-    mod.sw = hop.sw;
-    mod.rule = rule;
-    mod.reserve_kbps = p.options.reserve_kbps;
-    if (!batch.empty() && batch_sw != hop.sw) {
+    if (!batch.empty() && batch_sw != mod.sw) {
       if (auto sent = flush(); !sent.ok()) {
-        rollback();
+        remove(rules, installed_from);
         return sent;
       }
     }
-    batch_sw = hop.sw;
+    batch_sw = mod.sw;
     batch.push_back(std::move(mod));
-    batch_rules.emplace_back(hop.sw, rule.cookie);
   }
   if (auto sent = flush(); !sent.ok()) {
-    rollback();
+    remove(rules, installed_from);
     return sent;
   }
-  p.active = true;
   return Ok();
+}
+
+void PathImplementer::remove(RuleList& rules, std::size_t from) {
+  // Teardown batches per switch too (rules are in install order, so
+  // same-switch runs are adjacent).
+  std::vector<southbound::Message> batch;
+  std::size_t i = from;
+  while (i < rules.size()) {
+    SwitchId sw = rules[i].first;
+    batch.clear();
+    for (; i < rules.size() && rules[i].first == sw; ++i) {
+      southbound::FlowMod rm;
+      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
+      rm.sw = sw;
+      rm.cookie = rules[i].second;
+      batch.push_back(std::move(rm));
+    }
+    // A send fails only with kNotFound — no channel to `sw` any more (it
+    // left this controller) — so no table of ours is left there to clean.
+    (void)bus_->send_batch(sw, batch);
+  }
+  rules.resize(from);
 }
 
 Result<void> PathImplementer::deactivate(PathId id) {
@@ -390,23 +345,7 @@ Result<void> PathImplementer::deactivate(PathId id) {
   if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
   InstalledPath& p = it->second;
   if (!p.active) return Ok();
-  // Teardown batches per switch too (rules are in install order, so
-  // same-switch runs are adjacent).
-  std::size_t i = 0;
-  while (i < p.rules.size()) {
-    SwitchId sw = p.rules[i].first;
-    std::vector<southbound::Message> batch;
-    while (i < p.rules.size() && p.rules[i].first == sw) {
-      southbound::FlowMod rm;
-      rm.op = southbound::FlowMod::Op::kRemoveByCookie;
-      rm.sw = sw;
-      rm.cookie = p.rules[i].second;
-      batch.push_back(std::move(rm));
-      ++i;
-    }
-    (void)bus_->send_batch(sw, batch);
-  }
-  p.rules.clear();
+  remove(p.rules);
   p.active = false;
   release_resources(p);
   if (p.options.shared_tag) {
@@ -425,88 +364,58 @@ Result<void> PathImplementer::reactivate(PathId id) {
   if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
   InstalledPath& p = it->second;
   if (p.active) return Ok();
-  bool tagged = p.options.shared_tag.has_value();
-  if (tagged) {
-    if (tag_allocator_ != nullptr && !p.route.hops.empty()) {
-      // The tag's aggregate ids may have drained and been recycled to other
-      // endpoints while this path was down: re-derive the current tag for
-      // the same (slice, clause, endpoints) instead of trusting the stale
-      // value (which could now alias a different aggregate).
-      Endpoint egress{p.route.hops.back().sw, p.route.hops.back().out};
-      std::uint32_t fresh = tag_allocator_->retag(p.label.value, p.route.source, egress);
-      if (fresh != p.label.value) {
-        p.label.value = fresh;
-        p.options.shared_tag = p.label;
-      }
+  if (p.options.shared_tag && tag_allocator_ != nullptr && !p.route.hops.empty()) {
+    // The tag's aggregate ids may have drained and been recycled to other
+    // endpoints while this path was down: re-derive the current tag for
+    // the same (slice, clause, endpoints) instead of trusting the stale
+    // value (which could now alias a different aggregate).
+    Endpoint egress{p.route.hops.back().sw, p.route.hops.back().out};
+    std::uint32_t fresh = tag_allocator_->retag(p.label.value, p.route.source, egress);
+    if (fresh != p.label.value) {
+      p.label.value = fresh;
+      p.options.shared_tag = p.label;
     }
-    auto agg = ensure_aggregate(p.label, p.route, p.options);
-    if (!agg.ok()) return agg;
-    p.route = aggregates_.at(p.label.value).route;
   }
-  auto acquired = acquire_resources(p);
-  if (!acquired.ok()) {
-    if (tagged) gc_aggregate(p.label.value);
-    return acquired;
-  }
-  auto installed = tagged ? install_classifier(p) : install_rules(p);
-  if (!installed.ok()) {
-    release_resources(p);
-    if (tagged) gc_aggregate(p.label.value);
-    return installed;
-  }
-  if (tagged) ++aggregates_.at(p.label.value).refs;
-  return installed;
+  return attach(p);
+}
+
+Result<void> PathImplementer::reroute(PathId id, const ComputedRoute& route) {
+  SHARD_CHECKED(guard_, kWrite);
+  if (auto down = deactivate(id); !down.ok()) return down;
+  if (route.hops.empty())
+    return Error{ErrorCode::kInvalidArgument, "route has no switch traversals"};
+  InstalledPath& p = paths_.at(id);
+  place(p, route);
+  auto attached = attach(p);
+  if (attached.ok()) setups_metric_->inc();
+  return attached;
 }
 
 std::size_t PathImplementer::resync_switch(SwitchId sw) {
   SHARD_CHECKED(guard_, kWrite);
   std::size_t pushed = 0;
-  for (auto& [id, p] : paths_) {
+  std::vector<southbound::Message> batch;
+  auto flush = [&] {
+    if (!batch.empty() && bus_->send_batch(sw, batch).ok()) pushed += batch.size();
+    batch.clear();
+  };
+  for (const auto& [id, p] : paths_) {
     if (!p.active) continue;
-    if (p.options.shared_tag) {
-      // Tagged paths own only their first-hop classifier; shared rules are
-      // resynced once per aggregate below.
-      if (p.rules.size() != 1 || !(p.route.hops[0].sw == sw)) continue;
-      southbound::FlowMod mod;
-      mod.op = southbound::FlowMod::Op::kAdd;
-      mod.sw = sw;
-      mod.rule = build_hop_rule(p, 0, p.rules[0].second);
-      mod.reserve_kbps = p.options.reserve_kbps;
-      flowmods_metric_->inc();
-      southbound::Message one[] = {std::move(mod)};
-      if (bus_->send_batch(sw, one).ok()) ++pushed;
-      continue;
-    }
     // Only fully-installed active paths have a stable hop<->cookie pairing
     // (rules are pushed in hop order, so rules[i] programs route.hops[i]).
-    if (p.rules.size() != p.route.hops.size()) continue;
-    std::vector<southbound::Message> batch;
-    for (std::size_t i = 0; i < p.route.hops.size(); ++i) {
-      if (!(p.route.hops[i].sw == sw)) continue;
-      southbound::FlowMod mod;
-      mod.op = southbound::FlowMod::Op::kAdd;
-      mod.sw = sw;
-      mod.rule = build_hop_rule(p, i, p.rules[i].second);
-      mod.reserve_kbps = p.options.reserve_kbps;
-      batch.push_back(std::move(mod));
-      flowmods_metric_->inc();
-    }
-    if (batch.empty()) continue;
-    if (bus_->send_batch(sw, batch).ok()) pushed += batch.size();
+    // Tagged paths own only their first-hop classifier; shared rules are
+    // resynced once per aggregate below.
+    std::size_t owned = p.options.shared_tag ? 1 : p.route.hops.size();
+    if (p.rules.size() != owned) continue;
+    for (std::size_t i = 0; i < owned; ++i)
+      if (p.route.hops[i].sw == sw) batch.push_back(hop_mod(hop_rules(p), i, p.rules[i].second));
+    flush();
   }
-  for (auto& [tag_value, agg] : aggregates_) {
-    std::vector<southbound::Message> batch;
-    for (std::size_t i = 1; i < agg.route.hops.size(); ++i) {
-      if (!(agg.route.hops[i].sw == sw)) continue;
-      southbound::FlowMod mod;
-      mod.op = southbound::FlowMod::Op::kAdd;
-      mod.sw = sw;
-      mod.rule = build_rule({}, agg.tag, agg.route, agg.options, i, shared_tag_cookie(tag_value, i));
-      batch.push_back(std::move(mod));
-      flowmods_metric_->inc();
-    }
-    if (batch.empty()) continue;
-    if (bus_->send_batch(sw, batch).ok()) pushed += batch.size();
+  for (const auto& [tag_value, agg] : aggregates_) {
+    for (std::size_t i = 1; i < agg.route.hops.size(); ++i)
+      if (agg.route.hops[i].sw == sw)
+        batch.push_back(hop_mod(hop_rules(agg), i, shared_tag_cookie(tag_value, i)));
+    flush();
   }
   return pushed;
 }

@@ -131,6 +131,13 @@ class PathImplementer {
   Result<void> deactivate(PathId id);
   /// Re-installs a deactivated path (bearer re-activation).
   Result<void> reactivate(PathId id);
+  /// Re-implements path `id` along `route` under the same PathId (§6
+  /// failure repair: "implements alternative shortest paths"): deactivates
+  /// it, then installs the new route like a fresh setup — new label for an
+  /// untagged path, new cookies, one path_setups_total. Every owner holding
+  /// the id (bearer records, RecA cookie maps) stays valid. On failure the
+  /// path is left deactivated.
+  Result<void> reroute(PathId id, const ComputedRoute& route);
 
   /// Re-pushes the rules of every *active* path crossing `sw`, rebuilt from
   /// the stored route with their original cookies — re-installing a rule
@@ -178,18 +185,45 @@ class PathImplementer {
   [[nodiscard]] analysis::ShardGuard& guard() { return guard_; }
 
  private:
+  using RuleList = std::vector<std::pair<SwitchId, std::uint64_t>>;
+  /// What the per-hop builder reads of one rule owner: a path, or a tag
+  /// aggregate (`shared`: deterministic shared_tag_cookie cookies, no
+  /// bandwidth riding the FlowMods, no label-push accounting).
+  struct HopRules {
+    const dataplane::Match& classifier;
+    Label label;
+    const ComputedRoute& route;
+    const PathSetupOptions& options;
+    bool shared;
+  };
+  [[nodiscard]] static HopRules hop_rules(const InstalledPath& p);
+  [[nodiscard]] static HopRules hop_rules(const TagAggregate& agg);
+
   Label allocate_label();
   std::uint64_t allocate_cookie() { return next_cookie_++; }
   /// Builds the rule for hop `i` (§4.3 classify / transit / pop structure).
-  /// Pure: shared by first install, resync, and aggregate rebuild.
-  [[nodiscard]] static dataplane::FlowRule build_rule(const dataplane::Match& classifier,
-                                                      Label label, const ComputedRoute& route,
-                                                      const PathSetupOptions& options,
-                                                      std::size_t i, std::uint64_t cookie);
-  [[nodiscard]] static dataplane::FlowRule build_hop_rule(const InstalledPath& p,
-                                                          std::size_t i,
-                                                          std::uint64_t cookie);
-  Result<void> install_rules(InstalledPath& p);
+  [[nodiscard]] static dataplane::FlowRule build_rule(const HopRules& r, std::size_t i,
+                                                      std::uint64_t cookie);
+  /// The kAdd FlowMod programming hop `i` under `cookie` (counted in
+  /// flowmods_sent_total). Shared by first install, resync, and aggregate
+  /// rebuild.
+  southbound::FlowMod hop_mod(const HopRules& r, std::size_t i, std::uint64_t cookie);
+
+  // --- path lifecycle ------------------------------------------------------
+  /// Program: sends the rules of hops [first, last), one delivery unit per
+  /// run of same-switch hops, appending each (switch, cookie) to `rules`.
+  /// On a failed send, removes what this call installed.
+  Result<void> program(const HopRules& r, std::size_t first, std::size_t last, RuleList& rules);
+  /// Remove: one kRemoveByCookie per rule from `from` on, one delivery unit
+  /// per switch run; truncates `rules` to `from`.
+  void remove(RuleList& rules, std::size_t from = 0);
+  /// Stores `route` on a path about to be (re)installed and picks its label:
+  /// the shared tag, or a fresh label (single-switch routes never tag).
+  void place(InstalledPath& p, const ComputedRoute& route);
+  /// Attach: joins the tag aggregate (adopting its route), acquires the
+  /// path's resources and programs its own rules — all hops, or just the
+  /// classifier of a tagged path — undoing all of it on failure.
+  Result<void> attach(InstalledPath& p);
   Result<void> acquire_resources(InstalledPath& p);
   void release_resources(InstalledPath& p);
 
@@ -199,10 +233,6 @@ class PathImplementer {
   /// aggregate to be repaired brings the fresh route along).
   Result<void> ensure_aggregate(Label tag, const ComputedRoute& route,
                                 const PathSetupOptions& options);
-  Result<void> install_aggregate_rules(TagAggregate& agg);
-  void remove_aggregate_rules(TagAggregate& agg);
-  /// Installs the per-path classifier of a tagged path (its only rule).
-  Result<void> install_classifier(InstalledPath& p);
   /// Drops the aggregate (shared rules included) once no path references it.
   void gc_aggregate(std::uint32_t tag_value);
 

@@ -233,15 +233,11 @@ std::pair<std::size_t, std::size_t> Controller::repair_paths() {
       request.dst = installed->route.exit;
     }
     auto route = routing_.route(request);
-    dataplane::Match classifier = installed->classifier;
-    nos::PathSetupOptions options = installed->options;
-    (void)paths_.deactivate(id);
-    if (!route.ok()) {
-      ++failed;
-      continue;
-    }
-    auto replacement = paths_.setup(*route, std::move(classifier), options);
-    if (replacement.ok()) ++repaired;
+    // Re-route in place, so every owner of the id (bearer records, RecA
+    // cookie maps) keeps a live path; with no alternative the path goes
+    // down clean instead of keeping stale rules.
+    auto rerouted = route.ok() ? paths_.reroute(id, *route) : paths_.deactivate(id);
+    if (route.ok() && rerouted.ok()) ++repaired;
     else ++failed;
   }
   repairs_metric_->inc(repaired);

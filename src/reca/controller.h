@@ -152,8 +152,8 @@ class Controller : public nos::DeviceBus {
   /// Runs one round of link discovery over the current NIB (§4.1.2).
   void run_link_discovery() { discovery_.run_link_discovery(); }
   /// §6 failure recovery: finds active paths broken by link/port failures
-  /// and re-implements each over an alternative route with the same
-  /// classifier and options. Returns (repaired, irreparable).
+  /// and re-implements each over an alternative route under the same
+  /// PathId (nos::PathImplementer::reroute). Returns (repaired, irreparable).
   std::pair<std::size_t, std::size_t> repair_paths();
   /// Recomputes the abstraction and announces changes to the parent.
   void refresh_abstraction();

@@ -164,6 +164,59 @@ TEST_F(FailureTest, CrossRegionFailureRepairedByRoot) {
   EXPECT_LE(after.packet.max_depth_seen(), 1u);
 }
 
+TEST_F(FailureTest, LeafRepairedBearerDetachesClean) {
+  // Repair re-routes under the same PathId, so the RecA agent's parent-cookie
+  // map still names the live replacement and the bearer's teardown removes
+  // the repaired rules instead of hitting the dead path.
+  std::size_t baseline = net.total_rules();
+  UeId ue{4};
+  ASSERT_TRUE(bearer_for(ue).ok());
+  bool used_direct = false, used_s2c = false;
+  for (const auto& hop : send(ue).packet.trace) {
+    used_s2c |= hop.sw == s2c;
+    used_direct |= hop.sw == s2;
+  }
+  if (!used_direct || used_s2c) GTEST_SKIP() << "flow did not take the direct spine";
+
+  ASSERT_TRUE(net.set_link_up(l_s1_s2, false).ok());
+  auto& west = mp->leaf(0);
+  auto [repaired, failed] = west.repair_paths();
+  ASSERT_GE(repaired, 1u);
+  ASSERT_EQ(failed, 0u);
+  ASSERT_EQ(send(ue).outcome, DeliveryReport::Outcome::kExternal);
+
+  ASSERT_TRUE(suite->mobility(west).ue_detach(ue).ok());
+  EXPECT_EQ(net.total_rules(), baseline) << "repaired rules leaked past the detach";
+}
+
+TEST_F(FailureTest, RootRepairedBearerDetachesClean) {
+  // Same for an ancestor's path: the root's bearer key keeps naming the
+  // re-routed path, so detaching the UE tears the new route down everywhere.
+  std::size_t baseline = net.total_rules();
+  UeId ue{5};
+  ASSERT_TRUE(bearer_for(ue).ok());
+  auto before = send(ue);
+  ASSERT_EQ(before.outcome, DeliveryReport::Outcome::kExternal);
+  bool used_s2 = false;
+  for (const auto& hop : before.packet.trace) used_s2 |= hop.sw == s2;
+  ASSERT_TRUE(net.set_link_up(used_s2 ? l_s2_s3 : l_s2b_s3b, false).ok());
+
+  mp->refresh_topology();
+  auto [repaired, failed] = mp->root().repair_paths();
+  ASSERT_GE(repaired, 1u);
+  ASSERT_EQ(failed, 0u);
+  for (std::size_t leaf = 0; leaf < 2; ++leaf) {
+    auto [leaf_repaired, leaf_failed] = mp->leaf(leaf).repair_paths();
+    ASSERT_EQ(leaf_failed, 0u) << "leaf " << leaf << " repaired " << leaf_repaired;
+  }
+  ASSERT_EQ(send(ue).outcome, DeliveryReport::Outcome::kExternal);
+
+  ASSERT_TRUE(suite->mobility(mp->leaf(0)).ue_detach(ue).ok());
+  EXPECT_EQ(net.total_rules(), baseline) << "repaired rules leaked past the detach";
+  EXPECT_NE(send(ue).outcome, DeliveryReport::Outcome::kExternal)
+      << "a detached UE's uplink must not reach the Internet";
+}
+
 TEST_F(FailureTest, ConsistentUpdatesOldLabelKeepsWorkingUntilTeardown) {
   // §6: "the new path and packets are assigned a new version number. The
   // packets with the old version number can still use old rules" — in this

@@ -15,6 +15,13 @@ class RecordingBus : public DeviceBus {
     return Ok();
   }
 
+  /// Adds minus removes: the net rule count this bus left on the data plane.
+  [[nodiscard]] long net_rules() const {
+    long net = 0;
+    for (const auto& m : mods) net += m.op == southbound::FlowMod::Op::kAdd ? 1 : -1;
+    return net;
+  }
+
   [[nodiscard]] std::vector<southbound::FlowMod> mods_for(SwitchId sw) const {
     std::vector<southbound::FlowMod> out;
     for (const auto& m : mods)
@@ -191,13 +198,7 @@ TEST(PathImplementerTagGc, DrainingLastBearerReturnsRuleCountToBaseline) {
 
   // Net rule count across the data plane: adds minus removes must return to
   // zero once the last bearer of the aggregate drains.
-  auto net_rules = [&bus] {
-    long net = 0;
-    for (const auto& m : bus.mods)
-      net += m.op == southbound::FlowMod::Op::kAdd ? 1 : -1;
-    return net;
-  };
-  ASSERT_GT(net_rules(), 0);
+  ASSERT_GT(bus.net_rules(), 0);
 
   ASSERT_TRUE(paths.deactivate(*a).ok());
   EXPECT_EQ(paths.aggregates().size(), 1u) << "second bearer still references the tag";
@@ -205,7 +206,7 @@ TEST(PathImplementerTagGc, DrainingLastBearerReturnsRuleCountToBaseline) {
 
   ASSERT_TRUE(paths.deactivate(*b).ok());
   EXPECT_EQ(paths.aggregates().size(), 0u);
-  EXPECT_EQ(net_rules(), 0) << "every installed rule must have been removed";
+  EXPECT_EQ(bus.net_rules(), 0) << "every installed rule must have been removed";
   EXPECT_EQ(alloc.ingress_aggregates(), 0u);
   EXPECT_EQ(alloc.egress_aggregates(), 0u);
   EXPECT_EQ(alloc.ids_recycled(), 2u);
@@ -249,6 +250,145 @@ TEST(PathImplementerTagGc, ReactivationRederivesTagThroughAllocator) {
   EXPECT_EQ(decoded->slice.value, 2u);
   EXPECT_EQ(decoded->clause, 3u);
   EXPECT_EQ(paths.aggregates().size(), 2u);
+}
+
+TEST(PathImplementerTagGc, ClassifierFailureReleasesAggregateAndTag) {
+  // The tagged twin of RollbackOnInstallFailure: the shared rules go in
+  // first, so a classifier that cannot be sent must take the fresh
+  // aggregate back out and hand its tag ids back to the allocator.
+  RecordingBus bus;
+  bus.fail_on = SwitchId{1};  // the classifier's switch
+  dataplane::TagAllocator alloc;
+  PathImplementer paths(&bus, 1, 1);
+  paths.set_tag_allocator(&alloc);
+
+  ComputedRoute route = three_hop_route();
+  PathSetupOptions options;
+  options.shared_tag = Label{alloc.tag_for(SliceId{2}, 3, route.source, route.exit), 1};
+  EXPECT_FALSE(paths.setup(route, ue_classifier(), options).ok());
+
+  EXPECT_GT(bus.mods.size(), 0u) << "the shared rules were sent before the classifier";
+  EXPECT_EQ(bus.net_rules(), 0) << "every shared rule must have been removed again";
+  EXPECT_TRUE(paths.aggregates().empty());
+  EXPECT_TRUE(paths.shared_rules().empty());
+  EXPECT_EQ(paths.active_count(), 0u);
+  EXPECT_EQ(alloc.ingress_aggregates(), 0u);
+  EXPECT_EQ(alloc.egress_aggregates(), 0u);
+  EXPECT_EQ(alloc.ids_recycled(), 2u);
+}
+
+TEST(PathImplementerResync, RepushesExactlyThePlainPathHopsOnTheSwitch) {
+  // A middlebox detour visits switch 2 twice; resyncing it re-sends both of
+  // those hop rules (and nothing else) under their original cookies.
+  RecordingBus bus;
+  PathImplementer paths(&bus, 1, 1);
+  ComputedRoute route;
+  route.hops = {RouteHop{SwitchId{1}, PortId{1}, PortId{2}},
+                RouteHop{SwitchId{2}, PortId{1}, PortId{5}},
+                RouteHop{SwitchId{2}, PortId{5}, PortId{2}},
+                RouteHop{SwitchId{3}, PortId{1}, PortId{8}}};
+  route.source = Endpoint{SwitchId{1}, PortId{1}};
+  route.exit = Endpoint{SwitchId{3}, PortId{8}};
+  PathSetupOptions options;
+  options.reserve_kbps = 500;
+  auto id = paths.setup(route, ue_classifier(), options);
+  ASSERT_TRUE(id.ok());
+  std::vector<southbound::FlowMod> installed = bus.mods_for(SwitchId{2});
+  ASSERT_EQ(installed.size(), 2u);
+  bus.mods.clear();
+
+  EXPECT_EQ(paths.resync_switch(SwitchId{2}), 2u);
+  ASSERT_EQ(bus.mods.size(), 2u);
+  const InstalledPath* p = paths.path(*id);
+  ASSERT_NE(p, nullptr);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const southbound::FlowMod& mod = bus.mods[k];
+    EXPECT_EQ(mod.op, southbound::FlowMod::Op::kAdd);
+    EXPECT_EQ(mod.sw, SwitchId{2});
+    EXPECT_EQ(mod.rule.cookie, p->rules[k + 1].second);
+    EXPECT_EQ(mod.rule.cookie, installed[k].rule.cookie);
+    EXPECT_TRUE(mod.rule.match == installed[k].rule.match);
+    EXPECT_EQ(mod.rule.actions.size(), installed[k].rule.actions.size());
+    EXPECT_EQ(mod.reserve_kbps, 500);
+  }
+  bus.mods.clear();
+  EXPECT_EQ(paths.resync_switch(SwitchId{9}), 0u) << "no hop on that switch";
+  EXPECT_TRUE(bus.mods.empty());
+}
+
+TEST(PathImplementerResync, RepushesTaggedClassifiersAndEachAggregateRuleOnce) {
+  RecordingBus bus;
+  dataplane::TagAllocator alloc;
+  PathImplementer paths(&bus, 1, 1);
+  paths.set_tag_allocator(&alloc);
+  ComputedRoute route = three_hop_route();
+  std::uint32_t tag = alloc.tag_for(SliceId{2}, 3, route.source, route.exit);
+  PathSetupOptions options;
+  options.shared_tag = Label{tag, 1};
+  auto a = paths.setup(route, ue_classifier(1), options);
+  auto b = paths.setup(route, ue_classifier(2), options);
+  ASSERT_TRUE(a.ok() && b.ok());
+  bus.mods.clear();
+
+  // First hop: one per-path classifier each, under its own cookie.
+  EXPECT_EQ(paths.resync_switch(SwitchId{1}), 2u);
+  ASSERT_EQ(bus.mods.size(), 2u);
+  EXPECT_EQ(bus.mods[0].rule.cookie, paths.path(*a)->rules[0].second);
+  EXPECT_EQ(bus.mods[1].rule.cookie, paths.path(*b)->rules[0].second);
+  EXPECT_EQ(bus.mods[0].rule.match.ue, UeId{1});
+  EXPECT_EQ(bus.mods[1].rule.match.ue, UeId{2});
+
+  // Transit and exit: the aggregate's shared rule, once for both paths.
+  for (std::size_t hop : {1u, 2u}) {
+    bus.mods.clear();
+    SwitchId sw = route.hops[hop].sw;
+    EXPECT_EQ(paths.resync_switch(sw), 1u);
+    ASSERT_EQ(bus.mods.size(), 1u);
+    EXPECT_EQ(bus.mods[0].op, southbound::FlowMod::Op::kAdd);
+    EXPECT_EQ(bus.mods[0].rule.cookie, shared_tag_cookie(tag, hop));
+    EXPECT_EQ(bus.mods[0].rule.match.label, tag);
+  }
+}
+
+TEST(PathImplementer, RerouteKeepsTheIdAndSwapsTheRules) {
+  RecordingBus bus;
+  PathImplementer paths(&bus, 1, 1);
+  auto id = paths.setup(three_hop_route(), ue_classifier());
+  ASSERT_TRUE(id.ok());
+  const InstalledPath* p = paths.path(*id);
+  ASSERT_NE(p, nullptr);
+  auto old_rules = p->rules;
+  Label old_label = p->label;
+  bus.mods.clear();
+
+  // access(1) -> detour core(4) -> border(3)
+  ComputedRoute detour = three_hop_route();
+  detour.hops[1] = RouteHop{SwitchId{4}, PortId{1}, PortId{2}};
+  ASSERT_TRUE(paths.reroute(*id, detour).ok());
+
+  EXPECT_EQ(paths.paths(), std::vector<PathId>{*id}) << "no replacement id";
+  p = paths.path(*id);
+  ASSERT_NE(p, nullptr);
+  EXPECT_TRUE(p->active);
+  EXPECT_NE(p->label.value, old_label.value) << "untagged path takes a fresh label";
+  ASSERT_EQ(p->route.hops.size(), 3u);
+  EXPECT_EQ(p->route.hops[1].sw, SwitchId{4});
+
+  // The old cookies come out first, then the new route goes in.
+  ASSERT_EQ(bus.mods.size(), 6u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_EQ(bus.mods[k].op, southbound::FlowMod::Op::kRemoveByCookie);
+    EXPECT_EQ(bus.mods[k].sw, old_rules[k].first);
+    EXPECT_EQ(bus.mods[k].cookie, old_rules[k].second);
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    const southbound::FlowMod& mod = bus.mods[3 + k];
+    EXPECT_EQ(mod.op, southbound::FlowMod::Op::kAdd);
+    EXPECT_EQ(mod.sw, detour.hops[k].sw);
+    EXPECT_EQ(mod.rule.cookie, p->rules[k].second);
+    EXPECT_NE(mod.rule.cookie, old_rules[k].second);
+  }
+  EXPECT_EQ(paths.reroute(PathId{99}, detour).code(), ErrorCode::kNotFound);
 }
 
 TEST(PathImplementer, LabelsAreUniquePerPathAndTagged) {

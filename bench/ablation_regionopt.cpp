@@ -81,8 +81,7 @@ void eastwest_load() {
     // The §7.3 queuing model: the control plane processes this phase's
     // east-west burst through a FIFO station, which also feeds the
     // sim_queue_wait_us histogram the JSON export carries.
-    sim::TimePoint done = clock;
-    for (std::uint64_t m = 0; m < messages; ++m) done = station.submit(clock);
+    sim::TimePoint done = station.submit_burst(clock, messages);
     tracer.span_under(tracer.current(), clock, done, name, mp.root().level(), "root",
                       obs::SpanKind::kOperation, std::to_string(messages) + " messages");
     clock = done;

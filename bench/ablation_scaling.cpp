@@ -73,8 +73,7 @@ void run() {
     for (reca::Controller* leaf : mp.leaves())
       max_leaf = std::max(max_leaf, leaf->discovery().stats().messages_processed());
     sim::QueueingStation station(kService);
-    sim::TimePoint done;
-    for (std::uint64_t m = 0; m < max_leaf; ++m) done = station.submit(sim::TimePoint::zero());
+    sim::TimePoint done = station.submit_burst(sim::TimePoint::zero(), max_leaf);
 
     // Handover coupling: share of all trace handovers that cross regions.
     double cross = 0, total = 0;

@@ -59,7 +59,7 @@ void run() {
   ShardedRun sharded(*scenario);
   faults::RecoveryOptions ropts;
   ropts.recorder = &recorder;
-  faults::RecoveryCoordinator coord(*scenario, &sharded.engine(), ropts);
+  faults::RecoveryCoordinator coord(*scenario, ropts);
   coord.harden();
   attach_probes(*scenario, coord, /*first_ue=*/1);
   std::printf("plan '%s' (fault seed %llu): %zu events over %zu leaf regions; "
@@ -67,7 +67,7 @@ void run() {
               plan.name.c_str(), (unsigned long long)opts.fault_seed,
               plan.events.size(), mp.leaf_count(), coord.probe_failures());
 
-  faults::FaultInjector injector(*scenario, &sharded.engine());
+  faults::FaultInjector injector;
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);
 
   std::printf("\n--- per-fault recovery (modeled, §7.3 queueing) ---\n");

@@ -26,9 +26,8 @@ const sim::Duration kChannelRtt = sim::Duration::millis(30.0);
 
 sim::Duration queue_convergence(std::uint64_t messages, const std::string& station_name) {
   sim::QueueingStation station(kServicePerMessage, station_name);
-  sim::TimePoint done = sim::TimePoint::zero();
-  for (std::uint64_t m = 0; m < messages; ++m)
-    done = station.submit(sim::TimePoint::zero());  // burst at period start
+  // Burst at period start.
+  sim::TimePoint done = station.submit_burst(sim::TimePoint::zero(), messages);
   return (done - sim::TimePoint::zero()) + kChannelRtt;
 }
 

@@ -108,8 +108,7 @@ std::size_t run_continuous(topo::Scenario& scenario, sim::ShardedSimulator& engi
 /// The migrate-under-chaos drill: open a cycle, let a fault plan run inside
 /// the dual-control window, pick up the fault-induced delta with one more
 /// catch-up round, then flip. Returns post-flip verifier findings.
-std::size_t run_chaos(topo::Scenario& scenario, sim::ShardedSimulator& engine,
-                      migrate::MigrationManager& manager,
+std::size_t run_chaos(topo::Scenario& scenario, migrate::MigrationManager& manager,
                       faults::RecoveryCoordinator& coord, const std::string& plan_name) {
   auto& mp = *scenario.mgmt;
   faults::FaultScenario plan =
@@ -129,7 +128,7 @@ std::size_t run_chaos(topo::Scenario& scenario, sim::ShardedSimulator& engine,
   (void)manager.stream_snapshot();
   (void)manager.catch_up();  // pre-warm + first delta, window now open
 
-  faults::FaultInjector injector(scenario, &engine);
+  faults::FaultInjector injector;
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);
   std::printf("chaos: %zu faults recovered while leaf %s was dual-controlled\n",
               records.size(), mp.leaf(leaf).name().c_str());
@@ -157,14 +156,14 @@ LevelResult run_level(const std::string& label, bool with_mid, bool continuous) 
   auto& mp = *scenario->mgmt;
 
   ShardedRun sharded(*scenario);
-  faults::RecoveryCoordinator coord(*scenario, &sharded.engine());
+  faults::RecoveryCoordinator coord(*scenario);
   coord.harden();
   attach_probes(*scenario, coord, /*first_ue=*/90001);  // clear of any other UE population
   const std::size_t baseline_failures = coord.probe_failures();
 
   migrate::MigrationOptions mopts;
   mopts.recorder = &obs::default_timeseries();
-  migrate::MigrationManager manager(*scenario, &sharded.engine(), mopts);
+  migrate::MigrationManager manager(*scenario, mopts);
 
   std::printf("\n[%s] %zu leaves, %zu baseline probe failures\n", label.c_str(),
               mp.leaf_count(), baseline_failures);
@@ -214,8 +213,7 @@ LevelResult run_level(const std::string& label, bool with_mid, bool continuous) 
   if (continuous) {
     out.rehomings = run_continuous(*scenario, sharded.engine(), manager);
     if (!opts.faults.empty())
-      out.verify_findings += run_chaos(*scenario, sharded.engine(), manager, coord,
-                                       opts.faults);
+      out.verify_findings += run_chaos(*scenario, manager, coord, opts.faults);
     out.probe_failures = coord.probe_failures();
   }
   maybe_verify(*scenario, label.c_str());

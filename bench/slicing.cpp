@@ -270,9 +270,9 @@ void run_isolation(topo::Scenario& scenario, SliceManager& mgr) {
     // Now let the injector install it at an engine barrier and the recovery
     // coordinator detect + remove it through the southbound channel.
     ShardedRun sharded(scenario);
-    faults::RecoveryCoordinator coord(scenario, &sharded.engine());
+    faults::RecoveryCoordinator coord(scenario);
     coord.harden();
-    faults::FaultInjector injector(scenario, &sharded.engine());
+    faults::FaultInjector injector;
     std::vector<faults::FaultRecord> records = injector.run(plan, coord);
     for (const faults::FaultRecord& rec : records) {
       std::printf("self-heal: %s repaired=%llu mttr=%.1fms\n",
@@ -297,9 +297,9 @@ void run_isolation(topo::Scenario& scenario, SliceManager& mgr) {
       std::exit(2);
     }
     ShardedRun sharded(scenario);
-    faults::RecoveryCoordinator coord(scenario, &sharded.engine());
+    faults::RecoveryCoordinator coord(scenario);
     coord.harden();
-    faults::FaultInjector injector(scenario, &sharded.engine());
+    faults::FaultInjector injector;
     std::vector<faults::FaultRecord> records = injector.run(chaos, coord);
     mgr.rewire_encapsulation();
     std::printf("chaos plan '%s': %zu faults injected, %zu recoveries\n",

@@ -7,9 +7,6 @@
 
 namespace softmow::faults {
 
-FaultInjector::FaultInjector(topo::Scenario& scenario, sim::ShardedSimulator* engine)
-    : scenario_(&scenario), engine_(engine) {}
-
 std::vector<FaultRecord> FaultInjector::run(const FaultScenario& plan,
                                             RecoveryCoordinator& recovery) {
   std::vector<FaultEvent> events = plan.events;

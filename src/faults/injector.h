@@ -6,30 +6,23 @@
 
 #include "faults/fault.h"
 #include "faults/recovery.h"
-#include "sim/sharded.h"
-#include "topo/scenario.h"
 
 namespace softmow::faults {
 
 class FaultInjector {
  public:
-  /// `engine` may be null (synchronous mode); when set it must be the engine
-  /// the scenario is bound to, and every event is applied at a run() barrier.
-  explicit FaultInjector(topo::Scenario& scenario,
-                         sim::ShardedSimulator* engine = nullptr);
-
   /// Runs the whole plan in event-time order: checkpoints the hot standbys
   /// before each event ("periodic NIB sync"), counts
   /// fault_injected_total{kind}, applies the event through `recovery` and
-  /// gathers the completed-recovery records.
+  /// gathers the completed-recovery records. Events apply in `recovery`'s
+  /// mode: at run() barriers of the engine the scenario's management plane
+  /// is bound to, synchronously when it is unbound.
   std::vector<FaultRecord> run(const FaultScenario& plan,
                                RecoveryCoordinator& recovery);
 
   [[nodiscard]] std::uint64_t injected() const { return injected_; }
 
  private:
-  topo::Scenario* scenario_;
-  sim::ShardedSimulator* engine_;
   std::uint64_t injected_ = 0;
 };
 

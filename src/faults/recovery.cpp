@@ -14,10 +14,8 @@ namespace softmow::faults {
 using sim::Duration;
 using sim::TimePoint;
 
-RecoveryCoordinator::RecoveryCoordinator(topo::Scenario& scenario,
-                                         sim::ShardedSimulator* engine,
-                                         RecoveryOptions opts)
-    : scenario_(&scenario), engine_(engine), opts_(opts) {
+RecoveryCoordinator::RecoveryCoordinator(topo::Scenario& scenario, RecoveryOptions opts)
+    : scenario_(&scenario), opts_(opts) {
   mgmt::ManagementPlane& mp = *scenario_->mgmt;
   for (std::size_t i = 0; i < mp.leaf_count(); ++i) {
     standbys_.push_back(std::make_unique<mgmt::HotStandby>(mp.leaf(i), mp.hub()));
@@ -51,9 +49,9 @@ std::size_t RecoveryCoordinator::probe_failures() {
 }
 
 void RecoveryCoordinator::refresh_standbys(sim::TimePoint at) {
-  // A live migration (migrate::MigrationManager) retires a leaf's old
-  // instance and installs a fresh one under the same index; a standby still
-  // watching the retired instance must be rebuilt before its next sync.
+  // A live migration (migrate::MigrationManager) or a failover retires a
+  // leaf's old instance and installs a fresh one under the same index; a
+  // standby still watching the retired instance must be rebuilt and synced.
   mgmt::ManagementPlane& mp = *scenario_->mgmt;
   for (std::size_t i = 0; i < standbys_.size() && i < mp.leaf_count(); ++i) {
     if (standbys_[i]->watches(mp.leaf(i))) continue;
@@ -134,17 +132,25 @@ Duration RecoveryCoordinator::detection_for(FaultKind kind) const {
 }
 
 void RecoveryCoordinator::drain_engine() {
-  if (engine_ != nullptr) (void)engine_->run();
+  if (sim::ShardedSimulator* engine = scenario_->mgmt->engine()) engine->run();
+}
+
+void RecoveryCoordinator::run_on_shard(sim::ShardId shard,
+                                       sim::ShardedSimulator::Callback fn) {
+  if (sim::ShardedSimulator* engine = scenario_->mgmt->engine()) {
+    engine->schedule(shard, engine->lookahead(), std::move(fn));
+  } else {
+    fn();
+  }
 }
 
 void RecoveryCoordinator::apply_mutation(const FaultEvent& ev) {
   mgmt::ManagementPlane& mp = *scenario_->mgmt;
   switch (ev.kind) {
     case FaultKind::kLinkDown:
-      (void)scenario_->net.set_link_up(ev.link, false);
-      break;
     case FaultKind::kLinkUp:
-      (void)scenario_->net.set_link_up(ev.link, true);
+      // Plans draw their links from this network, so the id always resolves.
+      (void)scenario_->net.set_link_up(ev.link, ev.kind == FaultKind::kLinkUp);
       break;
     case FaultKind::kSwitchCrash:
       if (southbound::SwitchAgent* agent = mp.hub().agent(ev.sw)) agent->crash();
@@ -165,7 +171,10 @@ void RecoveryCoordinator::apply_mutation(const FaultEvent& ev) {
     case FaultKind::kRogueRule:
       // Straight into the TCAM, bypassing every controller — the control
       // plane's own books stay clean, which is exactly why only an audit
-      // (probe or static scan) can catch it.
+      // (probe or static scan) can catch it. The install cannot be refused:
+      // the plan forges the rule 100 priority levels above the classifier
+      // it copies, under a cookie no controller allocates, so no installed
+      // rule ties with it.
       if (dataplane::Switch* sw = scenario_->net.sw(ev.sw)) {
         (void)sw->table().install(ev.rogue);
       }
@@ -181,40 +190,27 @@ void RecoveryCoordinator::dispatch_recovery(const FaultEvent& ev, FaultRecord& r
     case FaultKind::kLinkUp: {
       // Self-healing leaves already re-routed inside the PortStatus handler;
       // refresh the logical planes bottom-up, then let every level repair
-      // the paths the topology change broke in *its* region (§6).
+      // the paths the topology change broke in *its* region (§6), leaves
+      // first and the root last.
       mp.refresh_topology();
-      for (reca::Controller* c : mp.leaves()) {
+      for (reca::Controller* c : mp.all_controllers()) {
         auto [r, f] = c->repair_paths();
         rec.repaired += r;
         rec.failed += f;
       }
-      for (reca::Controller* c : mp.mids()) {
-        auto [r, f] = c->repair_paths();
-        rec.repaired += r;
-        rec.failed += f;
-      }
-      auto [r, f] = mp.root().repair_paths();
-      rec.repaired += r;
-      rec.failed += f;
       break;
     }
     case FaultKind::kSwitchRestart: {
       southbound::SwitchAgent* agent = mp.hub().agent(ev.sw);
-      if (engine_ != nullptr) {
-        engine_->schedule(mp.hub().owner_of(ev.sw), engine_->lookahead(),
-                          [agent] { agent->restart(); });
-      } else {
-        agent->restart();
-      }
+      run_on_shard(mp.hub().owner_of(ev.sw), [agent] { agent->restart(); });
       break;
     }
     case FaultKind::kControllerCrash: {
-      mp.fail_over_leaf(ev.leaf, *standbys_[ev.leaf], ev.at, opts_.promote_duration);
-      reca::Controller& fresh = mp.leaf(ev.leaf);
-      scenario_->apps->rebind(fresh);
-      if (engine_ != nullptr) mp.bind_shards(*engine_, opts_.parent_link_delay);
-      standbys_[ev.leaf] = std::make_unique<mgmt::HotStandby>(fresh, mp.hub());
-      standbys_[ev.leaf]->sync(ev.at + opts_.promote_duration);
+      // The plane rebinds its own shards; the apps follow the fresh leaf and
+      // a new standby starts watching it.
+      scenario_->apps->rebind(
+          mp.fail_over_leaf(ev.leaf, *standbys_[ev.leaf], ev.at, opts_.promote_duration));
+      refresh_standbys(ev.at + opts_.promote_duration);
       break;
     }
     case FaultKind::kChannelImpair:
@@ -224,16 +220,11 @@ void RecoveryCoordinator::dispatch_recovery(const FaultEvent& ev, FaultRecord& r
       // barrier acks come back.
       reca::Controller* leaf = &mp.leaf(ev.leaf);
       FaultRecord* recp = &rec;
-      auto sweep = [leaf, recp] {
+      run_on_shard(leaf->shard(), [leaf, recp] {
         for (SwitchId sw : leaf->devices()) {
           if (leaf->paths().resync_switch(sw) != 0) ++recp->resyncs;
         }
-      };
-      if (engine_ != nullptr) {
-        engine_->schedule(leaf->shard(), engine_->lookahead(), sweep);
-      } else {
-        sweep();
-      }
+      });
       break;
     }
     case FaultKind::kSwitchCrash:
@@ -257,15 +248,9 @@ void RecoveryCoordinator::dispatch_recovery(const FaultEvent& ev, FaultRecord& r
       del.cookie = ev.rogue.cookie;
       SwitchId sw = ev.sw;
       FaultRecord* recp = &rec;
-      auto remove = [owner, sw, del, recp] {
-        (void)owner->send(sw, southbound::Message{del});
-        ++recp->repaired;
-      };
-      if (engine_ != nullptr) {
-        engine_->schedule(owner->shard(), engine_->lookahead(), remove);
-      } else {
-        remove();
-      }
+      run_on_shard(owner->shard(), [owner, sw, del, recp] {
+        if (owner->send(sw, southbound::Message{del}).ok()) ++recp->repaired;
+      });
       break;
     }
   }
@@ -316,8 +301,7 @@ void RecoveryCoordinator::finish_record(const FaultEvent& ev, FaultRecord& rec,
                                  std::string("fault-") + kind_name + "-l" +
                                      std::to_string(level),
                                  level);
-    TimePoint done = TimePoint::zero();
-    for (std::uint64_t i = 0; i < mx; ++i) done = station.submit(TimePoint::zero());
+    TimePoint done = station.submit_burst(TimePoint::zero(), mx);
     queue_total = queue_total + (done - TimePoint::zero());
     ++levels;
   }
@@ -331,8 +315,7 @@ void RecoveryCoordinator::finish_record(const FaultEvent& ev, FaultRecord& rec,
   // a leaf is one local RTT from its own region.
   sim::QueueingStation flat(opts_.service_per_message,
                             std::string("fault-") + kind_name + "-flat", 0);
-  TimePoint flat_done = TimePoint::zero();
-  for (std::uint64_t i = 0; i < total; ++i) flat_done = flat.submit(TimePoint::zero());
+  TimePoint flat_done = flat.submit_burst(TimePoint::zero(), total);
   double depth = static_cast<double>(mp.root().level() > 0 ? mp.root().level() : 1);
   Duration mttr_flat =
       outage + detect + (flat_done - TimePoint::zero()) + opts_.channel_rtt * depth;

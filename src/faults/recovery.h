@@ -40,9 +40,6 @@ struct RecoveryOptions {
   sim::Duration audit_detect = sim::Duration::millis(120);
   /// Modeled standby-promotion cost (keeps the failover span deterministic).
   sim::Duration promote_duration = sim::Duration::millis(50);
-  /// Must match the ShardedRun / ManagementPlane::bind_shards value so a
-  /// post-failover rebind reproduces the original shard wiring.
-  sim::Duration parent_link_delay = sim::Duration::millis(1.0);
   reca::Controller::RetryPolicy retry;  ///< used when hardening impaired leaves
   /// When set, finish_record() force-samples this recorder at each
   /// recovery's modeled completion instant, so `recovery_ms{kind}` quantile
@@ -81,11 +78,10 @@ struct FaultRecord {
 
 class RecoveryCoordinator {
  public:
-  /// `engine` may be null (fully synchronous recovery, used by unit tests);
-  /// when set, it must be the engine the scenario is currently bound to.
-  explicit RecoveryCoordinator(topo::Scenario& scenario,
-                               sim::ShardedSimulator* engine = nullptr,
-                               RecoveryOptions opts = {});
+  /// Recovery rides the engine the scenario's management plane is bound to
+  /// (ManagementPlane::engine()); an unbound plane recovers fully
+  /// synchronously, the mode unit tests use.
+  explicit RecoveryCoordinator(topo::Scenario& scenario, RecoveryOptions opts = {});
 
   /// Turns on the §6 hardening across the whole hierarchy: self-healing
   /// re-routing on PortStatus and barrier-acknowledged reliable batch
@@ -129,12 +125,14 @@ class RecoveryCoordinator {
   [[nodiscard]] std::uint64_t resync_counter_total() const;
   [[nodiscard]] sim::Duration detection_for(FaultKind kind) const;
   void drain_engine();
-  /// Rebuilds any standby whose watched master was retired by a live
-  /// migration (the leaf index now holds a fresh instance).
+  /// Runs `fn` on `shard` one lookahead from now when the plane is bound,
+  /// inline otherwise.
+  void run_on_shard(sim::ShardId shard, sim::ShardedSimulator::Callback fn);
+  /// Rebuilds any standby whose watched master was retired (a live
+  /// migration or a failover left a fresh instance at the leaf index).
   void refresh_standbys(sim::TimePoint at);
 
   topo::Scenario* scenario_;
-  sim::ShardedSimulator* engine_;
   RecoveryOptions opts_;
   std::uint64_t plan_seed_ = 1;
   std::vector<std::unique_ptr<mgmt::HotStandby>> standbys_;  ///< one per leaf

@@ -1,6 +1,7 @@
 #include "mgmt/management.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/shard_guard.h"
 #include "core/log.h"
@@ -181,6 +182,7 @@ std::size_t ManagementPlane::natural_shard_count() const {
 
 void ManagementPlane::bind_shards(sim::ShardedSimulator& engine,
                                   sim::Duration parent_link_delay) {
+  parent_link_delay_ = parent_link_delay;
   const std::size_t total = engine.shard_count();
   // Non-leaf controllers take the top shards; whatever remains is folded
   // across the leaves round-robin. A 1-shard engine degenerates to the
@@ -228,6 +230,7 @@ void ManagementPlane::unbind_shards() {
       dev->table().guard().clear_owner();
   }
   hub_->unbind_shards();
+  parent_link_delay_ = sim::Duration{};
 }
 
 void ManagementPlane::refresh_topology() {
@@ -259,21 +262,41 @@ const LeafPlacement& ManagementPlane::leaf_placement(std::size_t i) const {
   return placements_.at(i);
 }
 
+Controller* ManagementPlane::parent_of_leaf(std::size_t i) {
+  return mids_.empty() ? root_.get() : mids_.at(leaf_to_mid_.at(i)).get();
+}
+
+void ManagementPlane::sever_leaf(std::size_t i) {
+  // Handlers bound on the parent's channel capture the outgoing instance, so
+  // anything still delivered there would touch retired or freed state.
+  // Disconnect makes further deliveries count as
+  // southbound_dropped_total{disconnected}.
+  Controller* parent = parent_of_leaf(i);
+  if (parent == nullptr) return;
+  SwitchId gswitch = leaves_.at(i)->abstraction().gswitch_id();
+  if (southbound::Channel* stale = parent->device_channel(gswitch)) stale->disconnect();
+}
+
+std::unique_ptr<Controller> ManagementPlane::install_leaf(std::size_t i,
+                                                          std::unique_ptr<Controller> fresh) {
+  // Same ControllerId => same G-switch id: re-adoption overwrites the
+  // parent's child maps in place and the hierarchy keeps its shape.
+  std::unique_ptr<Controller> outgoing = std::exchange(leaves_.at(i), std::move(fresh));
+  if (Controller* parent = parent_of_leaf(i)) parent->adopt_child(*leaves_[i]);
+  // Keep the table pins consistent with the replaced instance until the
+  // rebind below, through the one sanctioned handoff path.
+  handoff_leaf_tables(i, outgoing->shard());
+  recompute_borders();
+  refresh_topology();
+  if (sim::ShardedSimulator* bound = engine()) bind_shards(*bound, parent_link_delay_);
+  return outgoing;
+}
+
 Controller& ManagementPlane::fail_over_leaf(std::size_t i, HotStandby& standby,
                                             sim::TimePoint at,
                                             std::optional<sim::Duration> modeled_duration) {
   Controller& dead = *leaves_.at(i);
-  Controller* parent = mids_.empty() ? root_.get() : mids_.at(leaf_to_mid_.at(i)).get();
-  SwitchId gswitch = dead.abstraction().gswitch_id();
-  const sim::ShardId home = dead.shard();
-
-  // Sever the parent's channel into the dead instance before it is
-  // destroyed: handlers bound on that channel capture the dead controller,
-  // so anything still delivered there would touch freed state. Disconnect
-  // makes further deliveries count as southbound_dropped_total{disconnected}.
-  if (parent != nullptr) {
-    if (southbound::Channel* stale = parent->device_channel(gswitch)) stale->disconnect();
-  }
+  sever_leaf(i);
 
   bool self_heal = dead.self_healing();
   bool reliable = dead.reliable_delivery();
@@ -281,36 +304,19 @@ Controller& ManagementPlane::fail_over_leaf(std::size_t i, HotStandby& standby,
   promoted->set_self_healing(self_heal);
   promoted->set_reliable_delivery(reliable);
 
-  // Same ControllerId => same G-switch id: re-adoption overwrites the
-  // parent's child maps in place and the hierarchy keeps its shape.
-  leaves_[i] = std::move(promoted);
+  install_leaf(i, std::move(promoted));  // the dead instance is freed here
   Controller& fresh = *leaves_[i];
-  if (parent != nullptr) parent->adopt_child(fresh);
-  // Keep the table pins consistent with the replaced instance until the
-  // caller rebinds shards — through the one sanctioned handoff path.
-  handoff_leaf_tables(i, home);
-  recompute_borders();
-  refresh_topology();
   SOFTMOW_LOG(LogLevel::kInfo, "mgmt")
       << "failed over leaf " << fresh.name() << " (" << fresh.devices().size()
       << " devices readopted)";
   return fresh;
 }
 
-std::unique_ptr<Controller> ManagementPlane::migrate_leaf(
-    std::size_t i, std::unique_ptr<Controller> target, const LeafPlacement& placement,
-    sim::TimePoint at) {
+std::unique_ptr<Controller> ManagementPlane::migrate_leaf(std::size_t i,
+                                                          std::unique_ptr<Controller> target,
+                                                          const LeafPlacement& placement) {
   Controller& source = *leaves_.at(i);
-  Controller* parent = mids_.empty() ? root_.get() : mids_.at(leaf_to_mid_.at(i)).get();
-  SwitchId gswitch = source.abstraction().gswitch_id();
-  const sim::ShardId home = source.shard();
-
-  // Sever the parent's channel into the source before the swap: handlers
-  // bound on it capture the retiring instance, so late deliveries there
-  // must count as dropped, not touch soon-freed state.
-  if (parent != nullptr) {
-    if (southbound::Channel* stale = parent->device_channel(gswitch)) stale->disconnect();
-  }
+  sever_leaf(i);
 
   // Hardening toggles carry over to the new instance.
   target->set_self_healing(source.self_healing());
@@ -334,17 +340,9 @@ std::unique_ptr<Controller> ManagementPlane::migrate_leaf(
   // HotStandby::promote idiom).
   target->run_link_discovery();
 
-  // Same ControllerId => same G-switch id: re-adoption overwrites the
-  // parent's child maps in place and the hierarchy keeps its shape.
-  std::unique_ptr<Controller> retired = std::move(leaves_[i]);
-  leaves_[i] = std::move(target);
-  Controller& fresh = *leaves_[i];
-  if (parent != nullptr) parent->adopt_child(fresh);
-  handoff_leaf_tables(i, home);
-  recompute_borders();
-  refresh_topology();
+  std::unique_ptr<Controller> retired = install_leaf(i, std::move(target));
   placements_.at(i) = placement;
-  (void)at;
+  Controller& fresh = *leaves_[i];
   SOFTMOW_LOG(LogLevel::kInfo, "mgmt")
       << "migrated leaf " << fresh.name() << " to site " << placement.site << " ("
       << fresh.devices().size() << " devices flipped)";
@@ -425,7 +423,11 @@ Result<void> ManagementPlane::reassign_gbs(Controller& initiator, GBsId gbs,
   promote.sw = access;
   promote.controller = target_leaf->id();
   promote.role = dataplane::ControllerRole::kMaster;
-  (void)target_leaf->send(access, promote);
+  if (auto sent = target_leaf->send(access, promote); !sent.ok()) {
+    SOFTMOW_LOG(LogLevel::kWarn, "mgmt")
+        << "master promotion of " << target_leaf->name() << " on " << access.str()
+        << " not sent: " << sent.error().message;
+  }
 
   // (iv) Bookkeeping and bottom-up logical-plane update (§5.3.2 "updating
   //      logical data planes"): borders recomputed (internal groups may have

@@ -85,10 +85,11 @@ class ManagementPlane {
   /// §6 controller failure: replaces leaf `i` with `standby`'s promotion.
   /// The parent's stale channel to the dead instance is severed first (its
   /// undelivered messages count as dropped), the promoted controller
-  /// re-attaches under the same G-switch identity, and borders/abstractions
-  /// refresh bottom-up. Hardening toggles (self-healing, reliable delivery)
-  /// carry over. The caller re-binds applications and shards afterwards.
-  /// Returns the new leaf.
+  /// re-attaches under the same G-switch identity, borders/abstractions
+  /// refresh bottom-up, and a bound plane rebinds its shards at the delay it
+  /// was bound with. Hardening toggles (self-healing, reliable delivery)
+  /// carry over. The caller re-binds applications afterwards. Returns the
+  /// new leaf.
   reca::Controller& fail_over_leaf(
       std::size_t i, HotStandby& standby, sim::TimePoint at = sim::TimePoint::zero(),
       std::optional<sim::Duration> modeled_duration = std::nullopt);
@@ -99,14 +100,14 @@ class ManagementPlane {
   /// sessions on the leaf's devices (built by `migrate::MigrationManager`).
   /// The source releases every device, the target seizes kMaster on each,
   /// the parent's channel into the source is severed and re-adopts the
-  /// target's G-switch, borders/abstractions refresh bottom-up, and flow
-  /// tables re-pin through the sanctioned handoff path. Returns the retired
-  /// source so the caller can drain it; the data plane is untouched (zero
-  /// rule churn). Placement bookkeeping records where the leaf now lives.
+  /// target's G-switch, borders/abstractions refresh bottom-up, flow tables
+  /// re-pin through the sanctioned handoff path, and a bound plane rebinds
+  /// its shards. Returns the retired source so the caller can drain it; the
+  /// data plane is untouched (zero rule churn). Placement bookkeeping records
+  /// where the leaf now lives. The caller re-binds applications afterwards.
   std::unique_ptr<reca::Controller> migrate_leaf(std::size_t i,
                                                  std::unique_ptr<reca::Controller> target,
-                                                 const LeafPlacement& placement,
-                                                 sim::TimePoint at = sim::TimePoint::zero());
+                                                 const LeafPlacement& placement);
 
   /// Current placement of leaf `i` ("core" until a migration moves it).
   [[nodiscard]] const LeafPlacement& leaf_placement(std::size_t i) const;
@@ -130,11 +131,14 @@ class ManagementPlane {
   /// next shard, the root takes the last. `parent_link_delay` is the
   /// one-way parent<->child control-channel propagation time; it must be
   /// >= the engine's lookahead for clamp-free conservative execution.
-  /// Bind after bootstrap; rebind after adopting new devices.
+  /// Bind after bootstrap; rebind after adopting new devices. The plane
+  /// records both, so a leaf swap (failover, migration) rebinds itself.
   void bind_shards(sim::ShardedSimulator& engine, sim::Duration parent_link_delay);
   /// Detaches everything from the engine (channels fall back to synchronous
   /// delivery). Safe to call when not bound.
   void unbind_shards();
+  /// The engine the plane is bound to; null when unbound.
+  [[nodiscard]] sim::ShardedSimulator* engine() { return hub_->engine(); }
 
   /// Recomputes border G-BS sets at every controller from the current
   /// group->leaf assignment and the group adjacency.
@@ -199,6 +203,17 @@ class ManagementPlane {
   /// the controller of the neighbor group with the largest handover weight.
   reca::Controller* best_target_leaf(reca::Controller& scope, BsGroupId g);
   [[nodiscard]] bool controller_in_subtree(reca::Controller& root, reca::Controller& c) const;
+  /// The controller that adopted leaf `i` as a child.
+  [[nodiscard]] reca::Controller* parent_of_leaf(std::size_t i);
+  /// First step of a leaf swap: disconnects the parent's channel into leaf
+  /// `i`'s outgoing instance, whose handlers capture that instance.
+  void sever_leaf(std::size_t i);
+  /// Last step of a leaf swap: `fresh` takes leaf `i`'s slot, the parent
+  /// re-adopts it, tables re-pin to the outgoing instance's shard, borders
+  /// and abstractions refresh, and a bound plane rebinds at its recorded
+  /// delay. Returns the outgoing instance.
+  std::unique_ptr<reca::Controller> install_leaf(std::size_t i,
+                                                 std::unique_ptr<reca::Controller> fresh);
 
   dataplane::PhysicalNetwork* net_;
   std::unique_ptr<southbound::Hub> hub_;
@@ -209,6 +224,7 @@ class ManagementPlane {
   std::map<BsGroupId, std::size_t> group_to_leaf_;
   std::map<std::size_t, std::size_t> leaf_to_mid_;
   std::vector<LeafPlacement> placements_;  ///< per-leaf, sized at bootstrap
+  sim::Duration parent_link_delay_;  ///< of the current bind_shards; see engine()
   UeTransferHook ue_transfer_hook_;
   UeTransferHook ue_rehome_hook_;
   std::uint64_t next_controller_ = 1;

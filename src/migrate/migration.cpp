@@ -4,6 +4,7 @@
 
 #include "core/log.h"
 #include "obs/metrics.h"
+#include "sim/sharded.h"
 #include "sim/simulator.h"
 
 namespace softmow::migrate {
@@ -22,9 +23,8 @@ const char* phase_name(Phase p) {
   return "unknown";
 }
 
-MigrationManager::MigrationManager(topo::Scenario& scenario, sim::ShardedSimulator* engine,
-                                   MigrationOptions opts)
-    : scenario_(&scenario), engine_(engine), opts_(opts) {
+MigrationManager::MigrationManager(topo::Scenario& scenario, MigrationOptions opts)
+    : scenario_(&scenario), opts_(opts) {
   obs::MetricsRegistry& reg = obs::default_registry();
   disruption_ms_ = reg.histogram("migration_disruption_ms",
                                  obs::Histogram::exponential_bounds(1.0, 2.0, 24));
@@ -32,7 +32,7 @@ MigrationManager::MigrationManager(topo::Scenario& scenario, sim::ShardedSimulat
 }
 
 void MigrationManager::drain_engine() {
-  if (engine_ != nullptr) (void)engine_->run();
+  if (sim::ShardedSimulator* engine = scenario_->mgmt->engine()) engine->run();
 }
 
 void MigrationManager::finish_phase(Active& a, Phase p, double ms) {
@@ -170,20 +170,16 @@ Result<void> MigrationManager::flip() {
   }
 
   // The atomic flip: standby sessions promote to master, the parent
-  // re-adopts the G-switch, apps re-attach, shards rebind.
-  a.retired = mp.migrate_leaf(a.leaf, std::move(a.target), a.placement, a.clock);
-  reca::Controller& fresh = mp.leaf(a.leaf);
-  scenario_->apps->rebind(fresh);
-  if (engine_ != nullptr) mp.bind_shards(*engine_, opts_.parent_link_delay);
+  // re-adopts the G-switch, shards rebind, apps re-attach.
+  a.retired = mp.migrate_leaf(a.leaf, std::move(a.target), a.placement);
+  scenario_->apps->rebind(mp.leaf(a.leaf));
 
   // Per-device role promotions drain through one station inside the window
   // (the Fig. 10 queueing idiom), then the parent's re-adoption costs one
   // control RTT to the new site.
   sim::QueueingStation station(opts_.service_per_message, "migrate-flip", 1);
   sim::TimePoint window_start = a.clock;
-  sim::TimePoint done = window_start;
-  for (std::size_t d = 0; d < a.rec.devices; ++d)
-    done = std::max(done, station.submit(window_start));
+  sim::TimePoint done = station.submit_burst(window_start, a.rec.devices);
   window_ms += (done - window_start).to_millis();
   window_ms += a.placement.control_rtt.to_millis();
 

@@ -13,9 +13,9 @@
 //              pre-warmed as parked standbys on every device;
 //   kFlip      at an engine barrier, atomically promote the standby
 //              sessions to master, re-adopt the G-switch at the parent,
-//              rebind apps and engine shards (ManagementPlane::migrate_leaf
-//              + AppSuite::rebind + bind_shards) — the only window that
-//              counts as disruption;
+//              rebind engine shards and apps (ManagementPlane::migrate_leaf
+//              + AppSuite::rebind) — the only window that counts as
+//              disruption;
 //   kDrain     retire the source instance.
 //
 // Abort is legal at every phase before kFlip and rolls back completely:
@@ -38,7 +38,6 @@
 #include "mgmt/management.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "sim/sharded.h"
 #include "topo/scenario.h"
 
 namespace softmow::migrate {
@@ -69,9 +68,6 @@ struct MigrationOptions {
   double stream_kb_per_ms = 64.0;
   /// Modeled cost of pre-warming one southbound standby session.
   sim::Duration session_prewarm = sim::Duration::millis(2);
-  /// Must match the ShardedRun / bind_shards value so the post-flip rebind
-  /// reproduces the original shard wiring.
-  sim::Duration parent_link_delay = sim::Duration::millis(1);
   /// Catch-up rounds before the flip stops waiting and ships the remainder
   /// inside the window.
   int max_catchup_rounds = 4;
@@ -107,12 +103,10 @@ struct MigrationRecord {
 
 class MigrationManager {
  public:
-  /// `engine` may be null (fully synchronous, used by unit tests); when
-  /// set, it must be the engine the scenario is currently bound to. Every
-  /// phase drains it first so mutations land at barriers.
-  explicit MigrationManager(topo::Scenario& scenario,
-                            sim::ShardedSimulator* engine = nullptr,
-                            MigrationOptions opts = {});
+  /// Every phase first drains the engine the scenario's management plane
+  /// is bound to (ManagementPlane::engine()), so mutations land at
+  /// barriers; an unbound plane migrates fully synchronously (unit tests).
+  explicit MigrationManager(topo::Scenario& scenario, MigrationOptions opts = {});
 
   // --- phased API (callback-sequenced by the caller) -------------------------
   /// Opens a cycle for `leaf`. Errors: kNotFound (no such leaf), kConflict
@@ -170,7 +164,6 @@ class MigrationManager {
   void close_cycle(Active& a, Phase final_phase, const std::string& detail);
 
   topo::Scenario* scenario_;
-  sim::ShardedSimulator* engine_;
   MigrationOptions opts_;
   std::unique_ptr<Active> active_;
   std::vector<MigrationRecord> records_;

@@ -37,7 +37,8 @@ Result<std::size_t> ContinuousRehoming::step(const std::vector<double>& leaf_loa
     for (GBsId g : groups) gbs_load[g] = share;
   }
   if (apps::RegionOptApp* opt = scenario_->apps->region_opt(mp.root())) {
-    (void)opt->optimize_round(policy_.constraints, gbs_load, /*execute=*/false);
+    auto round = opt->optimize_round(policy_.constraints, gbs_load, /*execute=*/false);
+    if (!round.ok()) return round.error();
   }
 
   // Placement pass: hot leaves move out to a region-local site, cold leaves

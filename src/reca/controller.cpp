@@ -36,23 +36,23 @@ Controller::Controller(ControllerId id, int level, std::string name, LabelMode l
   paths_.guard().set_identity("paths", id.value);
 }
 
-void Controller::adopt_physical_switch(southbound::Hub& hub, SwitchId sw,
-                                       dataplane::ControllerRole role) {
+Channel* Controller::new_device_channel() {
   auto channel = std::make_unique<Channel>();
   Channel* ch = channel.get();
   owned_channels_.push_back(std::move(channel));
   ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });
-  southbound::SwitchAgent* agent = hub.agent(sw);
-  agent->connect(id_, ch, role);  // triggers Hello -> FeaturesRequest
+  return ch;
+}
+
+void Controller::adopt_physical_switch(southbound::Hub& hub, SwitchId sw,
+                                       dataplane::ControllerRole role) {
+  Channel* ch = new_device_channel();
+  hub.agent(sw)->connect(id_, ch, role);  // triggers Hello -> FeaturesRequest
 }
 
 void Controller::adopt_physical_switch_standby(southbound::Hub& hub, SwitchId sw) {
-  auto channel = std::make_unique<Channel>();
-  Channel* ch = channel.get();
-  owned_channels_.push_back(std::move(channel));
-  ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });
-  southbound::SwitchAgent* agent = hub.agent(sw);
-  agent->connect_standby(id_, ch);  // triggers Hello -> FeaturesRequest
+  Channel* ch = new_device_channel();
+  hub.agent(sw)->connect_standby(id_, ch);  // triggers Hello -> FeaturesRequest
 }
 
 void Controller::release_physical_switch(southbound::Hub& hub, SwitchId sw) {
@@ -64,10 +64,7 @@ void Controller::release_physical_switch(southbound::Hub& hub, SwitchId sw) {
 }
 
 void Controller::adopt_child(Controller& child) {
-  auto channel = std::make_unique<Channel>();
-  Channel* ch = channel.get();
-  owned_channels_.push_back(std::move(channel));
-  ch->bind_controller([this, ch](const Message& m) { handle_device_message(ch, m); });
+  Channel* ch = new_device_channel();
   child_by_gswitch_[child.abstraction().gswitch_id()] = &child;
   child.reca().connect_to_parent(ch);  // triggers Hello -> FeaturesRequest
 }

@@ -194,6 +194,9 @@ class Controller : public nos::DeviceBus {
   [[nodiscard]] dataplane::TagAllocator* tag_allocator() const { return tag_allocator_; }
 
  private:
+  /// A new owned channel whose controller side feeds handle_device_message;
+  /// every adoption (physical master, parked standby, child) connects one.
+  southbound::Channel* new_device_channel();
   void handle_device_message(southbound::Channel* ch, const southbound::Message& msg);
 
   /// One barrier-acknowledged delivery unit awaiting its BarrierReply.

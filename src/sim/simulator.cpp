@@ -88,6 +88,12 @@ TimePoint QueueingStation::submit(TimePoint arrival, Duration service,
   return done;
 }
 
+TimePoint QueueingStation::submit_burst(TimePoint at, std::uint64_t n) {
+  TimePoint done = at;
+  for (std::uint64_t i = 0; i < n; ++i) done = submit(at);
+  return done;
+}
+
 void QueueingStation::reset() {
   busy_until_ = TimePoint::zero();
   processed_ = 0;

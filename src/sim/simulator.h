@@ -77,6 +77,9 @@ class QueueingStation {
   /// critical-path analysis can split this station's latency contribution
   /// into queueing vs. processing.
   TimePoint submit(TimePoint arrival, Duration service, const obs::TraceContext& parent);
+  /// A burst of `n` messages all arriving at `at`: `n` back-to-back
+  /// submit(at) calls. Returns the last completion time (`at` when n == 0).
+  TimePoint submit_burst(TimePoint at, std::uint64_t n);
 
   [[nodiscard]] Duration service_time() const { return service_time_; }
   [[nodiscard]] TimePoint busy_until() const { return busy_until_; }

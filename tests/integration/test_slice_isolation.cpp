@@ -101,7 +101,7 @@ TEST_F(SliceIsolationTest, SelfHealingRemovesRogueRule) {
 
   faults::RecoveryCoordinator coord(*scenario);
   coord.harden();
-  faults::FaultInjector injector(*scenario);
+  faults::FaultInjector injector;
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);
 
   ASSERT_EQ(records.size(), 1u);

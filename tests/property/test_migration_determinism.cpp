@@ -70,12 +70,9 @@ MigrationRunResult run_migration_plan(std::size_t threads = 1) {
   sim::ShardedSimulator::Options opts;
   opts.threads = threads;
   sim::ShardedSimulator engine(mp.natural_shard_count(), opts);
-  const sim::Duration parent_delay = sim::Duration::millis(5);
-  mp.bind_shards(engine, parent_delay);
+  mp.bind_shards(engine, sim::Duration::millis(5));
 
-  migrate::MigrationOptions mopts;
-  mopts.parent_link_delay = parent_delay;  // flip rebinds shards identically
-  migrate::MigrationManager mgr(*scenario, &engine, mopts);
+  migrate::MigrationManager mgr(*scenario);
 
   // Concurrent engine traffic: discovery rounds queued on every leaf shard,
   // drained at the next migration barrier.

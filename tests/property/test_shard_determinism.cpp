@@ -144,14 +144,11 @@ FaultRunResult run_fault_plan() {
   obs::default_registry().reset_values();
 
   sim::ShardedSimulator engine(mp.natural_shard_count());
-  const sim::Duration parent_delay = sim::Duration::millis(5);
-  mp.bind_shards(engine, parent_delay);
+  mp.bind_shards(engine, sim::Duration::millis(5));
 
-  faults::RecoveryOptions ropts;
-  ropts.parent_link_delay = parent_delay;  // failover rebinds identically
-  faults::RecoveryCoordinator coord(*scenario, &engine, ropts);
+  faults::RecoveryCoordinator coord(*scenario);
   coord.harden();
-  faults::FaultInjector injector(*scenario, &engine);
+  faults::FaultInjector injector;
   faults::FaultScenario plan = faults::make_fault_plan("mixed", *scenario, 3);
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);
   mp.unbind_shards();

@@ -104,7 +104,7 @@ TEST_F(FaultRecoveryTest, MixedPlanConvergesSynchronously) {
   add_probe(coord, 1, 2);
   ASSERT_EQ(coord.probe_failures(), 0u);
 
-  faults::FaultInjector injector(*scenario);
+  faults::FaultInjector injector;
   faults::FaultScenario plan = faults::make_fault_plan("mixed", *scenario, 1);
   ASSERT_GE(plan.events.size(), 5u);
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);
@@ -133,7 +133,7 @@ TEST_F(FaultRecoveryTest, SwitchCrashRestartMeasuresOutage) {
   coord.harden();
   add_probe(coord, 0, 1);
 
-  faults::FaultInjector injector(*scenario);
+  faults::FaultInjector injector;
   faults::FaultScenario plan = faults::make_fault_plan("switch-crash", *scenario, 2);
   ASSERT_EQ(plan.events.size(), 2u);
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);
@@ -153,7 +153,7 @@ TEST_F(FaultRecoveryTest, ImpairedChannelRecoversThroughRetries) {
   coord.harden();
   add_probe(coord, 0, 1);
 
-  faults::FaultInjector injector(*scenario);
+  faults::FaultInjector injector;
   faults::FaultScenario plan = faults::make_fault_plan("impair", *scenario, 3);
   ASSERT_EQ(plan.events.size(), 2u);
   std::vector<faults::FaultRecord> records = injector.run(plan, coord);

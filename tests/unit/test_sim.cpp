@@ -114,6 +114,42 @@ TEST(QueueingStation, PerMessageServiceOverride) {
   EXPECT_EQ(done.since_start().to_millis(), 1);
 }
 
+TEST(QueueingStation, EmptyBurstReturnsArrival) {
+  QueueingStation station(Duration::millis(10));
+  TimePoint at = TimePoint::at(Duration::millis(7));
+  EXPECT_EQ(station.submit_burst(at, 0), at);
+  EXPECT_EQ(station.processed(), 0u);
+}
+
+TEST(QueueingStation, BurstOnIdleStationServesBackToBack) {
+  QueueingStation station(Duration::millis(10));
+  TimePoint done = station.submit_burst(TimePoint::at(Duration::millis(5)), 3);
+  EXPECT_EQ(done.since_start().to_millis(), 35);
+  EXPECT_EQ(station.processed(), 3u);
+  // The second and third messages waited 10 and 20 ms.
+  EXPECT_EQ(station.total_wait().to_millis(), 30);
+}
+
+TEST(QueueingStation, BurstOnBusyStationQueuesBehindBacklog) {
+  QueueingStation station(Duration::millis(10));
+  (void)station.submit(TimePoint::zero());
+  (void)station.submit(TimePoint::zero());  // busy until t=20
+  TimePoint done = station.submit_burst(TimePoint::at(Duration::millis(5)), 2);
+  EXPECT_EQ(done.since_start().to_millis(), 40);
+  // 10 for the second of the first pair, then 15 and 25 for the burst.
+  EXPECT_EQ(station.total_wait().to_millis(), 50);
+}
+
+TEST(QueueingStation, BurstCountsEveryMessage) {
+  QueueingStation station(Duration::millis(1), "burst-count-test");
+  const obs::Counter* messages = obs::default_registry().find_counter(
+      "sim_queue_messages_total", {{"station", "burst-count-test"}});
+  ASSERT_NE(messages, nullptr);
+  std::uint64_t before = messages->value();
+  (void)station.submit_burst(TimePoint::zero(), 4);
+  EXPECT_EQ(messages->value(), before + 4);
+}
+
 TEST(QueueingStation, ResetClearsState) {
   QueueingStation station(Duration::millis(10));
   (void)station.submit(TimePoint::zero());

@@ -71,6 +71,17 @@ void BM_ShortestTree(benchmark::State& state) {
 }
 BENCHMARK(BM_ShortestTree)->Arg(100)->Arg(1000);
 
+// A cold full-run route tree (what RoutingService caches per source and
+// objective) on the BM_Dijkstra graphs: the cost of the first best-effort
+// route from a source after a topology change.
+void BM_ShortestPathTree(benchmark::State& state) {
+  GraphFixture fx(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.graph.path_tree(0, Metric::kLatency));
+  }
+}
+BENCHMARK(BM_ShortestPathTree)->Arg(100)->Arg(1000)->Arg(5000);
+
 struct ScenarioFixture {
   std::unique_ptr<topo::Scenario> scenario;
   ScenarioFixture() { scenario = topo::build_scenario(topo::small_scenario_params(7)); }

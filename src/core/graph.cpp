@@ -126,13 +126,14 @@ void Graph::begin_query() const {
     s.primary.resize(n);
     s.secondary.resize(n);
     s.via_edge.resize(n);
+    s.via_node.resize(n);
     s.settled.resize(n);
     s.metrics.resize(n);
-    s.via_node.resize(n);
     s.tree_pos.resize(n);
   }
   ++s.epoch;
   s.heap.clear();
+  s.order.clear();
 }
 
 void Graph::clear_bans() const {
@@ -140,15 +141,20 @@ void Graph::clear_bans() const {
   if (s.ban_node_epoch.size() < adjacency_.size()) s.ban_node_epoch.resize(adjacency_.size(), 0);
   if (s.ban_edge_epoch.size() < edges_.size()) s.ban_edge_epoch.resize(edges_.size(), 0);
   ++s.ban_epoch;
+  s.any_ban = false;
 }
 
 void Graph::ban_node(NodeKey node) const {
   std::uint32_t index = node_index(node);
-  if (index != kNoNode) scratch_.ban_node_epoch[index] = scratch_.ban_epoch;
+  if (index == kNoNode) return;
+  scratch_.ban_node_epoch[index] = scratch_.ban_epoch;
+  scratch_.any_ban = true;
 }
 
 void Graph::ban_edge(EdgeKey edge) const {
-  if (edge != 0 && edge <= edges_.size()) scratch_.ban_edge_epoch[edge - 1] = scratch_.ban_epoch;
+  if (edge == 0 || edge > edges_.size()) return;
+  scratch_.ban_edge_epoch[edge - 1] = scratch_.ban_epoch;
+  scratch_.any_ban = true;
 }
 
 bool Graph::node_banned(std::uint32_t index) const {
@@ -169,21 +175,16 @@ void Graph::touch(std::uint32_t index) const {
   s.settled[index] = 0;
 }
 
-Result<GraphPath> Graph::dijkstra(NodeKey src, NodeKey dst, Metric metric,
-                                  const PathConstraints& constraints) const {
-  const std::uint32_t src_index = node_index(src);
-  const std::uint32_t dst_index = node_index(dst);
-  if (src_index == kNoNode || dst_index == kNoNode)
-    return Error{ErrorCode::kNotFound, "src or dst not in graph"};
-  if (node_banned(src_index) || node_banned(dst_index))
-    return Error{ErrorCode::kNotFound, "endpoint banned"};
-
+template <bool kSecondaryTies>
+void Graph::search(std::uint32_t src_index, std::uint32_t dst_index, Metric metric,
+                   double min_bandwidth_kbps) const {
   begin_query();
   Scratch& s = scratch_;
   touch(src_index);
   s.primary[src_index] = 0.0;
   s.secondary[src_index] = 0.0;
   s.heap.push_back({0.0, 0.0, src_index});
+  const bool bans = s.any_ban;  // only Yen's spur searches carry bans
 
   while (!s.heap.empty()) {
     std::pop_heap(s.heap.begin(), s.heap.end(), HeapGreater{});
@@ -191,37 +192,38 @@ Result<GraphPath> Graph::dijkstra(NodeKey src, NodeKey dst, Metric metric,
     s.heap.pop_back();
     if (s.settled[item.node] != 0) continue;
     s.settled[item.node] = 1;
-    const NodeKey node = (adjacency_.begin() + item.node)->first;
-    if (node == dst) break;
+    s.order.push_back(item.node);
+    if (item.node == dst_index) break;
 
     for (EdgeKey ek : (adjacency_.begin() + item.node)->second) {
-      if (edge_banned(ek)) continue;
+      if (bans && edge_banned(ek)) continue;
       const GraphEdge& e = edges_[ek - 1];
       if (!e.up) continue;
-      if (e.metrics.bandwidth_kbps + 1e-9 < constraints.min_bandwidth_kbps) continue;
+      if (e.metrics.bandwidth_kbps + 1e-9 < min_bandwidth_kbps) continue;
       const std::uint32_t to = node_index(e.to);
-      if (node_banned(to)) continue;
+      if (bans && node_banned(to)) continue;
       double np = item.primary + primary_of(e.metrics, metric);
       double nsnd = item.secondary + secondary_of(e.metrics, metric);
       touch(to);
       if (s.settled[to] != 0) continue;
-      if (np < s.primary[to] || (np == s.primary[to] && nsnd < s.secondary[to])) {
+      if (np < s.primary[to] ||
+          (kSecondaryTies && np == s.primary[to] && nsnd < s.secondary[to])) {
         s.primary[to] = np;
         s.secondary[to] = nsnd;
         s.via_edge[to] = ek;
+        s.via_node[to] = item.node;
         s.heap.push_back({np, nsnd, to});
         std::push_heap(s.heap.begin(), s.heap.end(), HeapGreater{});
       }
     }
   }
+}
 
-  if (s.node_epoch[dst_index] != s.epoch || s.settled[dst_index] == 0)
-    return Error{ErrorCode::kNotFound, "no path"};
-
+GraphPath Graph::via_path(std::span<const EdgeKey> via_edge, NodeKey src, NodeKey dst) const {
   GraphPath path;
   NodeKey cur = dst;
   while (cur != src) {
-    EdgeKey via = s.via_edge[node_index(cur)];
+    EdgeKey via = via_edge[node_index(cur)];
     const GraphEdge& e = edges_[via - 1];
     path.edges.push_back(via);
     path.nodes.push_back(cur);
@@ -233,6 +235,45 @@ Result<GraphPath> Graph::dijkstra(NodeKey src, NodeKey dst, Metric metric,
   path.metrics = EdgeMetrics{0.0, 0.0, std::numeric_limits<double>::infinity()};
   for (EdgeKey ek : path.edges) path.metrics = path.metrics.then(edges_[ek - 1].metrics);
   return path;
+}
+
+Result<GraphPath> Graph::dijkstra(NodeKey src, NodeKey dst, Metric metric,
+                                  const PathConstraints& constraints) const {
+  const std::uint32_t src_index = node_index(src);
+  const std::uint32_t dst_index = node_index(dst);
+  if (src_index == kNoNode || dst_index == kNoNode)
+    return Error{ErrorCode::kNotFound, "src or dst not in graph"};
+  if (node_banned(src_index) || node_banned(dst_index))
+    return Error{ErrorCode::kNotFound, "endpoint banned"};
+
+  search<true>(src_index, dst_index, metric, constraints.min_bandwidth_kbps);
+  const Scratch& s = scratch_;
+  if (s.node_epoch[dst_index] != s.epoch || s.settled[dst_index] == 0)
+    return Error{ErrorCode::kNotFound, "no path"};
+  return via_path(s.via_edge, src, dst);
+}
+
+PathTree Graph::path_tree(NodeKey src, Metric metric) const {
+  PathTree tree;
+  tree.src = src;
+  const std::uint32_t src_index = node_index(src);
+  if (src_index == kNoNode) return tree;
+  clear_bans();
+  search<true>(src_index, kNoNode, metric, 0.0);
+  const Scratch& s = scratch_;
+  tree.via_edge.assign(adjacency_.size(), 0);
+  for (std::uint32_t i : s.order) tree.via_edge[i] = s.via_edge[i];
+  return tree;
+}
+
+Result<GraphPath> Graph::tree_path(const PathTree& tree, NodeKey dst) const {
+  const std::uint32_t dst_index = node_index(dst);
+  if (tree.via_edge.empty() || dst_index == kNoNode)
+    return Error{ErrorCode::kNotFound, "src or dst not in graph"};
+  assert(tree.via_edge.size() == adjacency_.size());
+  if (dst != tree.src && tree.via_edge[dst_index] == 0)
+    return Error{ErrorCode::kNotFound, "no path"};
+  return via_path(tree.via_edge, tree.src, dst);
 }
 
 Result<GraphPath> Graph::shortest_path(NodeKey src, NodeKey dst, Metric metric,
@@ -271,40 +312,16 @@ core::FlatMap<NodeKey, EdgeMetrics> Graph::shortest_tree(NodeKey src, Metric met
   const std::uint32_t src_index = node_index(src);
   if (src_index == kNoNode) return best;
 
-  // Dijkstra keyed on the primary metric; bandwidth is the bottleneck along
-  // the chosen (primary-optimal) path, matching vFabric semantics.
-  begin_query();
+  // Keyed on the primary metric alone; bandwidth is the bottleneck along the
+  // chosen (primary-optimal) path, matching vFabric semantics. Each node's
+  // metrics fold from its parent's, which settled before it.
+  clear_bans();
+  search<false>(src_index, kNoNode, metric, min_bandwidth_kbps);
   Scratch& s = scratch_;
-  touch(src_index);
-  s.primary[src_index] = 0.0;
   s.metrics[src_index] = EdgeMetrics{0.0, 0.0, std::numeric_limits<double>::infinity()};
-  s.heap.push_back({0.0, 0.0, src_index});
-
-  while (!s.heap.empty()) {
-    std::pop_heap(s.heap.begin(), s.heap.end(), HeapGreater{});
-    HeapItem item = s.heap.back();
-    s.heap.pop_back();
-    if (s.settled[item.node] != 0) continue;
-    s.settled[item.node] = 1;
-
-    for (EdgeKey ek : (adjacency_.begin() + item.node)->second) {
-      const GraphEdge& e = edges_[ek - 1];
-      if (!e.up) continue;
-      if (e.metrics.bandwidth_kbps + 1e-9 < min_bandwidth_kbps) continue;
-      EdgeMetrics nm = s.metrics[item.node].then(e.metrics);
-      double np = primary_of(nm, metric);
-      const std::uint32_t to = node_index(e.to);
-      touch(to);
-      if (s.settled[to] != 0) continue;
-      if (np < s.primary[to]) {
-        s.primary[to] = np;
-        s.metrics[to] = nm;
-        s.via_edge[to] = ek;
-        s.via_node[to] = item.node;
-        s.heap.push_back({np, secondary_of(nm, metric), to});
-        std::push_heap(s.heap.begin(), s.heap.end(), HeapGreater{});
-      }
-    }
+  for (std::uint32_t i : s.order) {
+    if (i == src_index) continue;
+    s.metrics[i] = s.metrics[s.via_node[i]].then(edges_[s.via_edge[i] - 1].metrics);
   }
 
   // Emit in node-insertion order: deterministic, unlike the old

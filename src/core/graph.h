@@ -87,6 +87,15 @@ struct TreeVia {
   std::uint32_t parent = kRoot;
 };
 
+/// A full shortest-path tree from one source, as Graph::path_tree builds it:
+/// the tree edge into each node by dense node index, 0 at the root and at
+/// unreached nodes. Valid until the graph's node set, edge set or edge
+/// up-states change (node indexes and reachability move then).
+struct PathTree {
+  NodeKey src = 0;
+  std::vector<EdgeKey> via_edge;
+};
+
 /// Directed multigraph with stable edge IDs and O(1) node/edge lookup.
 class Graph {
  public:
@@ -120,6 +129,19 @@ class Graph {
   [[nodiscard]] Result<GraphPath> shortest_path(
       NodeKey src, NodeKey dst, Metric metric,
       const PathConstraints& constraints = {}) const;
+
+  /// The tree shortest_path's unconstrained search would grow from `src` if
+  /// it never stopped early: tree_path() then reads, for any destination,
+  /// exactly the path shortest_path(src, dst, metric) returns. The search
+  /// settles nodes in the same order and never re-parents a settled node, so
+  /// each destination's ancestors keep the tree edges they had when an
+  /// early-exit search would have stopped. The tree has the 0 kbps floor, so
+  /// a bandwidth-only metric change that keeps every bandwidth non-negative
+  /// leaves it exact.
+  [[nodiscard]] PathTree path_tree(NodeKey src, Metric metric) const;
+  /// The tree's path to `dst`, metrics folded from the current edges; kNotFound
+  /// when `dst` is absent or unreached.
+  [[nodiscard]] Result<GraphPath> tree_path(const PathTree& tree, NodeKey dst) const;
 
   /// Shortest-path tree from `src`: best metrics per reachable node (for
   /// vFabric computation, which needs all border-port pairs at once).
@@ -157,15 +179,17 @@ class Graph {
     std::vector<double> primary;
     std::vector<double> secondary;
     std::vector<EdgeKey> via_edge;
+    std::vector<std::uint32_t> via_node;    ///< parent's node index
     std::vector<std::uint8_t> settled;
-    std::vector<EdgeMetrics> metrics;       ///< tree queries only
-    std::vector<std::uint32_t> via_node;    ///< tree queries: parent's node index
-    std::vector<std::uint32_t> tree_pos;    ///< tree queries: position in the result
+    std::vector<std::uint32_t> order;       ///< node indexes in settle order
+    std::vector<EdgeMetrics> metrics;       ///< shortest_tree only
+    std::vector<std::uint32_t> tree_pos;    ///< shortest_tree: position in the result
     std::vector<std::uint64_t> ban_node_epoch;
     std::vector<std::uint64_t> ban_edge_epoch;  ///< per edge index (key - 1)
     std::vector<HeapItem> heap;
     std::uint64_t epoch = 0;
     std::uint64_t ban_epoch = 0;
+    bool any_ban = false;  ///< a ban was marked since the last clear_bans()
   };
 
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
@@ -186,8 +210,23 @@ class Graph {
   /// `src_index` (see shortest_tree).
   void fill_tree_via(std::uint32_t src_index, std::vector<TreeVia>& via) const;
 
-  /// Runs under the bans currently marked in scratch (clear_bans() first for
-  /// an unrestricted query).
+  /// The one Dijkstra loop behind every shortest-path query. Runs from
+  /// `src_index` over up-edges meeting the bandwidth floor, under the bans
+  /// marked in scratch, until `dst_index` is settled — or, given kNoNode,
+  /// until every reachable node is. A node is re-parented by a strictly
+  /// better primary metric, or, when `kSecondaryTies`, by an equal primary
+  /// with a strictly better secondary (a compile-time choice: as a run-time
+  /// flag it slowed point-to-point searches by ~20%). Leaves each touched
+  /// node's state in scratch and the settled nodes in scratch_.order.
+  template <bool kSecondaryTies>
+  void search(std::uint32_t src_index, std::uint32_t dst_index, Metric metric,
+              double min_bandwidth_kbps) const;
+  /// Walks `via_edge` (tree edge into each node, by dense index) back from
+  /// `dst` to `src`, folding the path's metrics from the current edges.
+  [[nodiscard]] GraphPath via_path(std::span<const EdgeKey> via_edge, NodeKey src,
+                                   NodeKey dst) const;
+  /// Point-to-point search under the bans currently marked in scratch
+  /// (clear_bans() first for an unrestricted query).
   [[nodiscard]] Result<GraphPath> dijkstra(NodeKey src, NodeKey dst, Metric metric,
                                            const PathConstraints& constraints) const;
 

@@ -1,7 +1,9 @@
 #include "nos/routing.h"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
+#include <string>
 
 #include "core/log.h"
 
@@ -26,9 +28,19 @@ void stitch(GraphPath& acc, const GraphPath& seg) {
 
 }  // namespace
 
+RoutingService::RoutingService(const Nib* nib, std::uint8_t level) : nib_(nib) {
+  obs::MetricsRegistry& reg = obs::default_registry();
+  const std::string by_level = std::to_string(level);
+  trees_built_metric_ =
+      reg.counter("route_trees_total", {{"level", by_level}, {"result", "built"}});
+  trees_reused_metric_ =
+      reg.counter("route_trees_total", {{"level", by_level}, {"result", "reused"}});
+}
+
 const Graph& RoutingService::port_graph() const {
   if (cache_version_ != nib_->version()) {
     graph_cache_ = build_port_graph(*nib_, &links_cache_);
+    trees_.clear();
     cache_version_ = nib_->version();
     cache_bandwidth_epoch_ = nib_->bandwidth_epoch();
   } else if (cache_bandwidth_epoch_ != nib_->bandwidth_epoch()) {
@@ -37,12 +49,26 @@ const Graph& RoutingService::port_graph() const {
       const LinkRecord& l = nib_->links()[up_links[k]];
       if (l.bandwidth_epoch <= cache_bandwidth_epoch_) continue;
       const EdgeKey ab = links_cache_.first_edge + 2 * k;
-      (void)graph_cache_.set_edge_metrics(ab, l.metrics);
-      (void)graph_cache_.set_edge_metrics(ab + 1, l.metrics);
+      // Up link k owns edges ab and ab + 1 of the graph built with links_cache_.
+      for (EdgeKey e : {ab, ab + 1}) {
+        [[maybe_unused]] Result<void> patched = graph_cache_.set_edge_metrics(e, l.metrics);
+        assert(patched.ok());
+      }
     }
     cache_bandwidth_epoch_ = nib_->bandwidth_epoch();
   }
   return graph_cache_;
+}
+
+const PathTree& RoutingService::tree_from(NodeKey src, Metric objective) const {
+  auto [it, fresh] = trees_.try_emplace({src, objective});
+  if (fresh) {
+    it->second = graph_cache_.path_tree(src, objective);
+    trees_built_metric_->inc();
+  } else {
+    trees_reused_metric_->inc();
+  }
+  return it->second;
 }
 
 core::FlatMap<NodeKey, EdgeMetrics> RoutingService::reachability(
@@ -91,12 +117,16 @@ Result<ComputedRoute> RoutingService::route_to_candidates(
     stages.push_back(std::move(instances));
   }
 
-  // Per-call memo of shortest segments (bandwidth-filtered only; latency and
-  // hop bounds are checked on the stitched total).
+  // Shortest segments, bandwidth-filtered only (latency and hop bounds are
+  // checked on the stitched total). Best-effort segments read off the
+  // source's cached tree, which gives shortest_path's answer edge for edge;
+  // a bandwidth floor searches per call, memoized.
+  const bool best_effort = req.constraints.min_bandwidth_kbps == 0.0;
   PathConstraints bw_only{.min_bandwidth_kbps = req.constraints.min_bandwidth_kbps};
   std::map<std::pair<NodeKey, NodeKey>, Result<GraphPath>> memo;
-  auto segment = [&](Endpoint from, Endpoint to) -> const Result<GraphPath>& {
+  auto segment = [&](Endpoint from, Endpoint to) -> Result<GraphPath> {
     auto key = std::make_pair(port_key(from.sw, from.port), port_key(to.sw, to.port));
+    if (best_effort) return g.tree_path(tree_from(key.first, req.objective), key.second);
     auto it = memo.find(key);
     if (it == memo.end()) {
       it = memo.emplace(key, g.shortest_path(key.first, key.second, req.objective, bw_only))

@@ -13,15 +13,19 @@
 // the parent controller via RecA.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "core/flat_map.h"
 #include "core/graph.h"
 #include "core/ids.h"
 #include "core/result.h"
 #include "dataplane/entities.h"
 #include "nos/nib.h"
 #include "nos/port_graph.h"
+#include "obs/metrics.h"
 
 namespace softmow::nos {
 
@@ -70,7 +74,8 @@ struct ComputedRoute {
 
 class RoutingService {
  public:
-  explicit RoutingService(const Nib* nib) : nib_(nib) {}
+  /// `level` labels this controller's route_trees_total series.
+  RoutingService(const Nib* nib, std::uint8_t level);
 
   /// Computes the best route satisfying the request, or an error:
   ///   kNotFound       — no route / no interdomain route for the prefix;
@@ -102,12 +107,22 @@ class RoutingService {
   [[nodiscard]] Result<ComputedRoute> route_to_candidates(
       const RoutingRequest& req,
       const std::vector<ExternalRoute>& candidates) const;
+  /// The cached full shortest-path tree from `src` on port_graph(), built on
+  /// first use. Call only after port_graph() in the same query; the reference
+  /// is valid until the next call.
+  [[nodiscard]] const PathTree& tree_from(NodeKey src, Metric objective) const;
 
   const Nib* nib_;
   mutable Graph graph_cache_;
   mutable PortGraphLinks links_cache_;
   mutable std::uint64_t cache_version_ = ~0ull;
   mutable std::uint64_t cache_bandwidth_epoch_ = 0;
+  /// Best-effort route trees on graph_cache_, per (source, objective). Dropped
+  /// when the graph is rebuilt; kept across bandwidth patches, which cannot
+  /// reshape a 0 kbps-floor tree (the NIB floors available bandwidth at 0).
+  mutable core::FlatMap<std::pair<NodeKey, Metric>, PathTree> trees_;
+  obs::Counter* trees_built_metric_ = nullptr;   ///< route_trees_total{level,result=built}
+  obs::Counter* trees_reused_metric_ = nullptr;  ///< route_trees_total{level,result=reused}
 };
 
 }  // namespace softmow::nos

@@ -123,6 +123,8 @@ void RecAAgent::handle_from_parent(const Message& msg) {
     down.sw = local->sw;
     down.port = local->port;
     down.body = out->body;
+    // Fails only when the mapped switch has left this controller since the
+    // mapping was exposed: the packet is lost, as on a downed link.
     (void)s_.bus->send(local->sw, down);
     return;
   }
@@ -188,6 +190,8 @@ void RecAAgent::handle_discovery_down(const PacketOut& out) {
   down.sw = local->sw;
   down.port = local->port;
   down.body = std::move(payload);
+  // Fails only when the mapped switch has left this controller: the frame is
+  // lost as on a downed link, and the next discovery round probes again.
   (void)s_.bus->send(local->sw, down);
 }
 
@@ -221,6 +225,8 @@ void RecAAgent::translate_flow_mod(const FlowMod& mod) {
   if (mod.op == FlowMod::Op::kRemoveByCookie) {
     auto it = parent_cookie_to_paths_.find(mod.cookie);
     if (it != parent_cookie_to_paths_.end()) {
+      // deactivate() fails only for an id the implementer never issued; these
+      // all came from its own setup().
       for (PathId path : it->second) (void)s_.paths->deactivate(path);
       parent_cookie_to_paths_.erase(it);
       ++stats_.flowmods_removed;

@@ -16,7 +16,7 @@ Controller::Controller(ControllerId id, int level, std::string name, LabelMode l
     : id_(id),
       level_(level),
       name_(name.empty() ? id.str() : std::move(name)),
-      routing_(&nib_),
+      routing_(&nib_, static_cast<std::uint8_t>(level)),
       paths_(this, static_cast<std::uint32_t>(id.value),
              static_cast<std::uint8_t>(level), &nib_),
       discovery_(id, &nib_, this, level),

@@ -55,7 +55,7 @@ class AbstractionFixture : public ::testing::Test {
   }
 
   nos::Nib nib;
-  nos::RoutingService routing{&nib};
+  nos::RoutingService routing{&nib, 1};
   TopologyAbstraction abstraction{ControllerId{3}, 1, &nib, &routing};
 };
 

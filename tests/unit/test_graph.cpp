@@ -187,6 +187,21 @@ TEST(Graph, ShortestTreeMatchesPairwisePaths) {
       EXPECT_FALSE(tree.contains(n));
     }
   }
+  // A full path tree reads back exactly the early-exit search's path, hop
+  // ties included.
+  for (Metric metric : {Metric::kLatency, Metric::kHops}) {
+    PathTree paths = g.path_tree(0, metric);
+    for (NodeKey n : nodes) {
+      auto direct = g.shortest_path(0, n, metric);
+      auto read = g.tree_path(paths, n);
+      ASSERT_EQ(read.ok(), direct.ok()) << n;
+      if (!direct.ok()) continue;
+      EXPECT_EQ(read->nodes, direct->nodes) << n;
+      EXPECT_EQ(read->edges, direct->edges) << n;
+      EXPECT_EQ(read->metrics.latency_us, direct->metrics.latency_us) << n;
+      EXPECT_EQ(read->metrics.hop_count, direct->metrics.hop_count) << n;
+    }
+  }
 }
 
 TEST(Graph, KShortestPathsAreSortedLoopFreeAndDistinct) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "core/rng.h"
 #include "nos/routing.h"
+#include "obs/metrics.h"
 
 namespace softmow::nos {
 namespace {
@@ -16,6 +18,16 @@ southbound::PortDesc port(std::uint64_t id,
   d.peer = peer;
   if (egress != ~0ull) d.egress = EgressId{egress};
   return d;
+}
+
+/// The hierarchy level the fixture's routing service labels its series with;
+/// no other component of this test binary registers it.
+constexpr std::uint8_t kLevel = 7;
+
+std::uint64_t route_trees(const char* result) {
+  return obs::default_registry()
+      .counter("route_trees_total", {{"level", std::to_string(kLevel)}, {"result", result}})
+      ->value();
 }
 
 /// A line of switches 1 - 2 - 3, each with an egress port, plus a radio
@@ -45,7 +57,7 @@ class RoutingFixture : public ::testing::Test {
 
   Endpoint radio{SwitchId{1}, PortId{9}};
   Nib nib;
-  RoutingService routing{&nib};
+  RoutingService routing{&nib, kLevel};
 };
 
 TEST_F(RoutingFixture, PicksNearestEgressByTotalCost) {
@@ -233,6 +245,62 @@ TEST_F(RoutingFixture, BandwidthChangesPatchThePortGraphInPlace) {
     }
     expect_same_as_rebuild(routing.port_graph());
   }
+}
+
+TEST_F(RoutingFixture, RouteTreeSurvivesABandwidthChange) {
+  RoutingRequest req;
+  req.source = radio;
+  req.dst = Endpoint{SwitchId{3}, PortId{8}};
+  const std::uint64_t built = route_trees("built"), reused = route_trees("reused");
+  ASSERT_TRUE(routing.route(req).ok());
+  EXPECT_EQ(route_trees("built"), built + 1);
+
+  // A reservation moves the bandwidth epoch, not the version: the tree stays,
+  // and the route's bottleneck is read from the patched edges.
+  ASSERT_TRUE(nib.reserve_link_bandwidth({SwitchId{2}, PortId{2}}, 4e5).ok());
+  auto after = routing.route(req);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(route_trees("built"), built + 1);
+  EXPECT_EQ(route_trees("reused"), reused + 1);
+  EXPECT_DOUBLE_EQ(after->internal.bandwidth_kbps, 6e5);
+  Graph fresh = build_port_graph(nib);
+  auto want = fresh.shortest_path(port_key(radio.sw, radio.port),
+                                  port_key(SwitchId{3}, PortId{8}), Metric::kHops);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(after->port_path.nodes, want->nodes);
+  EXPECT_EQ(after->port_path.edges, want->edges);
+}
+
+TEST_F(RoutingFixture, RouteTreeIsDroppedOnAVersionBump) {
+  RoutingRequest req;
+  req.source = radio;
+  req.dst = Endpoint{SwitchId{3}, PortId{8}};
+  const std::uint64_t built = route_trees("built");
+  ASSERT_TRUE(routing.route(req).ok());
+  ASSERT_TRUE(routing.route(req).ok());
+  EXPECT_EQ(route_trees("built"), built + 1);
+
+  nib.set_links_at_up({SwitchId{2}, PortId{2}}, false);
+  EXPECT_EQ(routing.route(req).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(route_trees("built"), built + 2);
+  nib.set_links_at_up({SwitchId{2}, PortId{2}}, true);
+  auto healed = routing.route(req);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_DOUBLE_EQ(healed->internal.hop_count, 2);
+  EXPECT_EQ(route_trees("built"), built + 3);
+}
+
+TEST_F(RoutingFixture, GbrQueryDoesNotTouchTheTreeCache) {
+  nib.upsert_external_route({{SwitchId{3}, PortId{8}}, PrefixId{1}, 4, 40000});
+  RoutingRequest req;
+  req.source = radio;
+  req.dst_prefix = PrefixId{1};
+  req.constraints.min_bandwidth_kbps = 500;
+  const std::uint64_t built = route_trees("built"), reused = route_trees("reused");
+  ASSERT_TRUE(routing.route(req).ok());
+  ASSERT_TRUE(routing.route(req).ok());
+  EXPECT_EQ(route_trees("built"), built);
+  EXPECT_EQ(route_trees("reused"), reused);
 }
 
 }  // namespace

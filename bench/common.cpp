@@ -63,7 +63,7 @@ const std::vector<OptionSpec>& bench_option_registry() {
          return true;
        }},
       {"--profile", nullptr,
-       "per-shard engine profiling: busy/idle/stall\nwall time, mailbox traffic, critical-shard\nattribution (profile_* series + counter tracks)",
+       "per-shard engine profiling: busy/stall wall\ntime, event, window and mailbox counts\n(profile_* series + counter tracks)",
        [](BenchOptions& o, const std::string&) {
          o.profile = true;
          return true;

@@ -60,25 +60,16 @@ void schedule_diurnal_load(sim::ShardedSimulator& engine, topo::Scenario& scenar
 
 void print_profile_table(sim::ShardedSimulator& engine) {
   const obs::MetricsRegistry& reg = obs::default_registry();
-  TextTable table({"shard", "events", "windows", "bounded", "critical", "busy ms",
-                   "stall ms", "idle ms"});
+  TextTable table({"shard", "events", "windows", "bounded"});
   for (std::size_t s = 0; s < engine.shard_count(); ++s) {
     const obs::Labels labels{{"shard", std::to_string(s)}};
     auto counter = [&](const char* name) {
       const obs::Counter* c = reg.find_counter(name, labels);
       return c != nullptr ? c->value() : 0;
     };
-    auto gauge = [&](const char* name) {
-      const obs::Gauge* g = reg.find_gauge(name, labels);
-      return g != nullptr ? g->value() : 0.0;
-    };
     table.add_row({std::to_string(s), std::to_string(counter("profile_events_total")),
                    std::to_string(counter("profile_windows_total")),
-                   std::to_string(counter("profile_bounded_windows_total")),
-                   TextTable::num(gauge("profile_wall_critical_windows"), 0),
-                   TextTable::num(gauge("profile_wall_busy_ms"), 2),
-                   TextTable::num(gauge("profile_wall_stall_ms"), 2),
-                   TextTable::num(gauge("profile_wall_idle_ms"), 2)});
+                   std::to_string(counter("profile_bounded_windows_total"))});
   }
   std::printf("\nper-shard engine profile (diurnal discovery phase):\n");
   table.print();

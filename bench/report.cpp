@@ -53,8 +53,6 @@ obs::JsonValue profile_json() {
       {"profile_bounded_windows_total", "bounded_windows"},
       {"profile_wall_busy_ms", "busy_ms"},
       {"profile_wall_stall_ms", "stall_ms"},
-      {"profile_wall_idle_ms", "idle_ms"},
-      {"profile_wall_critical_windows", "critical_windows"},
   };
   for (const obs::MetricSample& s : obs::default_registry().snapshot()) {
     auto field = kFieldOf.find(s.name);
@@ -74,9 +72,8 @@ obs::JsonValue profile_json() {
     obs::JsonValue row = obs::JsonValue::object();
     row.set("shard", obs::JsonValue::number(static_cast<double>(index)));
     // Fixed field order (the kFieldOf values), not map order, for readability.
-    static const char* kOrder[] = {"events",  "mail_sent",       "mail_recv",
-                                   "windows", "bounded_windows", "busy_ms",
-                                   "stall_ms", "idle_ms",        "critical_windows"};
+    static const char* kOrder[] = {"events",          "mail_sent", "mail_recv", "windows",
+                                   "bounded_windows", "busy_ms",   "stall_ms"};
     for (const char* f : kOrder) {
       auto it = summary.fields.find(f);
       row.set(f, obs::JsonValue::number(it != summary.fields.end() ? it->second : 0.0));

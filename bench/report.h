@@ -16,7 +16,7 @@
 //                   "tolerance", "gate"}, ...],
 //     "profile": {"shards": [{"shard", "events", "mail_sent", "mail_recv",
 //                             "windows", "bounded_windows", "busy_ms",
-//                             "stall_ms", "idle_ms", "critical_windows"}]},
+//                             "stall_ms"}]},
 //     "timeseries": [...],   // obs::TimeSeriesRecorder snapshot (v3 shape)
 //     "metrics": [...]       // full obs registry snapshot (v3 shape)
 //   }

@@ -59,7 +59,7 @@ struct PathConstraints {
 };
 
 struct GraphEdge {
-  EdgeKey id = 0;  ///< 0 = removed slot in the dense edge store
+  EdgeKey id = 0;
   NodeKey from = 0;
   NodeKey to = 0;
   EdgeMetrics metrics;
@@ -78,19 +78,11 @@ struct GraphPath {
   }
 };
 
-/// How a shortest-tree node was reached: the tree edge into it and its
-/// parent's position in the tree. Walking `parent` links up to the root
-/// yields the node's tree path with array lookups only.
-struct TreeVia {
-  static constexpr std::uint32_t kRoot = 0xffffffffu;
-  EdgeKey edge = 0;             ///< 0 at the root
-  std::uint32_t parent = kRoot;
-};
-
-/// A full shortest-path tree from one source, as Graph::path_tree builds it:
-/// the tree edge into each node by dense node index, 0 at the root and at
-/// unreached nodes. Valid until the graph's node set, edge set or edge
-/// up-states change (node indexes and reachability move then).
+/// A full shortest-path tree from one source, as Graph::path_tree and
+/// Graph::shortest_tree build it: the tree edge into each node by dense node
+/// index, 0 at the root and at unreached nodes. Valid until the graph's node
+/// set, edge set or edge up-states change (node indexes and reachability
+/// move then).
 struct PathTree {
   NodeKey src = 0;
   std::vector<EdgeKey> via_edge;
@@ -110,15 +102,12 @@ class Graph {
   /// Adds `from -> to` and `to -> from` with identical metrics; returns both keys.
   std::pair<EdgeKey, EdgeKey> add_bidirectional(NodeKey a, NodeKey b, EdgeMetrics metrics);
 
-  void remove_edge(EdgeKey edge);
-  void remove_node(NodeKey node);  ///< removes the node and all incident edges
-
   /// Marks an edge usable / unusable without forgetting it (link failure, §6).
   Result<void> set_edge_up(EdgeKey edge, bool up);
   Result<void> set_edge_metrics(EdgeKey edge, EdgeMetrics metrics);
 
   [[nodiscard]] const GraphEdge* edge(EdgeKey edge) const;
-  [[nodiscard]] std::size_t edge_count() const { return live_edges_; }
+  [[nodiscard]] std::size_t edge_count() const { return edges_.size(); }
   /// View of `node`'s out-edge keys — valid until the next graph mutation.
   [[nodiscard]] std::span<const EdgeKey> out_edges(NodeKey node) const;
   [[nodiscard]] std::vector<const GraphEdge*> all_edges() const;
@@ -126,9 +115,10 @@ class Graph {
   /// Single-metric Dijkstra restricted to up-edges meeting the bandwidth floor.
   /// Ties on the primary metric are broken by the secondary metric, so e.g.
   /// the min-latency path is also the min-hop path among min-latency paths.
-  [[nodiscard]] Result<GraphPath> shortest_path(
-      NodeKey src, NodeKey dst, Metric metric,
-      const PathConstraints& constraints = {}) const;
+  /// A floor only removes edges; latency and hop bounds are the caller's to
+  /// check on whatever total it builds from the path.
+  [[nodiscard]] Result<GraphPath> shortest_path(NodeKey src, NodeKey dst, Metric metric,
+                                                double min_bandwidth_kbps = 0.0) const;
 
   /// The tree shortest_path's unconstrained search would grow from `src` if
   /// it never stopped early: tree_path() then reads, for any destination,
@@ -146,19 +136,12 @@ class Graph {
   /// Shortest-path tree from `src`: best metrics per reachable node (for
   /// vFabric computation, which needs all border-port pairs at once).
   /// Iteration order is node-insertion order — deterministic. A node is only
-  /// re-parented by a strictly better primary metric, so with a 0 kbps floor
-  /// over non-negative bandwidths the tree's shape never depends on
-  /// bandwidth. When `via` is given, it is overwritten with one TreeVia per
-  /// returned entry, position-aligned with the map.
+  /// re-parented by a strictly better primary metric, and the search has the
+  /// 0 kbps floor, so over non-negative bandwidths the tree's shape never
+  /// depends on bandwidth. When `via` is given, it is overwritten with the
+  /// tree: tree_path() over it returns each entry's metrics bit for bit.
   [[nodiscard]] core::FlatMap<NodeKey, EdgeMetrics> shortest_tree(
-      NodeKey src, Metric metric, double min_bandwidth_kbps = 0.0,
-      std::vector<TreeVia>* via = nullptr) const;
-
-  /// Yen's algorithm: up to k loop-free shortest paths, best first (§3.2
-  /// "multiple shortest paths for each port pair").
-  [[nodiscard]] std::vector<GraphPath> k_shortest_paths(
-      NodeKey src, NodeKey dst, std::size_t k, Metric metric,
-      const PathConstraints& constraints = {}) const;
+      NodeKey src, Metric metric, PathTree* via = nullptr) const;
 
   /// True iff every node is reachable from `src` over up-edges.
   [[nodiscard]] bool connected_from(NodeKey src) const;
@@ -171,9 +154,8 @@ class Graph {
     std::uint32_t node;  ///< dense node index
   };
   /// Epoch-stamped per-query state: arrays are sized once per query to the
-  /// current node/edge population and invalidated by bumping `epoch` — no
-  /// clearing, no per-query maps. `ban_epoch` works the same way for Yen's
-  /// per-spur node/edge bans.
+  /// current node population and invalidated by bumping `epoch` — no
+  /// clearing, no per-query maps.
   struct Scratch {
     std::vector<std::uint64_t> node_epoch;  ///< state validity, per node index
     std::vector<double> primary;
@@ -183,13 +165,8 @@ class Graph {
     std::vector<std::uint8_t> settled;
     std::vector<std::uint32_t> order;       ///< node indexes in settle order
     std::vector<EdgeMetrics> metrics;       ///< shortest_tree only
-    std::vector<std::uint32_t> tree_pos;    ///< shortest_tree: position in the result
-    std::vector<std::uint64_t> ban_node_epoch;
-    std::vector<std::uint64_t> ban_edge_epoch;  ///< per edge index (key - 1)
     std::vector<HeapItem> heap;
     std::uint64_t epoch = 0;
-    std::uint64_t ban_epoch = 0;
-    bool any_ban = false;  ///< a ban was marked since the last clear_bans()
   };
 
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
@@ -198,26 +175,21 @@ class Graph {
   [[nodiscard]] std::uint32_t node_index(NodeKey node) const;
   /// Sizes scratch arrays to the current population and opens a new epoch.
   void begin_query() const;
-  void clear_bans() const;
-  void ban_node(NodeKey node) const;
-  void ban_edge(EdgeKey edge) const;
-  [[nodiscard]] bool node_banned(std::uint32_t index) const;
-  [[nodiscard]] bool edge_banned(EdgeKey edge) const;
   /// Lazily initializes scratch state for node `index` in this epoch.
   void touch(std::uint32_t index) const;
 
-  /// Writes the TreeVia records of the tree query that just ran from
-  /// `src_index` (see shortest_tree).
-  void fill_tree_via(std::uint32_t src_index, std::vector<TreeVia>& via) const;
+  /// Overwrites `tree` with the tree edges of the search that just ran from
+  /// `src`.
+  void fill_tree(NodeKey src, PathTree& tree) const;
 
   /// The one Dijkstra loop behind every shortest-path query. Runs from
-  /// `src_index` over up-edges meeting the bandwidth floor, under the bans
-  /// marked in scratch, until `dst_index` is settled — or, given kNoNode,
-  /// until every reachable node is. A node is re-parented by a strictly
-  /// better primary metric, or, when `kSecondaryTies`, by an equal primary
-  /// with a strictly better secondary (a compile-time choice: as a run-time
-  /// flag it slowed point-to-point searches by ~20%). Leaves each touched
-  /// node's state in scratch and the settled nodes in scratch_.order.
+  /// `src_index` over up-edges meeting the bandwidth floor until `dst_index`
+  /// is settled — or, given kNoNode, until every reachable node is. A node
+  /// is re-parented by a strictly better primary metric, or, when
+  /// `kSecondaryTies`, by an equal primary with a strictly better secondary
+  /// (a compile-time choice: as a run-time flag it slowed point-to-point
+  /// searches by ~20%). Leaves each touched node's state in scratch and the
+  /// settled nodes in scratch_.order.
   template <bool kSecondaryTies>
   void search(std::uint32_t src_index, std::uint32_t dst_index, Metric metric,
               double min_bandwidth_kbps) const;
@@ -225,14 +197,9 @@ class Graph {
   /// `dst` to `src`, folding the path's metrics from the current edges.
   [[nodiscard]] GraphPath via_path(std::span<const EdgeKey> via_edge, NodeKey src,
                                    NodeKey dst) const;
-  /// Point-to-point search under the bans currently marked in scratch
-  /// (clear_bans() first for an unrestricted query).
-  [[nodiscard]] Result<GraphPath> dijkstra(NodeKey src, NodeKey dst, Metric metric,
-                                           const PathConstraints& constraints) const;
 
   core::FlatMap<NodeKey, std::vector<EdgeKey>> adjacency_;
-  std::vector<GraphEdge> edges_;  ///< dense, indexed by key - 1; id 0 = hole
-  std::size_t live_edges_ = 0;
+  std::vector<GraphEdge> edges_;  ///< dense, indexed by key - 1
   mutable Scratch scratch_;
 };
 

@@ -22,8 +22,14 @@ void DiscoveryModule::on_hello(SwitchId sw) {
   southbound::FeaturesRequest req;
   req.xid = Xid{next_xid_++};
   req.sw = sw;
+  if (auto sent = bus_->send(sw, req); !sent.ok()) {
+    // No request went out, so no reply will clear the entry.
+    pending_features_.erase(sw);
+    SOFTMOW_LOG(LogLevel::kWarn, "discovery")
+        << self_.str() << " cannot ask " << sw.str() << " for features: " << sent.error();
+    return;
+  }
   ++stats_.features_requests;
-  (void)bus_->send(sw, req);
 }
 
 void DiscoveryModule::on_features_reply(const southbound::FeaturesReply& reply) {
@@ -83,12 +89,19 @@ void DiscoveryModule::run_link_discovery() {
       southbound::DiscoveryPayload payload;
       payload.stack.push_back(southbound::DiscoveryStackEntry{self_, sw, pid});
       payload.ctx = round;
-      ++stats_.frames_sent;
-      ++frames;
-      frames_sent_metric_->inc();
       batch.push_back(southbound::PacketOut{sw, pid, std::move(payload)});
     }
-    if (!batch.empty()) (void)bus_->send_batch(sw, batch);
+    if (batch.empty()) continue;
+    // reca::Controller fails a batch whole, before any frame goes out, so a
+    // failed batch counts no frame as sent.
+    if (auto sent = bus_->send_batch(sw, batch); !sent.ok()) {
+      SOFTMOW_LOG(LogLevel::kWarn, "discovery")
+          << self_.str() << " cannot probe " << sw.str() << ": " << sent.error();
+      continue;
+    }
+    stats_.frames_sent += batch.size();
+    frames += batch.size();
+    frames_sent_metric_->inc(batch.size());
   }
   tracer.close_span(round, sim::TimePoint::zero(), std::to_string(frames) + " frames");
 }
@@ -126,10 +139,6 @@ DiscoveryVerdict DiscoveryModule::on_discovery_packet_in(
     return DiscoveryVerdict::kDrop;  // §4.1.2: no inter G-switch link here
   }
   return DiscoveryVerdict::kForward;
-}
-
-void DiscoveryModule::on_link_down(Endpoint a, Endpoint b) {
-  (void)nib_->set_link_up(a, b, false);
 }
 
 std::uint64_t flat_discovery_message_count(const dataplane::PhysicalNetwork& net) {

@@ -76,9 +76,6 @@ class DiscoveryModule {
   /// controller's local ID space.
   DiscoveryVerdict on_discovery_packet_in(Endpoint at, southbound::DiscoveryPayload& payload);
 
-  /// A link failure notification propagated up to the owner (§6).
-  void on_link_down(Endpoint a, Endpoint b);
-
   [[nodiscard]] const DiscoveryStats& stats() const { return stats_; }
   [[nodiscard]] DiscoveryStats& stats_mutable() { return stats_; }
 

@@ -240,7 +240,8 @@ std::span<const GBsId> Nib::gbs_list() const { return cached_ids(gbs_ids_, gbs_,
 
 void Nib::upsert_middlebox(southbound::GMiddleboxAnnounce info) {
   if (info.withdrawn) {
-    (void)remove_middlebox(info.gmb);
+    // Withdrawing a middlebox this NIB never learned leaves nothing to remove.
+    if (middleboxes_.erase(info.gmb) != 0) bump();
     return;
   }
   const MiddleboxId id = info.gmb;

@@ -71,9 +71,9 @@ const PathTree& RoutingService::tree_from(NodeKey src, Metric objective) const {
   return it->second;
 }
 
-core::FlatMap<NodeKey, EdgeMetrics> RoutingService::reachability(
-    Endpoint source, Metric metric, std::vector<TreeVia>* via) const {
-  return port_graph().shortest_tree(port_key(source.sw, source.port), metric, 0.0, via);
+core::FlatMap<NodeKey, EdgeMetrics> RoutingService::reachability(Endpoint source, Metric metric,
+                                                                 PathTree* via) const {
+  return port_graph().shortest_tree(port_key(source.sw, source.port), metric, via);
 }
 
 Result<ComputedRoute> RoutingService::route(const RoutingRequest& req) const {
@@ -121,15 +121,15 @@ Result<ComputedRoute> RoutingService::route_to_candidates(
   // checked on the stitched total). Best-effort segments read off the
   // source's cached tree, which gives shortest_path's answer edge for edge;
   // a bandwidth floor searches per call, memoized.
-  const bool best_effort = req.constraints.min_bandwidth_kbps == 0.0;
-  PathConstraints bw_only{.min_bandwidth_kbps = req.constraints.min_bandwidth_kbps};
+  const double floor_kbps = req.constraints.min_bandwidth_kbps;
+  const bool best_effort = floor_kbps == 0.0;
   std::map<std::pair<NodeKey, NodeKey>, Result<GraphPath>> memo;
   auto segment = [&](Endpoint from, Endpoint to) -> Result<GraphPath> {
     auto key = std::make_pair(port_key(from.sw, from.port), port_key(to.sw, to.port));
     if (best_effort) return g.tree_path(tree_from(key.first, req.objective), key.second);
     auto it = memo.find(key);
     if (it == memo.end()) {
-      it = memo.emplace(key, g.shortest_path(key.first, key.second, req.objective, bw_only))
+      it = memo.emplace(key, g.shortest_path(key.first, key.second, req.objective, floor_kbps))
                .first;
     }
     return it->second;

@@ -85,9 +85,9 @@ class RoutingService {
   /// Best-path metrics from `source` to every reachable port node —
   /// the building block of vFabric computation. Deterministic iteration
   /// (node-insertion order of the port graph). `via`, when given, receives
-  /// the tree edges (Graph::shortest_tree).
+  /// the tree itself (Graph::shortest_tree).
   [[nodiscard]] core::FlatMap<NodeKey, EdgeMetrics> reachability(
-      Endpoint source, Metric metric, std::vector<TreeVia>* via = nullptr) const;
+      Endpoint source, Metric metric, PathTree* via = nullptr) const;
 
   /// The port graph for the current NIB state. Cached: a topology change
   /// (NIB version) rebuilds it; a bandwidth change (NIB bandwidth epoch)

@@ -81,15 +81,14 @@ void TopologyAbstraction::build_paths() {
   fixed_bandwidth_.clear();
   // Same loops as recompute()'s step 4, so entries line up with the vFabric.
   for (const Endpoint& from : exposed_locals_) {
-    auto tree = routing_->reachability(from, Metric::kHops, &via_);
+    auto reach = routing_->reachability(from, Metric::kHops, &tree_);
     for (const Endpoint& to : exposed_locals_) {
       if (from == to) continue;
-      auto it = tree.find(port_key(to.sw, to.port));
-      if (it == tree.end()) continue;
+      const NodeKey to_key = port_key(to.sw, to.port);
+      if (!reach.contains(to_key)) continue;
+      const Result<GraphPath> path = graph.tree_path(tree_, to_key);
       double fixed = std::numeric_limits<double>::infinity();
-      for (auto pos = static_cast<std::uint32_t>(it - tree.begin());
-           via_[pos].parent != TreeVia::kRoot; pos = via_[pos].parent) {
-        const EdgeKey edge = via_[pos].edge;
+      for (const EdgeKey edge : path->edges) {
         const std::uint32_t slot = links.slot_of(edge);
         if (slot == nos::PortGraphLinks::kNoLink)
           fixed = std::min(fixed, graph.edge(edge)->metrics.bandwidth_kbps);

@@ -143,7 +143,7 @@ class TopologyAbstraction {
   // fixed_bandwidth_[i].
   std::vector<Endpoint> exposed_locals_;  ///< recompute()'s exposures, in order
   bool paths_built_ = false;
-  std::vector<TreeVia> via_;  ///< build_paths() scratch
+  PathTree tree_;  ///< build_paths() scratch
   std::vector<std::uint32_t> path_slots_;
   std::vector<std::uint32_t> path_begin_;
   std::vector<double> fixed_bandwidth_;

@@ -245,11 +245,6 @@ void ShardedSimulator::flush_profile() {
     s.busy_ns = 0;
     reg.gauge("profile_wall_stall_ms", labels)->add(static_cast<double>(s.stall_ns) / 1e6);
     s.stall_ns = 0;
-    reg.gauge("profile_wall_idle_ms", labels)->add(static_cast<double>(s.idle_ns) / 1e6);
-    s.idle_ns = 0;
-    reg.gauge("profile_wall_critical_windows", labels)
-        ->add(static_cast<double>(s.critical_windows));
-    s.critical_windows = 0;
   }
   reg.counter("profile_engine_windows_total")->inc(windows_ - windows_flushed_);
   windows_flushed_ = windows_;
@@ -308,29 +303,16 @@ std::uint64_t ShardedSimulator::run() {
     if (profile_) {
       const std::uint64_t window_wall = steady_now_ns() - window_wall_start;
       const std::int64_t at_ns = window_start.since_start().to_nanos();
-      std::size_t critical = shards_.size();
-      std::uint64_t critical_busy = 0;
-      std::size_t participant = 0;
-      for (std::size_t i = 0; i < shards_.size(); ++i) {
+      for (std::size_t i : window_work) {
         Shard& s = *shards_[i];
-        if (participant < window_work.size() && window_work[participant] == i) {
-          ++participant;
-          const std::uint64_t busy = std::min(s.window_busy_ns, window_wall);
-          s.busy_ns += busy;
-          s.stall_ns += window_wall - busy;
-          if (critical == shards_.size() || busy > critical_busy) {
-            critical = i;
-            critical_busy = busy;
-          }
-          push_profile_sample({at_ns, "shard" + std::to_string(i) + "/busy_ms",
-                               static_cast<double>(s.window_busy_ns) / 1e6});
-          push_profile_sample({at_ns, "shard" + std::to_string(i) + "/events",
-                               static_cast<double>(s.executed - s.exec_before)});
-        } else {
-          s.idle_ns += window_wall;
-        }
+        const std::uint64_t busy = std::min(s.window_busy_ns, window_wall);
+        s.busy_ns += busy;
+        s.stall_ns += window_wall - busy;
+        push_profile_sample({at_ns, "shard" + std::to_string(i) + "/busy_ms",
+                             static_cast<double>(s.window_busy_ns) / 1e6});
+        push_profile_sample({at_ns, "shard" + std::to_string(i) + "/events",
+                             static_cast<double>(s.executed - s.exec_before)});
       }
-      if (critical < shards_.size()) ++shards_[critical]->critical_windows;
     }
     // Sim-time sampling at the barrier: counters observed here reflect the
     // deterministic set of events with `when < horizon`, so recorded series

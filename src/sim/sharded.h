@@ -60,9 +60,9 @@ class ShardedSimulator {
     /// Conservative synchronization horizon: the minimum cross-shard
     /// propagation delay. Must be > 0.
     Duration lookahead = Duration::millis(1.0);
-    /// Per-shard per-window profiling (busy/idle/stall wall time, event and
-    /// mailbox counts, critical-shard attribution). Off = zero overhead: no
-    /// clock reads, no bookkeeping, no profile_* series exported.
+    /// Per-shard per-window profiling (busy/stall wall time, event, window
+    /// and mailbox counts). Off = zero overhead: no clock reads, no
+    /// bookkeeping, no profile_* series exported.
     bool profile = false;
   };
 
@@ -185,10 +185,8 @@ class ShardedSimulator {
     std::uint64_t recv_count = 0;       ///< mailbox messages delivered
     std::uint64_t windows_participated = 0;
     std::uint64_t windows_bounded = 0;  ///< windows whose W this shard's head event set
-    std::uint64_t critical_windows = 0; ///< windows this shard was busiest in
     std::uint64_t busy_ns = 0;
     std::uint64_t stall_ns = 0;  ///< window wall minus own busy (other shards' turns)
-    std::uint64_t idle_ns = 0;   ///< windows this shard sat out entirely
     std::unique_ptr<obs::Tracer> tracer;
     std::vector<Mail> mailbox;
     /// Ownership tag for the shard's event queue + mailbox: owned by the

@@ -1,6 +1,7 @@
 #include "topo/wan_generator.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <set>
 
@@ -8,6 +9,14 @@ namespace softmow::topo {
 
 using dataplane::GeoPoint;
 using dataplane::PhysicalNetwork;
+
+namespace {
+
+/// connect() fails only on an unknown switch or a self-loop, and every link
+/// the generator wires joins two distinct switches it added itself.
+void expect_wired([[maybe_unused]] const Result<LinkId>& link) { assert(link.ok()); }
+
+}  // namespace
 
 WanTopology generate_wan(PhysicalNetwork& net, const WanParams& params) {
   Rng rng(params.seed);
@@ -55,11 +64,11 @@ WanTopology generate_wan(PhysicalNetwork& net, const WanParams& params) {
         SwitchId a = members[s];
         SwitchId b = members[(s + 1) % members.size()];
         if (members.size() == 2 && s == 1) break;  // avoid a double link
-        (void)net.connect(a, b, sim::Duration::millis(1), params.link_bandwidth_kbps);
+        expect_wired(net.connect(a, b, sim::Duration::millis(1), params.link_bandwidth_kbps));
       }
       if (members.size() >= 4)
-        (void)net.connect(members[0], members[members.size() / 2], sim::Duration::millis(1),
-                    params.link_bandwidth_kbps);
+        expect_wired(net.connect(members[0], members[members.size() / 2],
+                                 sim::Duration::millis(1), params.link_bandwidth_kbps));
     }
   }
 
@@ -72,7 +81,7 @@ WanTopology generate_wan(PhysicalNetwork& net, const WanParams& params) {
     // Border routers: a random member of each POP.
     SwitchId sa = rng.choice(topo.pop_members[a]);
     SwitchId sb = rng.choice(topo.pop_members[b]);
-    (void)net.connect(sa, sb, latency, params.link_bandwidth_kbps);
+    expect_wired(net.connect(sa, sb, latency, params.link_bandwidth_kbps));
   };
 
   for (std::size_t p = 0; p < params.pops; ++p) {
@@ -103,9 +112,9 @@ WanTopology generate_wan(PhysicalNetwork& net, const WanParams& params) {
       }
     }
     if (unreachable_pop == params.pops) break;  // unreachable switch w/o POP: impossible
-    (void)net.connect(rng.choice(topo.pop_members[0]),
-                      rng.choice(topo.pop_members[unreachable_pop]), latency,
-                      params.link_bandwidth_kbps);
+    expect_wired(net.connect(rng.choice(topo.pop_members[0]),
+                             rng.choice(topo.pop_members[unreachable_pop]), latency,
+                             params.link_bandwidth_kbps));
   }
   return topo;
 }

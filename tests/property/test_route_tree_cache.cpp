@@ -64,10 +64,10 @@ void check_query(const nos::RoutingService& routing, const nos::Nib& nib,
   auto route = routing.route(req);
   const Graph& g = routing.port_graph();
   const NodeKey src = nos::port_key(req.source.sw, req.source.port);
-  const PathConstraints floor{.min_bandwidth_kbps = req.constraints.min_bandwidth_kbps};
+  const double floor_kbps = req.constraints.min_bandwidth_kbps;
   if (req.dst) {
     auto want = g.shortest_path(src, nos::port_key(req.dst->sw, req.dst->port), req.objective,
-                                floor);
+                                floor_kbps);
     ASSERT_EQ(route.ok(), want.ok()) << where;
     if (want.ok()) expect_same_path(route->port_path, *want, where);
     return;
@@ -76,7 +76,7 @@ void check_query(const nos::RoutingService& routing, const nos::Nib& nib,
   std::optional<GraphPath> best;
   for (const nos::ExternalRoute& cand : nib.external_routes(*req.dst_prefix)) {
     auto seg = g.shortest_path(src, nos::port_key(cand.egress.sw, cand.egress.port),
-                               req.objective, floor);
+                               req.objective, floor_kbps);
     if (!seg.ok()) continue;
     double cost = req.objective == Metric::kLatency ? seg->metrics.latency_us + cand.latency_us
                                                     : seg->metrics.hop_count + cand.hops;

@@ -1,6 +1,6 @@
 // Edge cases of the constraint machinery shared by routing and vFabric:
-// EdgeMetrics composition, PathConstraints semantics, and constrained
-// k-shortest-path behaviour.
+// EdgeMetrics composition, PathConstraints semantics, and the bandwidth
+// floor, the one constraint a graph search takes.
 #include <gtest/gtest.h>
 
 #include "core/graph.h"
@@ -59,54 +59,19 @@ TEST_F(ConstrainedGraphTest, UnconstrainedPicksLowestLatency) {
   EXPECT_DOUBLE_EQ(path->metrics.latency_us, 9);  // the 3-hop route
 }
 
-TEST_F(ConstrainedGraphTest, HopBoundForcesThe2HopRoute) {
-  PathConstraints c;
-  c.max_hops = 2;
-  auto path = g.shortest_path(1, 5, Metric::kLatency, c);
-  ASSERT_TRUE(path.ok());
-  EXPECT_DOUBLE_EQ(path->metrics.hop_count, 2);
-  EXPECT_DOUBLE_EQ(path->metrics.latency_us, 10);  // fast+thin wins among 2-hop
-}
-
 TEST_F(ConstrainedGraphTest, BandwidthAndHopsTogetherForceSlowFat) {
-  PathConstraints c;
-  c.max_hops = 2;
-  c.min_bandwidth_kbps = 500;
-  auto path = g.shortest_path(1, 5, Metric::kLatency, c);
-  ASSERT_TRUE(path.ok());
-  EXPECT_DOUBLE_EQ(path->metrics.latency_us, 50);  // only 1-3-5 satisfies both
-  EXPECT_GE(path->metrics.bandwidth_kbps, 500);
-}
-
-TEST_F(ConstrainedGraphTest, ImpossibleComboIsUnsatisfiable) {
-  PathConstraints c;
-  c.max_hops = 2;
-  c.max_latency_us = 20;
-  c.min_bandwidth_kbps = 500;  // 2 hops + <=20us + fat: nothing qualifies
-  auto path = g.shortest_path(1, 5, Metric::kLatency, c);
-  ASSERT_FALSE(path.ok());
-  EXPECT_EQ(path.code(), ErrorCode::kUnsatisfiable);
-}
-
-TEST_F(ConstrainedGraphTest, KShortestWithConstraintsFiltersButStaysSorted) {
-  PathConstraints c;
-  c.max_hops = 2;
-  auto paths = g.k_shortest_paths(1, 5, 5, Metric::kLatency, c);
-  ASSERT_EQ(paths.size(), 2u);  // the two 2-hop routes survive
-  EXPECT_LE(paths[0].cost(Metric::kLatency), paths[1].cost(Metric::kLatency));
-  for (const GraphPath& p : paths) EXPECT_LE(p.metrics.hop_count, 2);
-}
-
-TEST_F(ConstrainedGraphTest, KShortestBandwidthFloorExcludesThinRoutes) {
-  PathConstraints c;
-  c.min_bandwidth_kbps = 500;
-  auto paths = g.k_shortest_paths(1, 5, 5, Metric::kLatency, c);
-  for (const GraphPath& p : paths) EXPECT_GE(p.metrics.bandwidth_kbps, 500);
-  ASSERT_EQ(paths.size(), 2u);  // fast+thin excluded
-}
-
-TEST_F(ConstrainedGraphTest, KZeroReturnsNothing) {
-  EXPECT_TRUE(g.k_shortest_paths(1, 5, 0, Metric::kLatency).empty());
+  // A floor only removes edges: fast+thin goes, and each metric's optimum
+  // over what is left wins.
+  auto by_latency = g.shortest_path(1, 5, Metric::kLatency, /*min_bandwidth_kbps=*/500);
+  ASSERT_TRUE(by_latency.ok());
+  EXPECT_DOUBLE_EQ(by_latency->metrics.latency_us, 9);  // long+cheap, as unfloored
+  // Unfloored, the hop objective takes fast+thin (2 hops, latency 10); with
+  // it gone, slow+fat is the only 2-hop route left.
+  auto by_hops = g.shortest_path(1, 5, Metric::kHops, /*min_bandwidth_kbps=*/500);
+  ASSERT_TRUE(by_hops.ok());
+  EXPECT_DOUBLE_EQ(by_hops->metrics.hop_count, 2);
+  EXPECT_DOUBLE_EQ(by_hops->metrics.latency_us, 50);
+  EXPECT_GE(by_hops->metrics.bandwidth_kbps, 500);
 }
 
 }  // namespace

@@ -114,9 +114,11 @@ class Graph {
 
   /// Single-metric Dijkstra restricted to up-edges meeting the bandwidth floor.
   /// Ties on the primary metric are broken by the secondary metric, so e.g.
-  /// the min-latency path is also the min-hop path among min-latency paths.
-  /// A floor only removes edges; latency and hop bounds are the caller's to
-  /// check on whatever total it builds from the path.
+  /// the min-latency path is also the min-hop path among min-latency paths;
+  /// remaining ties go to the fewest edges, then to the least dense node
+  /// index (the canonical order, DESIGN §5 item 3). A floor only removes
+  /// edges; latency and hop bounds are the caller's to check on whatever
+  /// total it builds from the path.
   [[nodiscard]] Result<GraphPath> shortest_path(NodeKey src, NodeKey dst, Metric metric,
                                                 double min_bandwidth_kbps = 0.0) const;
 
@@ -127,7 +129,9 @@ class Graph {
   /// each destination's ancestors keep the tree edges they had when an
   /// early-exit search would have stopped. The tree has the 0 kbps floor, so
   /// a bandwidth-only metric change that keeps every bandwidth non-negative
-  /// leaves it exact.
+  /// leaves it exact. And since the order is canonical, a tree path whose
+  /// every edge meets a floor (bandwidth + 1e-9 >= floor) is also
+  /// shortest_path(src, dst, metric, floor)'s answer, edge for edge.
   [[nodiscard]] PathTree path_tree(NodeKey src, Metric metric) const;
   /// The tree's path to `dst`, metrics folded from the current edges; kNotFound
   /// when `dst` is absent or unreached.
@@ -151,7 +155,8 @@ class Graph {
   struct HeapItem {
     double primary;
     double secondary;
-    std::uint32_t node;  ///< dense node index
+    std::uint32_t depth;  ///< edge count from the source
+    std::uint32_t node;   ///< dense node index
   };
   /// Epoch-stamped per-query state: arrays are sized once per query to the
   /// current node population and invalidated by bumping `epoch` — no
@@ -162,6 +167,7 @@ class Graph {
     std::vector<double> secondary;
     std::vector<EdgeKey> via_edge;
     std::vector<std::uint32_t> via_node;    ///< parent's node index
+    std::vector<std::uint32_t> depth;       ///< edge count of the best label
     std::vector<std::uint8_t> settled;
     std::vector<std::uint32_t> order;       ///< node indexes in settle order
     std::vector<EdgeMetrics> metrics;       ///< shortest_tree only
@@ -184,13 +190,17 @@ class Graph {
 
   /// The one Dijkstra loop behind every shortest-path query. Runs from
   /// `src_index` over up-edges meeting the bandwidth floor until `dst_index`
-  /// is settled — or, given kNoNode, until every reachable node is. A node
-  /// is re-parented by a strictly better primary metric, or, when
-  /// `kSecondaryTies`, by an equal primary with a strictly better secondary
-  /// (a compile-time choice: as a run-time flag it slowed point-to-point
-  /// searches by ~20%). Leaves each touched node's state in scratch and the
-  /// settled nodes in scratch_.order.
-  template <bool kSecondaryTies>
+  /// is settled — or, given kNoNode, until every reachable node is. Without
+  /// `kCanonical` (shortest_tree), a node is re-parented only by a strictly
+  /// better primary metric and the heap orders by (primary, secondary). With
+  /// it (shortest_path, path_tree), the heap orders by the canonical key
+  /// (primary, secondary, depth, dense node index) and a node is re-parented
+  /// by a strictly better (primary, secondary, depth), so each node's parent
+  /// is its least (key, index) tight predecessor whatever edges are pruned
+  /// (DESIGN §5 item 3). A compile-time choice: as a run-time flag it slowed
+  /// point-to-point searches by ~20%. Leaves each touched node's state in
+  /// scratch and the settled nodes in scratch_.order.
+  template <bool kCanonical>
   void search(std::uint32_t src_index, std::uint32_t dst_index, Metric metric,
               double min_bandwidth_kbps) const;
   /// Walks `via_edge` (tree edge into each node, by dense index) back from

@@ -100,8 +100,15 @@ void Nib::upsert_link(Endpoint a, Endpoint b, EdgeMetrics metrics) {
   normalize(a, b);
   if (const std::uint32_t* slot = link_by_pair_.find_value(std::pair{a, b})) {
     LinkRecord& l = links_[*slot];
+    const double available = std::max(0.0, metrics.bandwidth_kbps - l.reserved_kbps);
+    if (l.up && l.metrics.latency_us == metrics.latency_us &&
+        l.metrics.hop_count == metrics.hop_count && l.metrics.bandwidth_kbps == available) {
+      // Rediscovery of an unchanged link: no topology change to report.
+      SHARD_CHECKED(guard_, kWrite);
+      return;
+    }
     l.metrics = metrics;
-    l.metrics.bandwidth_kbps = std::max(0.0, metrics.bandwidth_kbps - l.reserved_kbps);
+    l.metrics.bandwidth_kbps = available;
     l.up = true;
     bump();
     return;

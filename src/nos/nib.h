@@ -86,6 +86,8 @@ class Nib {
   /// Records a discovered link (idempotent; endpoints normalized). On a
   /// known link the measured bandwidth is reduced by the link's reservations
   /// (floored at 0): rediscovery must not hand reserved bandwidth back.
+  /// Rediscovering a link that is up with equal latency, hops and available
+  /// bandwidth changes nothing and does not bump version().
   void upsert_link(Endpoint a, Endpoint b, EdgeMetrics metrics);
   /// Forgets a discovered link (kNotFound when the pair is not recorded).
   Result<void> remove_link(Endpoint a, Endpoint b);

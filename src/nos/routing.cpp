@@ -35,6 +35,10 @@ RoutingService::RoutingService(const Nib* nib, std::uint8_t level) : nib_(nib) {
       reg.counter("route_trees_total", {{"level", by_level}, {"result", "built"}});
   trees_reused_metric_ =
       reg.counter("route_trees_total", {{"level", by_level}, {"result", "reused"}});
+  floored_hit_metric_ =
+      reg.counter("route_trees_total", {{"level", by_level}, {"result", "floored_hit"}});
+  floored_miss_metric_ =
+      reg.counter("route_trees_total", {{"level", by_level}, {"result", "floored_miss"}});
 }
 
 const Graph& RoutingService::port_graph() const {
@@ -118,15 +122,24 @@ Result<ComputedRoute> RoutingService::route_to_candidates(
   }
 
   // Shortest segments, bandwidth-filtered only (latency and hop bounds are
-  // checked on the stitched total). Best-effort segments read off the
-  // source's cached tree, which gives shortest_path's answer edge for edge;
-  // a bandwidth floor searches per call, memoized.
+  // checked on the stitched total). Every segment first reads the source's
+  // cached tree, which gives shortest_path's answer edge for edge; under a
+  // bandwidth floor that holds whenever the tree path clears the floor on
+  // every edge (the search's own per-edge test) or the destination is
+  // unreached (DESIGN §5 item 3). Otherwise the floored search runs,
+  // memoized per call.
   const double floor_kbps = req.constraints.min_bandwidth_kbps;
   const bool best_effort = floor_kbps == 0.0;
   std::map<std::pair<NodeKey, NodeKey>, Result<GraphPath>> memo;
   auto segment = [&](Endpoint from, Endpoint to) -> Result<GraphPath> {
     auto key = std::make_pair(port_key(from.sw, from.port), port_key(to.sw, to.port));
-    if (best_effort) return g.tree_path(tree_from(key.first, req.objective), key.second);
+    Result<GraphPath> cached = g.tree_path(tree_from(key.first, req.objective), key.second);
+    if (best_effort) return cached;
+    if (!cached.ok() || cached->metrics.bandwidth_kbps + 1e-9 >= floor_kbps) {
+      floored_hit_metric_->inc();
+      return cached;
+    }
+    floored_miss_metric_->inc();
     auto it = memo.find(key);
     if (it == memo.end()) {
       it = memo.emplace(key, g.shortest_path(key.first, key.second, req.objective, floor_kbps))

@@ -117,12 +117,16 @@ class RoutingService {
   mutable PortGraphLinks links_cache_;
   mutable std::uint64_t cache_version_ = ~0ull;
   mutable std::uint64_t cache_bandwidth_epoch_ = 0;
-  /// Best-effort route trees on graph_cache_, per (source, objective). Dropped
+  /// Route trees on graph_cache_, per (source, objective). Dropped
   /// when the graph is rebuilt; kept across bandwidth patches, which cannot
   /// reshape a 0 kbps-floor tree (the NIB floors available bandwidth at 0).
   mutable core::FlatMap<std::pair<NodeKey, Metric>, PathTree> trees_;
   obs::Counter* trees_built_metric_ = nullptr;   ///< route_trees_total{level,result=built}
   obs::Counter* trees_reused_metric_ = nullptr;  ///< route_trees_total{level,result=reused}
+  /// route_trees_total{level,result=floored_hit|floored_miss}: floored
+  /// segments served from the tree / left to the floored search.
+  obs::Counter* floored_hit_metric_ = nullptr;
+  obs::Counter* floored_miss_metric_ = nullptr;
 };
 
 }  // namespace softmow::nos

@@ -31,6 +31,12 @@ Controller::Controller(ControllerId id, int level, std::string name, LabelMode l
   retry_exhausted_metric_ = reg.counter("southbound_retry_exhausted_total", by_level);
   repairs_metric_ = reg.counter("path_repairs_total", by_level);
   resyncs_metric_ = reg.counter("path_resyncs_total", by_level);
+  ignored_app_request_metric_ =
+      reg.counter("ignored_errors_total", {{"site", "controller.send_app_request"}});
+  ignored_app_response_metric_ =
+      reg.counter("ignored_errors_total", {{"site", "controller.send_app_response"}});
+  ignored_vfabric_metric_ =
+      reg.counter("ignored_errors_total", {{"site", "controller.set_vfabric"}});
   nib_.subscribe([this] { abstraction_.mark_dirty(); });
   nib_.guard().set_identity("nib", id.value);
   paths_.guard().set_identity("paths", id.value);
@@ -257,7 +263,12 @@ std::uint64_t Controller::send_app_request(
   msg.is_response = false;
   if (!msg.ctx.valid()) msg.ctx = obs::default_tracer().current();
   if (on_response) pending_child_requests_[msg.request_id] = std::move(on_response);
-  (void)send(child_gswitch, msg);
+  if (!send(child_gswitch, msg).ok()) {
+    // No channel to that child (it left this controller): no response can
+    // come back, so the callback goes too.
+    pending_child_requests_.erase(msg.request_id);
+    ignored_app_request_metric_->inc();
+  }
   return msg.request_id;
 }
 
@@ -266,7 +277,8 @@ void Controller::send_app_response(SwitchId child_gswitch, std::uint64_t request
   response.request_id = request_id;
   response.is_response = true;
   if (!response.ctx.valid()) response.ctx = obs::default_tracer().current();
-  (void)send(child_gswitch, response);
+  // The requesting child left this controller before the answer: it is lost.
+  if (!send(child_gswitch, response).ok()) ignored_app_response_metric_->inc();
 }
 
 void Controller::handle_device_message(Channel* ch, const Message& msg) {
@@ -326,7 +338,9 @@ void Controller::handle_device_message(Channel* ch, const Message& msg) {
     return;
   }
   if (const auto* vf = std::get_if<southbound::VFabricUpdate>(&msg)) {
-    (void)nib_.set_vfabric(vf->sw, vf->entries);
+    // An update for a G-switch the NIB does not hold (it raced the child's
+    // FeaturesReply or its removal) has nothing to update.
+    if (!nib_.set_vfabric(vf->sw, vf->entries).ok()) ignored_vfabric_metric_->inc();
     return;
   }
   if (const auto* status = std::get_if<southbound::PortStatus>(&msg)) {
@@ -344,7 +358,9 @@ void Controller::handle_device_message(Channel* ch, const Message& msg) {
       abstraction_.mark_dirty();
       // Self-healing (§6): re-route the paths this failure broke without
       // waiting for an operator-driven repair pass.
-      if (self_heal_ && !status->desc.up) (void)repair_paths();
+      // repair_paths() returns counts, not an error; path_repairs_total
+      // already records them.
+      if (self_heal_ && !status->desc.up) repair_paths();
     }
     return;
   }

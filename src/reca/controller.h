@@ -247,6 +247,11 @@ class Controller : public nos::DeviceBus {
   obs::Counter* retry_exhausted_metric_;  ///< southbound_retry_exhausted_total{level}
   obs::Counter* repairs_metric_;          ///< path_repairs_total{level}
   obs::Counter* resyncs_metric_;          ///< path_resyncs_total{level}
+  /// ignored_errors_total{site}: app requests and responses sent to a child
+  /// no longer attached, vFabric updates for an unknown G-switch.
+  obs::Counter* ignored_app_request_metric_;
+  obs::Counter* ignored_app_response_metric_;
+  obs::Counter* ignored_vfabric_metric_;
 };
 
 }  // namespace softmow::reca

@@ -1,6 +1,7 @@
 // Route-tree cache oracle (§4.2): nos::RoutingService serves best-effort
-// segments from per-source shortest-path trees it keeps across requests and
-// bandwidth changes. Under seeded churn on every level of a three-level
+// segments, and floored segments whose tree path clears the floor, from
+// per-source shortest-path trees it keeps across requests and bandwidth
+// changes. Under seeded churn on every level of a three-level
 // hierarchy — repeated best-effort and GBR queries, reservations and
 // releases (bandwidth epochs), link down/up and vFabric rewrites (topology
 // versions) — every route must equal an uncached Graph::shortest_path on the
@@ -253,7 +254,7 @@ TEST_P(RouteTreeCacheTest, CachedRoutesMatchUncachedSearchUnderChurn) {
   for (Rewritten& r : rewritten) ASSERT_TRUE(r.nib->set_vfabric(r.sw, r.original).ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, RouteTreeCacheTest, ::testing::Values(1u, 2u, 3u));
+INSTANTIATE_TEST_SUITE_P(Seeds, RouteTreeCacheTest, ::testing::Range<std::uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace softmow

@@ -139,6 +139,33 @@ TEST_F(MgmtFixture, AppRequestResponseCorrelation) {
   EXPECT_NE(answers[1], answers[2]);
 }
 
+TEST_F(MgmtFixture, MessagesThatCannotBeDeliveredAreCounted) {
+  auto ignored = [](const char* site) {
+    return obs::default_registry().counter("ignored_errors_total", {{"site", site}})->value();
+  };
+  const std::uint64_t requests = ignored("controller.send_app_request"),
+                      responses = ignored("controller.send_app_response"),
+                      vfabrics = ignored("controller.set_vfabric");
+  // No child behind G-switch 999: neither message goes out.
+  bool answered = false;
+  southbound::AppMessage ping;
+  ping.type = "ping";
+  mp->root().send_app_request(SwitchId{999}, std::move(ping),
+                              [&](const southbound::AppMessage&) { answered = true; });
+  mp->root().send_app_response(SwitchId{999}, 7, southbound::AppMessage{});
+  EXPECT_EQ(ignored("controller.send_app_request"), requests + 1);
+  EXPECT_EQ(ignored("controller.send_app_response"), responses + 1);
+  EXPECT_FALSE(answered);
+
+  // A vFabric update for a G-switch the parent's NIB does not hold: the
+  // announce sends it before the FeaturesReply that re-adds the switch.
+  SwitchId gs_west = mp->leaf(0).abstraction().gswitch_id();
+  ASSERT_TRUE(mp->root().nib().remove_switch(gs_west).ok());
+  mp->leaf(0).reca().announce();
+  EXPECT_EQ(ignored("controller.set_vfabric"), vfabrics + 1);
+  EXPECT_NE(mp->root().nib().sw(gs_west), nullptr);
+}
+
 TEST_F(MgmtFixture, RepairIsNoOpOnHealthyTopology) {
   auto [repaired, failed] = mp->leaf(0).repair_paths();
   EXPECT_EQ(repaired, 0u);

@@ -190,6 +190,46 @@ TEST(Nib, RediscoveryKeepsReservations) {
   EXPECT_DOUBLE_EQ(nib.links()[0].metrics.bandwidth_kbps, 1000);
 }
 
+TEST(Nib, UnchangedRediscoveryKeepsTheVersion) {
+  Nib nib;
+  const Endpoint a{SwitchId{1}, PortId{1}};
+  const Endpoint b{SwitchId{2}, PortId{1}};
+  nib.upsert_link(a, b, EdgeMetrics{5000, 1, 1000});
+  ASSERT_TRUE(nib.reserve_link_bandwidth(a, 300).ok());
+  int fired = 0;
+  nib.subscribe([&] { ++fired; });
+  auto version = nib.version();
+
+  // Same latency, hops and (post-reservation) bandwidth, either end order.
+  nib.upsert_link(b, a, EdgeMetrics{5000, 1, 1000});
+  nib.upsert_link(a, b, EdgeMetrics{5000, 1, 1000});
+  EXPECT_EQ(nib.version(), version);
+  EXPECT_EQ(fired, 0);
+  EXPECT_DOUBLE_EQ(nib.links()[0].metrics.bandwidth_kbps, 700);
+
+  // A changed latency bumps it.
+  nib.upsert_link(a, b, EdgeMetrics{6000, 1, 1000});
+  EXPECT_GT(nib.version(), version);
+  EXPECT_EQ(fired, 1);
+  version = nib.version();
+
+  // So does rediscovering a down link with unchanged metrics: it comes up.
+  nib.set_links_at_up(a, false);
+  version = nib.version();
+  nib.upsert_link(a, b, EdgeMetrics{6000, 1, 1000});
+  EXPECT_GT(nib.version(), version);
+  EXPECT_TRUE(nib.links()[0].up);
+  version = nib.version();
+
+  // And a changed hop count or measured capacity.
+  nib.upsert_link(a, b, EdgeMetrics{6000, 2, 1000});
+  EXPECT_GT(nib.version(), version);
+  version = nib.version();
+  nib.upsert_link(a, b, EdgeMetrics{6000, 2, 900});
+  EXPECT_GT(nib.version(), version);
+  EXPECT_DOUBLE_EQ(nib.links()[0].metrics.bandwidth_kbps, 600);
+}
+
 TEST(Nib, SetVfabricOnUnknownSwitchFails) {
   Nib nib;
   EXPECT_EQ(nib.set_vfabric(SwitchId{9}, {}).code(), ErrorCode::kNotFound);

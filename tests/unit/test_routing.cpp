@@ -290,17 +290,88 @@ TEST_F(RoutingFixture, RouteTreeIsDroppedOnAVersionBump) {
   EXPECT_EQ(route_trees("built"), built + 3);
 }
 
-TEST_F(RoutingFixture, GbrQueryDoesNotTouchTheTreeCache) {
-  nib.upsert_external_route({{SwitchId{3}, PortId{8}}, PrefixId{1}, 4, 40000});
+TEST_F(RoutingFixture, RediscoveringAnUnchangedTopologyKeepsTheTrees) {
   RoutingRequest req;
   req.source = radio;
-  req.dst_prefix = PrefixId{1};
-  req.constraints.min_bandwidth_kbps = 500;
+  req.dst = Endpoint{SwitchId{3}, PortId{8}};
   const std::uint64_t built = route_trees("built"), reused = route_trees("reused");
   ASSERT_TRUE(routing.route(req).ok());
-  ASSERT_TRUE(routing.route(req).ok());
-  EXPECT_EQ(route_trees("built"), built);
-  EXPECT_EQ(route_trees("reused"), reused);
+  // A discovery round finds the same two links again: no version bump, so
+  // the port graph and its trees stay.
+  const std::uint64_t version = nib.version();
+  nib.upsert_link({SwitchId{2}, PortId{1}}, {SwitchId{1}, PortId{2}}, EdgeMetrics{5000, 1, 1e6});
+  nib.upsert_link({SwitchId{2}, PortId{2}}, {SwitchId{3}, PortId{1}}, EdgeMetrics{5000, 1, 1e6});
+  EXPECT_EQ(nib.version(), version);
+  auto again = routing.route(req);
+  ASSERT_TRUE(again.ok());
+  EXPECT_DOUBLE_EQ(again->internal.hop_count, 2);
+  EXPECT_EQ(route_trees("built"), built + 1);
+  EXPECT_EQ(route_trees("reused"), reused + 1);
+}
+
+/// Adds a direct 1:p1 - 3:p2 link, slower than the 1 - 2 - 3 line but with
+/// 1000 kbps to spare, and returns the request the GBR cases send.
+RoutingRequest add_slow_direct_link(Nib& nib, Endpoint radio) {
+  nib.upsert_link({SwitchId{1}, PortId{1}}, {SwitchId{3}, PortId{2}},
+                  EdgeMetrics{20000, 1, 1000});
+  RoutingRequest req;
+  req.source = radio;
+  req.dst = Endpoint{SwitchId{3}, PortId{8}};
+  req.objective = Metric::kLatency;
+  req.constraints.min_bandwidth_kbps = 500;
+  return req;
+}
+
+TEST_F(RoutingFixture, GbrQueryReadsTheTreeWhenItClearsTheFloor) {
+  const RoutingRequest req = add_slow_direct_link(nib, radio);
+  const std::uint64_t built = route_trees("built"), reused = route_trees("reused"),
+                      hit = route_trees("floored_hit"), miss = route_trees("floored_miss");
+  auto first = routing.route(req);
+  auto second = routing.route(req);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(route_trees("built"), built + 1);
+  EXPECT_EQ(route_trees("reused"), reused + 1);
+  EXPECT_EQ(route_trees("floored_hit"), hit + 2);
+  EXPECT_EQ(route_trees("floored_miss"), miss);
+
+  // The 1 - 2 - 3 line clears 500 kbps, so the tree's path is the answer.
+  Graph fresh = build_port_graph(nib);
+  auto want = fresh.shortest_path(port_key(radio.sw, radio.port),
+                                  port_key(SwitchId{3}, PortId{8}), Metric::kLatency, 500);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(second->port_path.edges, want->edges);
+  EXPECT_EQ(second->port_path.nodes, want->nodes);
+  EXPECT_DOUBLE_EQ(second->internal.latency_us, 10000);
+}
+
+TEST_F(RoutingFixture, GbrQueryFallsBackWhenTheTreePathIsTooThin) {
+  const RoutingRequest req = add_slow_direct_link(nib, radio);
+  // Leave 200 kbps on 2 - 3: the tree still runs over it (the tree has no
+  // floor), but a 500 kbps bearer must take the slow direct link.
+  ASSERT_TRUE(nib.reserve_link_bandwidth({SwitchId{2}, PortId{2}}, 1e6 - 200).ok());
+  const std::uint64_t hit = route_trees("floored_hit"), miss = route_trees("floored_miss");
+  auto route = routing.route(req);
+  ASSERT_TRUE(route.ok());
+  EXPECT_EQ(route_trees("floored_hit"), hit);
+  EXPECT_EQ(route_trees("floored_miss"), miss + 1);
+
+  Graph fresh = build_port_graph(nib);
+  auto want = fresh.shortest_path(port_key(radio.sw, radio.port),
+                                  port_key(SwitchId{3}, PortId{8}), Metric::kLatency, 500);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(route->port_path.edges, want->edges);
+  EXPECT_EQ(route->port_path.nodes, want->nodes);
+  EXPECT_DOUBLE_EQ(route->internal.latency_us, 20000);
+  EXPECT_DOUBLE_EQ(route->internal.bandwidth_kbps, 1000);
+
+  // A best-effort query from the same source still reads the tree's path.
+  RoutingRequest best_effort = req;
+  best_effort.constraints.min_bandwidth_kbps = 0;
+  auto fast = routing.route(best_effort);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_DOUBLE_EQ(fast->internal.latency_us, 10000);
+  EXPECT_DOUBLE_EQ(fast->internal.bandwidth_kbps, 200);
 }
 
 }  // namespace

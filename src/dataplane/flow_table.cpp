@@ -75,10 +75,66 @@ std::string FlowRule::str() const {
   return os.str();
 }
 
-std::uint64_t FlowTable::RuleKeyHash::operator()(const RuleKey& k) const {
+MatchKey MatchKey::of(const Match& m) {
+  MatchKey k;
+  if (m.in_port) {
+    k.mask |= kInPort;
+    k.in_port = m.in_port->value;
+  }
+  if (m.label) {
+    k.mask |= kLabel;
+    k.label = *m.label;
+  }
+  if (m.ue) {
+    k.mask |= kUe;
+    k.ue = m.ue->value;
+  }
+  if (m.bs_group) {
+    k.mask |= kBsGroup;
+    k.bs_group = m.bs_group->value;
+  }
+  if (m.dst_prefix) {
+    k.mask |= kDstPrefix;
+    k.dst_prefix = m.dst_prefix->value;
+  }
+  if (m.version) {
+    k.mask |= kVersion;
+    k.version = *m.version;
+  }
+  return k;
+}
+
+MatchKey MatchKey::of(const Packet& pkt, PortId arrival_port, BsGroupId origin_group) {
+  MatchKey k;
+  k.mask = kAllFields;
+  k.in_port = arrival_port.value;
+  if (pkt.labels.empty()) {
+    k.mask &= ~kLabel;
+  } else {
+    k.label = pkt.labels.back().value;
+  }
+  k.ue = pkt.ue.value;
+  k.bs_group = origin_group.value;
+  k.dst_prefix = pkt.dst_prefix.value;
+  k.version = pkt.version;
+  return k;
+}
+
+MatchKey MatchKey::project(const MatchKey& key, std::uint32_t mask) {
+  MatchKey k;
+  k.mask = mask;
+  if (mask & kInPort) k.in_port = key.in_port;
+  if (mask & kLabel) k.label = key.label;
+  if (mask & kUe) k.ue = key.ue;
+  if (mask & kBsGroup) k.bs_group = key.bs_group;
+  if (mask & kDstPrefix) k.dst_prefix = key.dst_prefix;
+  if (mask & kVersion) k.version = key.version;
+  return k;
+}
+
+std::uint64_t MatchKeyHash::operator()(const MatchKey& k) const {
   using core::detail::mix64;
-  std::uint64_t h = mix64(static_cast<std::uint64_t>(k.priority) ^
-                          ((std::uint64_t{k.mask} << 32) | k.version));
+  std::uint64_t h = mix64((std::uint64_t{k.mask} << 32) | k.version);
   h = mix64(h ^ k.in_port);
   h = mix64(h ^ k.label);
   h = mix64(h ^ k.ue);
@@ -86,68 +142,98 @@ std::uint64_t FlowTable::RuleKeyHash::operator()(const RuleKey& k) const {
   return mix64(h ^ k.dst_prefix);
 }
 
-FlowTable::RuleKey FlowTable::rule_key(int priority, const Match& m) {
-  RuleKey k;
-  k.priority = priority;
-  if (m.in_port) {
-    k.mask |= 1u << 0;
-    k.in_port = m.in_port->value;
-  }
-  if (m.label) {
-    k.mask |= 1u << 1;
-    k.label = *m.label;
-  }
-  if (m.ue) {
-    k.mask |= 1u << 2;
-    k.ue = m.ue->value;
-  }
-  if (m.bs_group) {
-    k.mask |= 1u << 3;
-    k.bs_group = m.bs_group->value;
-  }
-  if (m.dst_prefix) {
-    k.mask |= 1u << 4;
-    k.dst_prefix = m.dst_prefix->value;
-  }
-  if (m.version) {
-    k.mask |= 1u << 5;
-    k.version = *m.version;
-  }
-  return k;
+bool FlowTable::ranks_before(const FlowRule& a, const FlowRule& b) {
+  if (a.priority != b.priority) return a.priority > b.priority;
+  int sa = a.match.specificity(), sb = b.match.specificity();
+  if (sa != sb) return sa > sb;
+  return a.cookie < b.cookie;
+}
+
+std::uint32_t FlowTable::constrained_fields() const {
+  std::uint32_t fields = 0;
+  for (std::uint8_t mask : masks_) fields |= mask;
+  return fields;
 }
 
 Result<void> FlowTable::install(FlowRule rule) {
   SHARD_CHECKED(guard_, kWrite);
-  const RuleKey key = rule_key(rule.priority, rule.match);
-  if (const std::uint32_t* shadow = by_key_.find_value(key);
-      shadow != nullptr && rules_[*shadow].cookie != rule.cookie) {
-    return {ErrorCode::kConflict,
-            "install of " + rule.str() + " would ambiguously shadow cookie " +
-                std::to_string(rules_[*shadow].cookie) + " (same priority and match)"};
+  const MatchKey key = MatchKey::of(rule.match);
+  if (const std::uint32_t* head = by_match_.find_value(key); head != nullptr) {
+    for (std::uint32_t slot = *head; slot != kNoSlot; slot = next_in_chain(slot)) {
+      const FlowRule& shadow = rules_[slot];
+      if (shadow.priority != rule.priority || shadow.cookie == rule.cookie) continue;
+      return {ErrorCode::kConflict,
+              "install of " + rule.str() + " would ambiguously shadow cookie " +
+                  std::to_string(shadow.cookie) + " (same priority and match)"};
+    }
   }
   if (const std::uint32_t* old = by_cookie_.find_value(rule.cookie); old != nullptr)
     remove_slot(*old);  // replace-by-cookie
   const std::uint32_t slot = static_cast<std::uint32_t>(rules_.size());
   rules_.push_back(std::move(rule));
+  next_.push_back(kNoSlot);
   by_cookie_.try_emplace(rules_.back().cookie, slot);
-  by_key_.try_emplace(key, slot);
+  link(slot, key);
   order_.push_back(slot);
   order_dirty_ = true;
   return Ok();
 }
 
+void FlowTable::link(std::uint32_t slot, const MatchKey& key) {
+  auto [it, fresh] = by_match_.try_emplace(key, slot);
+  if (!fresh) {
+    next_[it->second] &= ~kHead;
+    next_[slot] = it->second;
+    it->second = slot;
+  }
+  next_[slot] |= kHead;
+  if (mask_count_[key.mask]++ == 0) masks_.push_back(static_cast<std::uint8_t>(key.mask));
+}
+
+std::uint32_t FlowTable::predecessor(std::uint32_t head, std::uint32_t slot) const {
+  while (next_in_chain(head) != slot) head = next_in_chain(head);
+  return head;
+}
+
+void FlowTable::set_next(std::uint32_t slot, std::uint32_t next) {
+  next_[slot] = (next_[slot] & kHead) | next;
+}
+
+void FlowTable::unlink(std::uint32_t slot, const MatchKey& key) {
+  const std::uint32_t next = next_in_chain(slot);
+  if ((next_[slot] & kHead) == 0) {
+    set_next(predecessor(by_match_.at(key), slot), next);
+  } else if (next == kNoSlot) {
+    by_match_.erase(key);
+  } else {
+    by_match_.at(key) = next;
+    next_[next] |= kHead;
+  }
+  if (--mask_count_[key.mask] == 0)
+    masks_.erase(std::find(masks_.begin(), masks_.end(), static_cast<std::uint8_t>(key.mask)));
+}
+
 void FlowTable::remove_slot(std::uint32_t slot) {
   const FlowRule& doomed = rules_[slot];
   by_cookie_.erase(doomed.cookie);
-  by_key_.erase(rule_key(doomed.priority, doomed.match));
+  unlink(slot, MatchKey::of(doomed.match));
   const std::uint32_t last = static_cast<std::uint32_t>(rules_.size() - 1);
   if (slot != last) {
     rules_[slot] = std::move(rules_[last]);
     const FlowRule& moved = rules_[slot];
     by_cookie_.at(moved.cookie) = slot;
-    by_key_.at(rule_key(moved.priority, moved.match)) = slot;
+    // Repoint whatever linked to the moved rule: its bucket or its chain
+    // predecessor.
+    next_[slot] = next_[last];
+    std::uint32_t& head = by_match_.at(MatchKey::of(moved.match));
+    if (next_[slot] & kHead) {
+      head = slot;
+    } else {
+      set_next(predecessor(head, last), slot);
+    }
   }
   rules_.pop_back();
+  next_.pop_back();
   // Rebuild the order lazily: slot identities just changed under it.
   order_.resize(rules_.size());
   for (std::uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
@@ -165,11 +251,12 @@ Result<std::size_t> FlowTable::remove_by_cookie(std::uint64_t cookie) {
 
 Result<std::size_t> FlowTable::remove_by_match(const Match& match) {
   SHARD_CHECKED(guard_, kWrite);
-  // Exact-match removal spans priorities, so it scans — acceptable: this is
-  // an operator/recovery path, not the per-bearer churn path.
+  // Equal matches share one bucket. Collect the cookies first: every removal
+  // relinks chains and moves slots.
   std::vector<std::uint64_t> cookies;
-  for (const FlowRule& r : rules_) {
-    if (r.match == match) cookies.push_back(r.cookie);
+  if (const std::uint32_t* head = by_match_.find_value(MatchKey::of(match)); head != nullptr) {
+    for (std::uint32_t slot = *head; slot != kNoSlot; slot = next_in_chain(slot))
+      cookies.push_back(rules_[slot].cookie);
   }
   if (cookies.empty()) return {ErrorCode::kNotFound, "no rule matching " + match.str()};
   for (std::uint64_t c : cookies) remove_slot(by_cookie_.at(c));
@@ -180,20 +267,18 @@ void FlowTable::clear() {
   SHARD_CHECKED(guard_, kWrite);
   rules_.clear();
   by_cookie_.clear();
-  by_key_.clear();
+  by_match_.clear();
+  next_.clear();
+  for (std::uint8_t mask : masks_) mask_count_[mask] = 0;
+  masks_.clear();
   order_.clear();
   order_dirty_ = false;
 }
 
 void FlowTable::ensure_sorted() const {
   if (!order_dirty_) return;
-  std::stable_sort(order_.begin(), order_.end(), [this](std::uint32_t a, std::uint32_t b) {
-    const FlowRule& ra = rules_[a];
-    const FlowRule& rb = rules_[b];
-    if (ra.priority != rb.priority) return ra.priority > rb.priority;
-    int sa = ra.match.specificity(), sb = rb.match.specificity();
-    if (sa != sb) return sa > sb;
-    return ra.cookie < rb.cookie;
+  std::sort(order_.begin(), order_.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return ranks_before(rules_[a], rules_[b]);
   });
   order_dirty_ = false;
 }
@@ -205,16 +290,15 @@ const FlowRule* FlowTable::find_by_cookie(std::uint64_t cookie) const {
 
 FlowRule* FlowTable::lookup(const Packet& pkt, PortId arrival_port, BsGroupId origin_group) {
   SHARD_CHECKED(guard_, kWrite);  // lookups advance rule counters
-  ensure_sorted();
-  for (std::uint32_t slot : order_) {
-    FlowRule& r = rules_[slot];
-    if (r.match.matches(pkt, arrival_port, origin_group)) {
-      ++r.packet_count;
-      r.byte_count += pkt.wire_bytes();
-      return &r;
-    }
-  }
-  return nullptr;
+  const FlowRule* best = nullptr;
+  for_each_matching(MatchKey::of(pkt, arrival_port, origin_group), [&](const FlowRule& r) {
+    if (best == nullptr || ranks_before(r, *best)) best = &r;
+  });
+  if (best == nullptr) return nullptr;
+  FlowRule& r = rules_[static_cast<std::size_t>(best - rules_.data())];
+  ++r.packet_count;
+  r.byte_count += pkt.wire_bytes();
+  return &r;
 }
 
 }  // namespace softmow::dataplane

@@ -81,15 +81,62 @@ struct FlowRule {
   [[nodiscard]] std::string str() const;
 };
 
+/// A match reduced to the fields it constrains: `mask` holds one bit per
+/// set field (kInPort .. kVersion), the value members hold the set fields'
+/// raw values and 0 for the others, so two matches are equal iff their keys
+/// are. The same shape describes a header (a packet, or a symbolic class
+/// whose concrete fields are in `mask`): a rule can match it iff the rule's
+/// key equals `project(header, rule mask)` with the rule mask inside
+/// `header.mask`.
+struct MatchKey {
+  static constexpr std::uint32_t kInPort = 1u << 0;
+  static constexpr std::uint32_t kLabel = 1u << 1;
+  static constexpr std::uint32_t kUe = 1u << 2;
+  static constexpr std::uint32_t kBsGroup = 1u << 3;
+  static constexpr std::uint32_t kDstPrefix = 1u << 4;
+  static constexpr std::uint32_t kVersion = 1u << 5;
+  static constexpr std::uint32_t kAllFields = (1u << 6) - 1;
+
+  std::uint32_t mask = 0;
+  std::uint32_t version = 0;
+  std::uint64_t in_port = 0;
+  std::uint64_t label = 0;
+  std::uint64_t ue = 0;
+  std::uint64_t bs_group = 0;
+  std::uint64_t dst_prefix = 0;
+
+  [[nodiscard]] static MatchKey of(const Match& m);
+  /// The key of a concrete packet arriving on `arrival_port`: every field
+  /// set, except the label when the stack is empty.
+  [[nodiscard]] static MatchKey of(const Packet& pkt, PortId arrival_port,
+                                   BsGroupId origin_group);
+  /// `key` restricted to the fields of `mask` (which must lie in key.mask).
+  [[nodiscard]] static MatchKey project(const MatchKey& key, std::uint32_t mask);
+
+  friend bool operator==(const MatchKey&, const MatchKey&) = default;
+};
+
+struct MatchKeyHash {
+  std::uint64_t operator()(const MatchKey& k) const;
+};
+
 /// Priority-ordered rule table with exact-duplicate rejection.
 ///
 /// Memory model (DESIGN §12): rules live in a dense slot vector (swap-pop
-/// erase), indexed by cookie and by (priority, match) fingerprint through
-/// flat open-addressing tables, so install / remove-by-cookie are O(1)
-/// amortized instead of the old sort-per-install O(n log n). The
-/// priority order is a lazily rebuilt index of u32 slots: installs during a
-/// bearer-setup burst never sort; the first lookup (or rules() view) after
-/// a mutation sorts once.
+/// erase), indexed by cookie and by match through flat open-addressing
+/// tables. The match index is a tuple space: `MatchKey` -> head slot of an
+/// intrusive chain (`next_`, one u32 per slot, whose top bit marks the
+/// chain head) holding every rule with that exact match, one per priority,
+/// plus a count of rules per match mask (`mask_count_`) and the list of
+/// masks present. Install probes the bucket once to check for a conflict
+/// (the chain walk looks for an equal priority) and once to link at the
+/// head; removal, and the relink of the swap-popped rule, probe it once
+/// each. Readers that need "every rule a header can match" (`lookup`, the
+/// static verifier's walk and shadow check) probe one bucket per present
+/// mask instead of scanning the table. The priority order is a lazily
+/// rebuilt index of u32 slots for the `rules()` view: installs during a
+/// bearer-setup burst never sort; the first view after a mutation sorts
+/// once.
 class FlowTable {
  public:
   /// Priority-ordered, read-only view over the table (no copy). Invalidated
@@ -164,6 +211,30 @@ class FlowTable {
   FlowRule* lookup(const Packet& pkt, PortId arrival_port,
                    BsGroupId origin_group = BsGroupId{});
 
+  /// The lookup order: priority desc, specificity desc, cookie asc. Total
+  /// (cookies are unique), so the best of any candidate set is the first
+  /// rule of that set in `rules()`.
+  [[nodiscard]] static bool ranks_before(const FlowRule& a, const FlowRule& b);
+
+  /// Visits every rule whose match `header` satisfies: one bucket probe per
+  /// present mask inside `header.mask`, following each bucket's chain.
+  /// Visiting order is unspecified; rank the visited rules with
+  /// `ranks_before`. With a rule's own key as the header this visits every
+  /// rule that dominates it (itself included).
+  template <class F>
+  void for_each_matching(const MatchKey& header, F&& visit) const {
+    for (std::uint8_t mask : masks_) {
+      if ((mask & ~header.mask) != 0) continue;
+      const std::uint32_t* head = by_match_.find_value(MatchKey::project(header, mask));
+      if (head == nullptr) continue;
+      for (std::uint32_t slot = *head; slot != kNoSlot; slot = next_in_chain(slot))
+        visit(rules_[slot]);
+    }
+  }
+
+  /// Union of the fields constrained by some installed rule (MatchKey bits).
+  [[nodiscard]] std::uint32_t constrained_fields() const;
+
   [[nodiscard]] std::size_t size() const { return rules_.size(); }
   /// Rules in (priority desc, specificity desc, cookie asc) order, as a
   /// zero-copy view. Valid until the next mutation.
@@ -180,32 +251,31 @@ class FlowTable {
   [[nodiscard]] analysis::ShardGuard& guard() { return guard_; }
 
  private:
-  /// Exact fingerprint of (priority, match) for O(1) shadow-conflict
-  /// detection: presence mask + every field value, compared field-for-field
-  /// (no lossy hashing — the hash only seeds the probe).
-  struct RuleKey {
-    std::int64_t priority = 0;
-    std::uint32_t mask = 0;
-    std::uint32_t version = 0;
-    std::uint64_t in_port = 0;
-    std::uint64_t label = 0;
-    std::uint64_t ue = 0;
-    std::uint64_t bs_group = 0;
-    std::uint64_t dst_prefix = 0;
-    friend bool operator==(const RuleKey&, const RuleKey&) = default;
-  };
-  struct RuleKeyHash {
-    std::uint64_t operator()(const RuleKey& k) const;
-  };
+  static constexpr std::uint32_t kHead = 0x80000000u;  ///< `next_` flag: heads its chain
+  static constexpr std::uint32_t kNoSlot = 0x7fffffffu;
 
-  [[nodiscard]] static RuleKey rule_key(int priority, const Match& m);
+  /// The slot after `slot` in its match chain, or kNoSlot.
+  [[nodiscard]] std::uint32_t next_in_chain(std::uint32_t slot) const {
+    return next_[slot] & ~kHead;
+  }
+  /// The slot whose successor is `slot`, walking the chain from `head`.
+  [[nodiscard]] std::uint32_t predecessor(std::uint32_t head, std::uint32_t slot) const;
+  /// Sets the successor of `slot`, keeping its head flag.
+  void set_next(std::uint32_t slot, std::uint32_t next);
+  /// Links `slot` (already in rules_) at the head of its match chain.
+  void link(std::uint32_t slot, const MatchKey& key);
+  /// Unlinks `slot` from its match chain, dropping an emptied bucket.
+  void unlink(std::uint32_t slot, const MatchKey& key);
   /// Swap-pop removal of dense slot, fixing both indexes for the moved rule.
   void remove_slot(std::uint32_t slot);
   void ensure_sorted() const;
 
   std::vector<FlowRule> rules_;  ///< dense slots, mutation order (unsorted)
   core::FlatMap<std::uint64_t, std::uint32_t> by_cookie_;    ///< cookie -> slot
-  core::FlatMap<RuleKey, std::uint32_t, RuleKeyHash> by_key_;  ///< (prio, match) -> slot
+  core::FlatMap<MatchKey, std::uint32_t, MatchKeyHash> by_match_;  ///< match -> chain head
+  std::vector<std::uint32_t> next_;  ///< per slot: next rule with the same match | kHead
+  std::uint32_t mask_count_[MatchKey::kAllFields + 1] = {};  ///< rules per match mask
+  std::vector<std::uint8_t> masks_;  ///< masks with a non-zero count, in arrival order
   /// Lazily maintained priority order over slots (see class comment).
   mutable std::vector<std::uint32_t> order_;
   mutable bool order_dirty_ = false;

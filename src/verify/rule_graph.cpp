@@ -34,14 +34,6 @@ std::string SymValue::str() const {
   return os.str();
 }
 
-std::string SymHeader::state_key() const {
-  std::ostringstream os;
-  os << ue.str() << "|" << bs_group.str() << "|" << dst_prefix.str() << "|" << version.str()
-     << "|L:";
-  for (const Label& l : labels) os << l.value << "@" << static_cast<int>(l.owner_level) << ",";
-  return os.str();
-}
-
 namespace {
 
 /// Evaluates one (constraint, field) pair; folds the verdict and records

@@ -37,6 +37,12 @@ struct SymValue {
   void exclude(std::uint64_t v);
 
   [[nodiscard]] std::string str() const;
+
+  /// Equal iff str() is: a concrete value, or the same exclusions in the
+  /// same order.
+  friend bool operator==(const SymValue& a, const SymValue& b) {
+    return a.any == b.any && (a.any ? a.excluded == b.excluded : a.value == b.value);
+  }
 };
 
 /// The symbolic header of one traffic equivalence class. `bs_group` plays
@@ -49,9 +55,9 @@ struct SymHeader {
   SymValue version;
   std::vector<Label> labels;  ///< concrete; back() is the top of stack
 
-  /// Canonical serialization — the loop-detection state key together with
-  /// the arrival endpoint.
-  [[nodiscard]] std::string state_key() const;
+  /// Field-wise equality: with the arrival endpoint, the loop-detection
+  /// state of a class walk.
+  friend bool operator==(const SymHeader&, const SymHeader&) = default;
 };
 
 /// How a rule relates to a symbolic header at a concrete arrival port.

@@ -14,6 +14,8 @@ namespace softmow::verify {
 using dataplane::Action;
 using dataplane::ActionType;
 using dataplane::FlowRule;
+using dataplane::FlowTable;
+using dataplane::MatchKey;
 using dataplane::PeerKind;
 using dataplane::Port;
 
@@ -74,10 +76,10 @@ ControlState collect_control_state(const std::vector<const reca::Controller*>& c
     for (PathId id : paths.paths()) {
       const nos::InstalledPath* p = paths.path(id);
       if (p == nullptr || !p->active) continue;
-      for (const auto& [sw, cookie] : p->rules) state.live_rules.emplace(sw, cookie);
+      for (const auto& rule : p->rules) state.live_rules.insert(rule);
     }
     // Shared tag-aggregate rules are as live as per-path ones.
-    for (const auto& [sw, cookie] : paths.shared_rules()) state.live_rules.emplace(sw, cookie);
+    for (const auto& rule : paths.shared_rules()) state.live_rules.insert(rule);
   }
   return state;
 }
@@ -99,11 +101,18 @@ std::vector<StaticVerifier::ClassKey> StaticVerifier::classes_on(SwitchId sw) co
 
 namespace {
 
+/// A forwarding state a branch has been in: where, and with what header.
+struct WalkState {
+  Endpoint at;
+  SymHeader header;
+  friend bool operator==(const WalkState&, const WalkState&) = default;
+};
+
 /// One in-flight symbolic branch of a class walk.
 struct Branch {
   Endpoint at;
   SymHeader header;
-  std::set<std::string> visited;
+  std::vector<WalkState> visited;
   std::size_t hops = 0;
   std::uint64_t last_cookie = 0;        ///< rule that forwarded us here
   std::uint64_t last_node = 0;          ///< its graph-node key (0 = entry)
@@ -117,10 +126,49 @@ void note_version(Branch& b, std::uint32_t v) {
     b.versions.push_back(v);
 }
 
+/// Fills `out` with the rules of `table` a class with `header` arriving on
+/// `port` may match, in lookup order. A rule whose fields are all concrete
+/// in the header matches iff its bucket is the header's projection, so the
+/// index serves the lookup; when some installed rule constrains a field the
+/// header leaves wildcard, a split may be due and the candidates are the
+/// whole ordered table. Either way the caller's evaluate_match loop sees
+/// every rule that is not a certain kNo, in the order the table ranks them.
+/// Returns whether the index served the lookup.
+bool gather_candidates(const FlowTable& table, const SymHeader& header, PortId port,
+                       std::vector<const FlowRule*>& out) {
+  out.clear();
+  std::uint32_t wildcard = 0;
+  if (header.ue.any) wildcard |= MatchKey::kUe;
+  if (header.bs_group.any) wildcard |= MatchKey::kBsGroup;
+  if (header.dst_prefix.any) wildcard |= MatchKey::kDstPrefix;
+  if (header.version.any) wildcard |= MatchKey::kVersion;
+  if ((table.constrained_fields() & wildcard) != 0) {
+    for (const FlowRule& rule : table.rules()) out.push_back(&rule);
+    return false;
+  }
+  MatchKey key;
+  key.mask = MatchKey::kAllFields & ~wildcard;
+  key.in_port = port.value;
+  if (header.labels.empty()) {
+    key.mask &= ~MatchKey::kLabel;
+  } else {
+    key.label = header.labels.back().value;
+  }
+  key.ue = header.ue.value;
+  key.bs_group = header.bs_group.value;
+  key.dst_prefix = header.dst_prefix.value;
+  key.version = static_cast<std::uint32_t>(header.version.value);
+  table.for_each_matching(key, [&](const FlowRule& rule) { out.push_back(&rule); });
+  std::sort(out.begin(), out.end(), [](const FlowRule* a, const FlowRule* b) {
+    return FlowTable::ranks_before(*a, *b);
+  });
+  return true;
+}
+
 }  // namespace
 
-StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin,
-                                                      const FlowRule& seed) const {
+StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin, const FlowRule& seed,
+                                                      TableLookups& lookups) const {
   WalkResult result;
   std::set<std::tuple<int, std::uint64_t, std::uint64_t>> reported;
   auto report = [&](Invariant inv, SwitchId sw, std::uint64_t cookie, std::string detail) {
@@ -153,6 +201,7 @@ StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin,
   std::deque<Branch> branches;
   branches.push_back(std::move(first));
   std::size_t branches_spawned = 1;
+  std::vector<const FlowRule*> candidates;
 
   while (!branches.empty()) {
     Branch b = std::move(branches.front());
@@ -166,11 +215,12 @@ StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin,
       }
       result.touched.insert(b.at.sw);
 
-      std::string key = b.at.sw.str() + ":" + b.at.port.str() + "|" + b.header.state_key();
-      if (!b.visited.insert(std::move(key)).second) {
+      WalkState state{b.at, b.header};
+      if (std::find(b.visited.begin(), b.visited.end(), state) != b.visited.end()) {
         report(Invariant::kLoop, b.at.sw, b.last_cookie, "forwarding state revisited");
         break;
       }
+      b.visited.push_back(std::move(state));
       if (++b.hops > options_.max_walk_hops) {
         report(Invariant::kLoop, b.at.sw, b.last_cookie, "hop guard exceeded");
         break;
@@ -178,7 +228,10 @@ StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin,
 
       // --- symbolic table lookup (no counter side effects) ------------------
       const FlowRule* fired = nullptr;
-      for (const FlowRule& rule : s->table().rules()) {
+      ++(gather_candidates(s->table(), b.header, b.at.port, candidates) ? lookups.index
+                                                                        : lookups.scan);
+      for (const FlowRule* candidate : candidates) {
+        const FlowRule& rule = *candidate;
         MatchVerdict verdict = evaluate_match(rule.match, b.header, b.at.port);
         if (verdict == MatchVerdict::kNo) continue;
         if (verdict == MatchVerdict::kMust) {
@@ -341,21 +394,23 @@ std::vector<Finding> StaticVerifier::per_switch_findings(SwitchId sw,
   std::vector<Finding> out;
   const dataplane::Switch* s = net_->sw(sw);
   if (s == nullptr) return out;
-  const dataplane::FlowTable::RuleView rules = s->table().rules();
+  const FlowTable& table = s->table();
+  const FlowTable::RuleView rules = table.rules();
 
   if (options_.check_shadowing) {
-    // rules() is kept in lookup order (priority desc, specificity desc,
-    // cookie asc): a rule is dead iff an earlier rule match-dominates it.
-    for (std::size_t j = 1; j < rules.size(); ++j) {
-      for (std::size_t i = 0; i < j; ++i) {
-        if (!dominates(rules[i].match, rules[j].match)) continue;
-        out.push_back(Finding{Invariant::kShadowedRule, sw, rules[j].cookie, SwitchId{}, 0,
-                              SliceId{},
-                              "unreachable: dominated by cookie " +
-                                  std::to_string(rules[i].cookie) + " at priority " +
-                                  std::to_string(rules[i].priority)});
-        break;
-      }
+    // A rule is dead iff a rule ranked before it (priority desc, specificity
+    // desc, cookie asc) match-dominates it. Its dominators are exactly the
+    // rules its own match key satisfies; the earliest-ranked one is named.
+    for (const FlowRule& rule : rules) {
+      const FlowRule* first = nullptr;
+      table.for_each_matching(MatchKey::of(rule.match), [&](const FlowRule& other) {
+        if (!FlowTable::ranks_before(other, rule)) return;  // itself, or later
+        if (first == nullptr || FlowTable::ranks_before(other, *first)) first = &other;
+      });
+      if (first == nullptr) continue;
+      out.push_back(Finding{Invariant::kShadowedRule, sw, rule.cookie, SwitchId{}, 0, SliceId{},
+                            "unreachable: dominated by cookie " + std::to_string(first->cookie) +
+                                " at priority " + std::to_string(first->priority)});
     }
   }
 
@@ -460,24 +515,26 @@ VerifyReport StaticVerifier::assemble(const ControlState* state) const {
   return report;
 }
 
+void StaticVerifier::record(const TableLookups& lookups) {
+  obs::MetricsRegistry& reg = obs::default_registry();
+  reg.counter("verify_table_lookups_total", {{"path", "index"}})->inc(lookups.index);
+  reg.counter("verify_table_lookups_total", {{"path", "scan"}})->inc(lookups.scan);
+}
+
 VerifyReport StaticVerifier::verify(const ControlState* state) {
+  TableLookups lookups;
   walks_.clear();
   switch_findings_.clear();
   for (SwitchId sw : net_->all_switches()) {
     const dataplane::Switch* s = net_->sw(sw);
     if (s == nullptr) continue;
-    for (const ClassKey& key : classes_on(sw)) {
-      for (const FlowRule& rule : s->table().rules()) {
-        if (rule.cookie == key.cookie && !rule.match.label) {
-          walks_[key] = walk_class(sw, rule);
-          break;
-        }
-      }
-    }
+    for (const ClassKey& key : classes_on(sw))
+      walks_[key] = walk_class(sw, *s->table().find_by_cookie(key.cookie), lookups);
     auto findings = per_switch_findings(sw, state);
     if (!findings.empty()) switch_findings_[sw] = std::move(findings);
   }
   primed_ = true;
+  record(lookups);
   return assemble(state);
 }
 
@@ -510,16 +567,14 @@ VerifyReport StaticVerifier::reverify(const std::vector<SwitchId>& dirty,
   for (SwitchId sw : dirty_set)
     for (const ClassKey& key : classes_on(sw)) to_walk.insert(key);
 
+  TableLookups lookups;
   for (const ClassKey& key : to_walk) {
     const dataplane::Switch* s = net_->sw(key.sw);
     if (s == nullptr) continue;
-    for (const FlowRule& rule : s->table().rules()) {
-      if (rule.cookie == key.cookie && !rule.match.label) {
-        walks_[key] = walk_class(key.sw, rule);
-        break;
-      }
-    }
+    const FlowRule* seed = s->table().find_by_cookie(key.cookie);
+    if (seed != nullptr && !seed->match.label) walks_[key] = walk_class(key.sw, *seed, lookups);
   }
+  record(lookups);
 
   // Orphan findings depend on the caller-supplied live set, which may have
   // changed anywhere; recompute per-switch checks on every switch when a

@@ -104,7 +104,7 @@ struct ControlState {
   /// path. When `have_live_rules`, any installed rule outside this set is
   /// an orphan (controller/data-plane drift).
   bool have_live_rules = false;
-  std::set<std::pair<SwitchId, std::uint64_t>> live_rules;
+  core::FlatSet<std::pair<SwitchId, std::uint64_t>> live_rules;
 
   struct BearerClaim {
     UeId ue;
@@ -204,9 +204,18 @@ class StaticVerifier {
     std::vector<TagObservation> delivered_tags;  ///< last tag at each delivery
   };
 
+  /// Symbolic table lookups of one pass, by how they were served
+  /// (`verify_table_lookups_total{path}`).
+  struct TableLookups {
+    std::uint64_t index = 0;  ///< probed the match index
+    std::uint64_t scan = 0;   ///< whole ordered table: a wildcard met a constrained field
+  };
+
   /// Classifier rules on `sw` (the equivalence-class seeds there).
   [[nodiscard]] std::vector<ClassKey> classes_on(SwitchId sw) const;
-  WalkResult walk_class(SwitchId sw, const dataplane::FlowRule& rule) const;
+  WalkResult walk_class(SwitchId sw, const dataplane::FlowRule& rule,
+                        TableLookups& lookups) const;
+  static void record(const TableLookups& lookups);
   [[nodiscard]] std::vector<Finding> per_switch_findings(SwitchId sw,
                                                          const ControlState* state) const;
   VerifyReport assemble(const ControlState* state) const;

@@ -192,11 +192,57 @@ TEST_F(VerifierTest, DominatedRuleIsShadowed) {
   EXPECT_TRUE(has_finding(report, Invariant::kShadowedRule, a, 2)) << dump(report);
 }
 
+TEST_F(VerifierTest, WildcardFieldMeetingAConstrainedRuleScansTheWholeTable) {
+  install_chain();  // the classifier binds the UE and leaves dst_prefix wildcard
+  FlowRule narrow;  // b forwards only dst 7 on towards c
+  narrow.cookie = 3;
+  narrow.priority = 20;
+  narrow.match.label = 5;
+  narrow.match.dst_prefix = PrefixId{7};
+  narrow.actions = {output(net.link(bc)->a.port)};
+  ASSERT_TRUE(net.sw(b)->table().install(narrow).ok());
+  FlowRule rest;  // every other destination goes to a dead port
+  rest.cookie = 30;
+  rest.priority = 10;
+  rest.match.label = 5;
+  rest.actions = {output(PortId{999})};
+  ASSERT_TRUE(net.sw(b)->table().install(rest).ok());
+
+  const obs::MetricsRegistry& reg = obs::default_registry();
+  auto lookups = [&](const char* path) {
+    const obs::Counter* n = reg.find_counter("verify_table_lookups_total", {{"path", path}});
+    return n == nullptr ? std::uint64_t{0} : n->value();
+  };
+  const std::uint64_t index_before = lookups("index");
+  const std::uint64_t scan_before = lookups("scan");
+
+  // At b the class splits on dst_prefix: the dst-7 sub-class is delivered,
+  // the residue falls through to cookie 30 and its dead port.
+  VerifyReport report = verify::verify_data_plane(net);
+  ASSERT_EQ(report.findings.size(), 1u) << dump(report);
+  const Finding& f = report.findings[0];
+  EXPECT_EQ(f.invariant, Invariant::kBlackhole);
+  EXPECT_EQ(f.sw, b);
+  EXPECT_EQ(f.cookie, 30u);
+  EXPECT_EQ(f.origin_switch, access);
+  EXPECT_EQ(f.origin_cookie, 1u);
+  EXPECT_EQ(f.detail, "output on unknown/down port " + PortId{999}.str());
+  EXPECT_EQ(report.classes_delivered, 1u);
+  EXPECT_EQ(report.graph_edges, 4u);  // classifier -> a -> b (both rules) -> c
+
+  // Only the wildcard lookup at b scans; the access switch, a, the bound
+  // sub-class's second look at b, and c are served by the index.
+  EXPECT_EQ(lookups("scan") - scan_before, 1u);
+  EXPECT_EQ(lookups("index") - index_before, 4u);
+}
+
 TEST_F(VerifierTest, OrphanRulesAndPathlessBearersNeedControlState) {
   install_chain();
   verify::ControlState state;
   state.have_live_rules = true;
-  state.live_rules = {{access, 1}, {a, 2}, {c, 4}};  // b's rule backs no path
+  state.live_rules.insert({access, 1});  // b's rule backs no path
+  state.live_rules.insert({a, 2});
+  state.live_rules.insert({c, 4});
   state.bearers.push_back({UeId{1}, BearerId{1}, /*active=*/true, /*path_installed=*/false});
   state.bearers.push_back({UeId{2}, BearerId{2}, /*active=*/false, /*path_installed=*/false});
 

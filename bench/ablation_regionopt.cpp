@@ -67,7 +67,6 @@ std::uint64_t southbound_total() {
 void eastwest_load() {
   std::printf("\n--- east-west load of an executed reconfiguration (§5.3) ---\n");
   obs::Tracer& tracer = obs::default_tracer();
-  const sim::Duration kServicePerMessage = sim::Duration::millis(1.0);
 
   auto scenario = build_scenario_timed(topo::small_scenario_params(current_bench_options().seed * 3));
   auto& mp = *scenario->mgmt;
@@ -75,7 +74,7 @@ void eastwest_load() {
   // Phase 1 — drive real handovers so the root accumulates a handover graph.
   std::uint64_t phase_start = southbound_total();
   sim::TimePoint clock = sim::TimePoint::zero();
-  sim::QueueingStation station(kServicePerMessage, "regionopt");
+  sim::QueueingStation station(sim::kControllerServiceTime, "regionopt");
   auto close_phase = [&](const char* name) {
     std::uint64_t messages = southbound_total() - phase_start;
     // The §7.3 queuing model: the control plane processes this phase's

@@ -10,8 +10,6 @@
 namespace softmow::bench {
 namespace {
 
-const sim::Duration kService = sim::Duration::millis(1.0);
-
 void run() {
   print_header("Ablation — scaling with the number of leaf regions",
                "per-controller load shrinks with R; inter-region coupling grows");
@@ -72,7 +70,7 @@ void run() {
     std::uint64_t max_leaf = 0;
     for (reca::Controller* leaf : mp.leaves())
       max_leaf = std::max(max_leaf, leaf->discovery().stats().messages_processed());
-    sim::QueueingStation station(kService);
+    sim::QueueingStation station(sim::kControllerServiceTime);
     sim::TimePoint done = station.submit_burst(sim::TimePoint::zero(), max_leaf);
 
     // Handover coupling: share of all trace handovers that cross regions.

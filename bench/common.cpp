@@ -328,15 +328,13 @@ void attach_probes(topo::Scenario& scenario, faults::RecoveryCoordinator& coord,
   }
 }
 
-ShardedRun::ShardedRun(topo::Scenario& scenario, sim::Duration parent_link_delay,
-                       sim::Duration lookahead)
+ShardedRun::ShardedRun(topo::Scenario& scenario, sim::Duration parent_link_delay)
     : scenario_(&scenario) {
   auto started = std::chrono::steady_clock::now();
   const BenchOptions& opts = current_bench_options();
   std::size_t shards =
       opts.shards > 0 ? opts.shards : scenario.mgmt->natural_shard_count();
   sim::ShardedSimulator::Options engine_opts;
-  engine_opts.lookahead = lookahead;
   // A bench report without profile data answers none of the "which shard is
   // slow" questions it exists for, so --bench-json implies profiling.
   engine_opts.profile = opts.profile || !opts.bench_json.empty();

@@ -116,12 +116,11 @@ void add_setup_wall_ms(double ms);
 /// `--shards` override), binds the scenario's
 /// controllers/hub onto it, and unbinds on destruction so later synchronous
 /// phases are unaffected. `parent_link_delay` is the one-way parent<->child
-/// control-channel latency and must be >= `lookahead`.
+/// control-channel latency and must be >= the engine's 1 ms lookahead.
 class ShardedRun {
  public:
   explicit ShardedRun(topo::Scenario& scenario,
-                      sim::Duration parent_link_delay = sim::Duration::millis(1.0),
-                      sim::Duration lookahead = sim::Duration::millis(1.0));
+                      sim::Duration parent_link_delay = sim::Duration::millis(1.0));
   ~ShardedRun();
   ShardedRun(const ShardedRun&) = delete;
   ShardedRun& operator=(const ShardedRun&) = delete;

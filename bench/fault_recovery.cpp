@@ -57,9 +57,7 @@ void run() {
   recorder.track_quantile("bearer_disruption_ms", 0.95);
 
   ShardedRun sharded(*scenario);
-  faults::RecoveryOptions ropts;
-  ropts.recorder = &recorder;
-  faults::RecoveryCoordinator coord(*scenario, ropts);
+  faults::RecoveryCoordinator coord(*scenario, &recorder);
   coord.harden();
   attach_probes(*scenario, coord, /*first_ue=*/1);
   std::printf("plan '%s' (fault seed %llu): %zu events over %zu leaf regions; "

@@ -18,7 +18,6 @@ constexpr int kSnapshots = 3;
 // time into per-level queueing / processing / propagation.
 constexpr int kBearerBurstPerLeaf = 25;
 const sim::Duration kLeafService = sim::Duration::micros(500);
-const sim::Duration kRootService = sim::Duration::millis(1.0);
 const sim::Duration kHopOneWay = sim::Duration::millis(5.0);
 
 void traced_bearer_setups(mgmt::ManagementPlane& mp) {
@@ -31,7 +30,7 @@ void traced_bearer_setups(mgmt::ManagementPlane& mp) {
   for (reca::Controller* leaf : leaves)
     leaf_q.push_back(std::make_unique<sim::QueueingStation>(kLeafService, leaf->name(),
                                                             leaf->level()));
-  sim::QueueingStation root_q(kRootService, "root", root_level);
+  sim::QueueingStation root_q(sim::kControllerServiceTime, "root", root_level);
 
   SampleSet setup_ms;
   // Round-robin across leaves so the shared root queue sees requests in
@@ -44,7 +43,8 @@ void traced_bearer_setups(mgmt::ManagementPlane& mp) {
       sim::TimePoint at_leaf = leaf_q[l]->submit(t0, kLeafService, op);
       tracer.span_under(op, at_leaf, at_leaf + kHopOneWay, "delegate.up", leaf->level(),
                         leaf->name(), obs::SpanKind::kPropagate);
-      sim::TimePoint at_root = root_q.submit(at_leaf + kHopOneWay, kRootService, op);
+      sim::TimePoint at_root =
+          root_q.submit(at_leaf + kHopOneWay, sim::kControllerServiceTime, op);
       tracer.span_under(op, at_root, at_root + kHopOneWay, "respond.down", root_level,
                         "root", obs::SpanKind::kPropagate);
       sim::TimePoint done = at_root + kHopOneWay;

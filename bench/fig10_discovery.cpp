@@ -19,16 +19,11 @@
 namespace softmow::bench {
 namespace {
 
-// Control-channel and processing constants (a software controller handling
-// ~1k msgs/s, tens of ms of controller-switch RTT).
-const sim::Duration kServicePerMessage = sim::Duration::millis(1.0);
-const sim::Duration kChannelRtt = sim::Duration::millis(30.0);
-
 sim::Duration queue_convergence(std::uint64_t messages, const std::string& station_name) {
-  sim::QueueingStation station(kServicePerMessage, station_name);
+  sim::QueueingStation station(sim::kControllerServiceTime, station_name);
   // Burst at period start.
   sim::TimePoint done = station.submit_burst(sim::TimePoint::zero(), messages);
-  return (done - sim::TimePoint::zero()) + kChannelRtt;
+  return (done - sim::TimePoint::zero()) + sim::kControlRtt;
 }
 
 /// One controller's convergence as a causal subtree under `parent`: a
@@ -41,13 +36,13 @@ sim::TimePoint traced_convergence(std::uint64_t messages, const std::string& nam
   obs::Tracer& tracer = obs::default_tracer();
   obs::TraceContext conv =
       tracer.open_span_under(parent, start, "discovery.convergence", level, name);
-  sim::QueueingStation station(kServicePerMessage, name, level);
+  sim::QueueingStation station(sim::kControllerServiceTime, name, level);
   sim::TimePoint done = start;
   for (std::uint64_t m = 0; m < messages; ++m)
-    done = station.submit(start, kServicePerMessage, conv);  // burst at `start`
-  tracer.span_under(conv, done, done + kChannelRtt, "channel.rtt", level, name,
+    done = station.submit(start, sim::kControllerServiceTime, conv);  // burst at `start`
+  tracer.span_under(conv, done, done + sim::kControlRtt, "channel.rtt", level, name,
                     obs::SpanKind::kPropagate);
-  done = done + kChannelRtt;
+  done = done + sim::kControlRtt;
   tracer.close_span(conv, done, std::to_string(messages) + " messages");
   return done;
 }
@@ -68,7 +63,7 @@ void run() {
     c->discovery().stats_mutable() = nos::DiscoveryStats{};
   }
   {
-    ShardedRun sharded(*scenario, kChannelRtt * 0.5);
+    ShardedRun sharded(*scenario, sim::kControlRtt * 0.5);
     sim::ShardedSimulator& engine = sharded.engine();
     for (reca::Controller* leaf : mp.leaves()) {
       engine.schedule(leaf->shard(), sim::Duration{},

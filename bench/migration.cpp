@@ -62,9 +62,7 @@ std::vector<double> window_loads(topo::Scenario& scenario, std::size_t window) {
 std::size_t run_continuous(topo::Scenario& scenario, sim::ShardedSimulator& engine,
                            migrate::MigrationManager& manager) {
   auto& mp = *scenario.mgmt;
-  migrate::RehomingPolicy policy;
-  policy.max_moves_per_step = 2;
-  migrate::ContinuousRehoming loop(scenario, manager, policy);
+  migrate::ContinuousRehoming loop(scenario, manager);
   constexpr std::size_t kWindows = 4;
 
   std::printf("\n--- continuous re-homing (diurnal replay, %zu x 90 min windows) ---\n",
@@ -161,9 +159,7 @@ LevelResult run_level(const std::string& label, bool with_mid, bool continuous) 
   attach_probes(*scenario, coord, /*first_ue=*/90001);  // clear of any other UE population
   const std::size_t baseline_failures = coord.probe_failures();
 
-  migrate::MigrationOptions mopts;
-  mopts.recorder = &obs::default_timeseries();
-  migrate::MigrationManager manager(*scenario, mopts);
+  migrate::MigrationManager manager(*scenario, &obs::default_timeseries());
 
   std::printf("\n[%s] %zu leaves, %zu baseline probe failures\n", label.c_str(),
               mp.leaf_count(), baseline_failures);

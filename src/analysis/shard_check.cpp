@@ -14,7 +14,7 @@ ShardChecker::ShardChecker() : ShardChecker(Options{}) {}
 ShardChecker::ShardChecker(Options opts) : opts_(opts) {
   assert(!g_session_active && "one ShardChecker session per process");
   g_session_active = true;
-  obs::MetricsRegistry& reg = opts_.registry != nullptr ? *opts_.registry : obs::default_registry();
+  obs::MetricsRegistry& reg = obs::default_registry();
   findings_foreign_write_ =
       reg.counter("analysis_findings_total", {{"kind", "foreign-write"}});
   findings_foreign_read_ = reg.counter("analysis_findings_total", {{"kind", "foreign-read"}});
@@ -62,7 +62,6 @@ bool ShardChecker::clean() const {
 void ShardChecker::record_violation(const AccessViolation& v) {
   Finding f;
   f.kind = v.kind == AccessKind::kRead ? FindingKind::kForeignRead : FindingKind::kForeignWrite;
-  if (f.kind == FindingKind::kForeignRead && !opts_.record_reads) return;
   f.structure = v.structure;
   f.instance = v.instance;
   f.owner = v.owner;

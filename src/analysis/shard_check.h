@@ -38,10 +38,6 @@ class ShardChecker {
   struct Options {
     /// Retain at most this many findings (the audit counters keep counting).
     std::size_t max_findings = 1024;
-    /// Record kForeignRead findings (writes are always recorded).
-    bool record_reads = true;
-    /// Registry for the analysis_* series; nullptr = obs::default_registry().
-    obs::MetricsRegistry* registry = nullptr;
   };
 
   ShardChecker();

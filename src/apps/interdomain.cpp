@@ -47,7 +47,6 @@ void InterdomainApp::originate(const ExternalPathProvider& provider) {
 
 void InterdomainApp::install_and_propagate(ExternalRoute route) {
   controller_->nib().upsert_external_route(route);
-  ++routes_installed_;
 
   if (!controller_->reca().has_parent()) return;
   // Translate the egress endpoint into the parent's view: it is a border

@@ -53,14 +53,11 @@ class InterdomainApp {
   /// against `provider` and installs + propagates them.
   void originate(const ExternalPathProvider& provider);
 
-  [[nodiscard]] std::uint64_t routes_installed() const { return routes_installed_; }
-
  private:
   void register_handlers();
   void install_and_propagate(nos::ExternalRoute route);
 
   reca::Controller* controller_;
-  std::uint64_t routes_installed_ = 0;
 };
 
 }  // namespace softmow::apps

@@ -198,7 +198,6 @@ class MobilityApp {
   [[nodiscard]] WeightedAdjacency<GBsId> exposed_handover_graph() const;
   /// The raw handover log in this controller's own view.
   [[nodiscard]] const WeightedAdjacency<GBsId>& handover_log() const { return handover_log_; }
-  void clear_handover_log() { handover_log_.clear(); }
   /// Recursively fetches and merges the handover graphs of the whole subtree
   /// into this controller's own view (§5.3.1 "fetches all handover graphs").
   [[nodiscard]] WeightedAdjacency<GBsId> collect_handover_graph();

@@ -102,7 +102,6 @@ Result<RegionOptResult> RegionOptApp::optimize_round(
     bool execute) {
   if (controller_->is_leaf())
     return Error{ErrorCode::kInvalidArgument, "leaf controllers have no sub-regions"};
-  ++rounds_;
 
   RegionOptInput input;
   input.graph = mobility_->collect_handover_graph();
@@ -137,22 +136,6 @@ Result<RegionOptResult> RegionOptApp::optimize_round(
     }
   }
   return result;
-}
-
-void optimize_hierarchy(mgmt::ManagementPlane& mgmt,
-                        std::map<ControllerId, RegionOptApp*>& apps,
-                        const RegionOptConstraints& constraints,
-                        const std::map<GBsId, double>& loads, bool execute) {
-  // §5.3: "we should run the handover optimization algorithm first at the
-  // root. Once the root is done, all controllers at level n-1 can run the
-  // optimization in parallel, and similarly for the levels below."
-  auto run = [&](reca::Controller* c) {
-    auto it = apps.find(c->id());
-    if (it != apps.end()) (void)it->second->optimize_round(constraints, loads, execute);
-  };
-  run(&mgmt.root());
-  for (reca::Controller* mid : mgmt.mids()) run(mid);
-  // Leaves have no sub-regions; nothing to run at level 1.
 }
 
 }  // namespace softmow::apps

@@ -87,20 +87,10 @@ class RegionOptApp {
                                          const std::map<GBsId, double>& loads,
                                          bool execute);
 
-  [[nodiscard]] std::uint64_t rounds_run() const { return rounds_; }
-
  private:
   reca::Controller* controller_;
   MobilityApp* mobility_;
   mgmt::ManagementPlane* mgmt_;
-  std::uint64_t rounds_ = 0;
 };
-
-/// §5.3: run optimization top-down — the root first, then each level below
-/// (controllers within a level could run in parallel).
-void optimize_hierarchy(mgmt::ManagementPlane& mgmt,
-                        std::map<ControllerId, RegionOptApp*>& apps,
-                        const RegionOptConstraints& constraints,
-                        const std::map<GBsId, double>& loads, bool execute);
 
 }  // namespace softmow::apps

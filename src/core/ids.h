@@ -131,8 +131,6 @@ class IdAllocator {
     if (floor.valid() && floor.value >= next_) next_ = floor.value + 1;
   }
 
-  [[nodiscard]] std::uint64_t next_raw() const { return next_; }
-
  private:
   std::uint64_t next_ = 0;
 };

@@ -37,11 +37,6 @@ class Rng {
   double normal(double mean, double stddev) {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
-  /// Normal truncated below at `floor`.
-  double normal_at_least(double mean, double stddev, double floor) {
-    double v = normal(mean, stddev);
-    return v < floor ? floor : v;
-  }
   std::uint64_t poisson(double mean) {
     return static_cast<std::uint64_t>(std::poisson_distribution<long>(mean)(engine_));
   }

@@ -41,8 +41,6 @@ class WeightedAdjacency {
     edges_[ordered(a, b)] = weight;
   }
 
-  void remove_edge(IdT a, IdT b) { edges_.erase(ordered(a, b)); }
-
   void remove_node(IdT node) {
     nodes_.erase(node);
     std::vector<std::pair<IdT, IdT>> doomed;

@@ -174,7 +174,7 @@ Result<void> FlowTable::install(FlowRule rule) {
   next_.push_back(kNoSlot);
   by_cookie_.try_emplace(rules_.back().cookie, slot);
   link(slot, key);
-  order_.push_back(slot);
+  if (!order_stale_) order_.push_back(slot);
   order_dirty_ = true;
   return Ok();
 }
@@ -234,10 +234,8 @@ void FlowTable::remove_slot(std::uint32_t slot) {
   }
   rules_.pop_back();
   next_.pop_back();
-  // Rebuild the order lazily: slot identities just changed under it.
-  order_.resize(rules_.size());
-  for (std::uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
-  order_dirty_ = true;
+  // Slot identities just changed under the order: the next view rebuilds it.
+  order_stale_ = true;
 }
 
 Result<std::size_t> FlowTable::remove_by_cookie(std::uint64_t cookie) {
@@ -272,10 +270,17 @@ void FlowTable::clear() {
   for (std::uint8_t mask : masks_) mask_count_[mask] = 0;
   masks_.clear();
   order_.clear();
+  order_stale_ = false;
   order_dirty_ = false;
 }
 
 void FlowTable::ensure_sorted() const {
+  if (order_stale_) {
+    order_.resize(rules_.size());
+    for (std::uint32_t i = 0; i < order_.size(); ++i) order_[i] = i;
+    order_stale_ = false;
+    order_dirty_ = true;
+  }
   if (!order_dirty_) return;
   std::sort(order_.begin(), order_.end(), [this](std::uint32_t a, std::uint32_t b) {
     return ranks_before(rules_[a], rules_[b]);

@@ -135,8 +135,9 @@ struct MatchKeyHash {
 /// static verifier's walk and shadow check) probe one bucket per present
 /// mask instead of scanning the table. The priority order is a lazily
 /// rebuilt index of u32 slots for the `rules()` view: installs during a
-/// bearer-setup burst never sort; the first view after a mutation sorts
-/// once.
+/// bearer-setup burst append without sorting, a removal only marks the
+/// index stale (swap-pop moved a slot under it), and the first view after
+/// a mutation rebuilds and sorts it once.
 class FlowTable {
  public:
   /// Priority-ordered, read-only view over the table (no copy). Invalidated
@@ -276,8 +277,10 @@ class FlowTable {
   std::vector<std::uint32_t> next_;  ///< per slot: next rule with the same match | kHead
   std::uint32_t mask_count_[MatchKey::kAllFields + 1] = {};  ///< rules per match mask
   std::vector<std::uint8_t> masks_;  ///< masks with a non-zero count, in arrival order
-  /// Lazily maintained priority order over slots (see class comment).
+  /// Lazily maintained priority order over slots (see class comment):
+  /// stale = rebuild from every slot, dirty = holds every slot, unsorted.
   mutable std::vector<std::uint32_t> order_;
+  mutable bool order_stale_ = false;
   mutable bool order_dirty_ = false;
   analysis::ShardGuard guard_{"flowtable", 0};
 };

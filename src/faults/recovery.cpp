@@ -14,8 +14,25 @@ namespace softmow::faults {
 using sim::Duration;
 using sim::TimePoint;
 
-RecoveryCoordinator::RecoveryCoordinator(topo::Scenario& scenario, RecoveryOptions opts)
-    : scenario_(&scenario), opts_(opts) {
+namespace {
+
+// Detection delays stand in for the liveness machinery the harness does not
+// model per packet: BFD on links, echo timeouts on switches, standby
+// heartbeats on controllers, and the periodic slice-isolation audit that
+// spots rogue rules. An impaired channel shows up at the first barrier
+// retry timeout.
+constexpr Duration kLinkDetect = Duration::millis(15);
+constexpr Duration kCrashDetect = Duration::millis(90);
+constexpr Duration kControllerDetect = Duration::millis(200);
+constexpr Duration kAuditDetect = Duration::millis(120);
+/// Modeled standby-promotion cost (keeps the failover span deterministic).
+constexpr Duration kPromoteDuration = Duration::millis(50);
+
+}  // namespace
+
+RecoveryCoordinator::RecoveryCoordinator(topo::Scenario& scenario,
+                                         obs::TimeSeriesRecorder* recorder)
+    : scenario_(&scenario), recorder_(recorder) {
   mgmt::ManagementPlane& mp = *scenario_->mgmt;
   for (std::size_t i = 0; i < mp.leaf_count(); ++i) {
     standbys_.push_back(std::make_unique<mgmt::HotStandby>(mp.leaf(i), mp.hub()));
@@ -30,7 +47,7 @@ RecoveryCoordinator::RecoveryCoordinator(topo::Scenario& scenario, RecoveryOptio
 void RecoveryCoordinator::harden() {
   for (reca::Controller* c : scenario_->mgmt->all_controllers()) {
     c->set_self_healing(true);
-    c->set_reliable_delivery(true, opts_.retry);
+    c->set_reliable_delivery(true);
   }
 }
 
@@ -116,19 +133,19 @@ Duration RecoveryCoordinator::detection_for(FaultKind kind) const {
   switch (kind) {
     case FaultKind::kLinkDown:
     case FaultKind::kLinkUp:
-      return opts_.link_detect;
+      return kLinkDetect;
     case FaultKind::kSwitchCrash:
     case FaultKind::kSwitchRestart:
-      return opts_.crash_detect;
+      return kCrashDetect;
     case FaultKind::kControllerCrash:
-      return opts_.controller_detect;
+      return kControllerDetect;
     case FaultKind::kChannelImpair:
     case FaultKind::kChannelClear:
-      return opts_.retry.base_timeout;
+      return reca::Controller::kRetryBaseTimeout;
     case FaultKind::kRogueRule:
-      return opts_.audit_detect;
+      return kAuditDetect;
   }
-  return opts_.link_detect;
+  return kLinkDetect;
 }
 
 void RecoveryCoordinator::drain_engine() {
@@ -161,7 +178,7 @@ void RecoveryCoordinator::apply_mutation(const FaultEvent& ev) {
       break;  // the failover *is* the recovery
     case FaultKind::kChannelImpair: {
       reca::Controller& leaf = mp.leaf(ev.leaf);
-      leaf.set_reliable_delivery(true, opts_.retry);
+      leaf.set_reliable_delivery(true);
       leaf.set_device_impairment(ev.impair, plan_seed_);
       break;
     }
@@ -209,8 +226,8 @@ void RecoveryCoordinator::dispatch_recovery(const FaultEvent& ev, FaultRecord& r
       // The plane rebinds its own shards; the apps follow the fresh leaf and
       // a new standby starts watching it.
       scenario_->apps->rebind(
-          mp.fail_over_leaf(ev.leaf, *standbys_[ev.leaf], ev.at, opts_.promote_duration));
-      refresh_standbys(ev.at + opts_.promote_duration);
+          mp.fail_over_leaf(ev.leaf, *standbys_[ev.leaf], ev.at, kPromoteDuration));
+      refresh_standbys(ev.at + kPromoteDuration);
       break;
     }
     case FaultKind::kChannelImpair:
@@ -297,7 +314,7 @@ void RecoveryCoordinator::finish_record(const FaultEvent& ev, FaultRecord& rec,
   Duration queue_total{};
   int levels = 0;
   for (const auto& [level, mx] : level_max) {
-    sim::QueueingStation station(opts_.service_per_message,
+    sim::QueueingStation station(sim::kControllerServiceTime,
                                  std::string("fault-") + kind_name + "-l" +
                                      std::to_string(level),
                                  level);
@@ -307,18 +324,18 @@ void RecoveryCoordinator::finish_record(const FaultEvent& ev, FaultRecord& rec,
   }
   if (levels == 0) levels = 1;
   Duration mttr =
-      outage + detect + queue_total + opts_.channel_rtt * static_cast<double>(levels);
+      outage + detect + queue_total + sim::kControlRtt * static_cast<double>(levels);
 
   // Flat baseline: one controller serves the entire recovery load, and it
   // sits where the root sits — every control-channel exchange with a
   // physical switch crosses the full hierarchy depth of parent links, while
   // a leaf is one local RTT from its own region.
-  sim::QueueingStation flat(opts_.service_per_message,
+  sim::QueueingStation flat(sim::kControllerServiceTime,
                             std::string("fault-") + kind_name + "-flat", 0);
   TimePoint flat_done = flat.submit_burst(TimePoint::zero(), total);
   double depth = static_cast<double>(mp.root().level() > 0 ? mp.root().level() : 1);
   Duration mttr_flat =
-      outage + detect + (flat_done - TimePoint::zero()) + opts_.channel_rtt * depth;
+      outage + detect + (flat_done - TimePoint::zero()) + sim::kControlRtt * depth;
 
   rec.mttr_ms = mttr.to_millis();
   rec.mttr_flat_ms = mttr_flat.to_millis();
@@ -328,7 +345,7 @@ void RecoveryCoordinator::finish_record(const FaultEvent& ev, FaultRecord& rec,
       {{"kind", kind_name}});
   recovery_hist->observe(rec.mttr_ms);
   for (std::size_t i = 0; i < rec.bearers_disrupted; ++i) disruption_ms_->observe(rec.mttr_ms);
-  if (opts_.recorder != nullptr) opts_.recorder->force_sample(ev.at + mttr);
+  if (recorder_ != nullptr) recorder_->force_sample(ev.at + mttr);
 
   obs::Tracer& tracer = obs::default_tracer();
   tracer.span_under(span, ev.at, ev.at + detect, "fault.detect", 0, "faults",

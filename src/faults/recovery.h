@@ -26,28 +26,6 @@
 
 namespace softmow::faults {
 
-/// Deterministic recovery-model parameters. Detection delays stand in for
-/// the liveness machinery the harness does not model per-packet (BFD on
-/// links, echo timeouts on switches, standby heartbeats on controllers);
-/// service/RTT match the Fig. 10 queueing model.
-struct RecoveryOptions {
-  sim::Duration service_per_message = sim::Duration::millis(1);
-  sim::Duration channel_rtt = sim::Duration::millis(30);
-  sim::Duration link_detect = sim::Duration::millis(15);
-  sim::Duration crash_detect = sim::Duration::millis(90);
-  sim::Duration controller_detect = sim::Duration::millis(200);
-  /// Interval of the periodic slice-isolation audit that spots rogue rules.
-  sim::Duration audit_detect = sim::Duration::millis(120);
-  /// Modeled standby-promotion cost (keeps the failover span deterministic).
-  sim::Duration promote_duration = sim::Duration::millis(50);
-  reca::Controller::RetryPolicy retry;  ///< used when hardening impaired leaves
-  /// When set, finish_record() force-samples this recorder at each
-  /// recovery's modeled completion instant, so `recovery_ms{kind}` quantile
-  /// series land in the exported v3 `timeseries` array as (sim-time, value)
-  /// points rather than end-of-run totals.
-  obs::TimeSeriesRecorder* recorder = nullptr;
-};
-
 /// A data-plane liveness probe: one active bearer's uplink flow.
 struct BearerProbe {
   UeId ue;
@@ -80,12 +58,17 @@ class RecoveryCoordinator {
  public:
   /// Recovery rides the engine the scenario's management plane is bound to
   /// (ManagementPlane::engine()); an unbound plane recovers fully
-  /// synchronously, the mode unit tests use.
-  explicit RecoveryCoordinator(topo::Scenario& scenario, RecoveryOptions opts = {});
+  /// synchronously, the mode unit tests use. When `recorder` is set,
+  /// finish_record() force-samples it at each recovery's modeled completion
+  /// instant, so `recovery_ms{kind}` quantile series land in the exported v3
+  /// `timeseries` array as (sim-time, value) points rather than end-of-run
+  /// totals.
+  explicit RecoveryCoordinator(topo::Scenario& scenario,
+                               obs::TimeSeriesRecorder* recorder = nullptr);
 
   /// Turns on the §6 hardening across the whole hierarchy: self-healing
   /// re-routing on PortStatus and barrier-acknowledged reliable batch
-  /// delivery with this coordinator's retry policy.
+  /// delivery.
   void harden();
 
   /// Registers a bearer's uplink flow as a liveness probe.
@@ -106,8 +89,6 @@ class RecoveryCoordinator {
   /// only open an outage (kSwitchCrash — its repair is measured by the
   /// matching kSwitchRestart).
   std::optional<FaultRecord> execute(const FaultEvent& ev);
-
-  [[nodiscard]] const RecoveryOptions& options() const { return opts_; }
 
  private:
   struct Baseline {
@@ -133,7 +114,7 @@ class RecoveryCoordinator {
   void refresh_standbys(sim::TimePoint at);
 
   topo::Scenario* scenario_;
-  RecoveryOptions opts_;
+  obs::TimeSeriesRecorder* recorder_;
   std::uint64_t plan_seed_ = 1;
   std::vector<std::unique_ptr<mgmt::HotStandby>> standbys_;  ///< one per leaf
   std::vector<BearerProbe> probes_;

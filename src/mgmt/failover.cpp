@@ -81,7 +81,6 @@ std::unique_ptr<reca::Controller> HotStandby::promote(
     }
     standby->run_link_discovery();
   });
-  ++promotions_;
   promotions_metric_->inc();
   promote_us_metric_->observe(us);
   tracer.close_span(root, at + modeled_duration.value_or(sim::Duration::micros(us)),

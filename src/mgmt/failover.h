@@ -59,7 +59,6 @@ class HotStandby {
   std::unique_ptr<reca::Controller> promote(
       sim::TimePoint at = sim::TimePoint::zero(),
       std::optional<sim::Duration> modeled_duration = std::nullopt);
-  [[nodiscard]] std::uint64_t promotions() const { return promotions_; }
 
  private:
   southbound::Hub* hub_;
@@ -73,7 +72,6 @@ class HotStandby {
   Checkpoint ckpt_;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t last_sync_bytes_ = 0;
-  std::uint64_t promotions_ = 0;
   reca::Controller* master_;
   obs::Counter* checkpoints_metric_;   ///< failover_checkpoints_total
   obs::Counter* bytes_metric_;         ///< failover_checkpoint_bytes_total

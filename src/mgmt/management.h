@@ -19,6 +19,7 @@
 #include "dataplane/network.h"
 #include "mgmt/failover.h"
 #include "reca/controller.h"
+#include "sim/simulator.h"
 #include "southbound/switch_agent.h"
 #include "verify/verifier.h"
 
@@ -53,7 +54,7 @@ struct HierarchySpec {
 /// functions of the topology and never of placement.
 struct LeafPlacement {
   std::string site = "core";
-  sim::Duration control_rtt = sim::Duration::millis(30);
+  sim::Duration control_rtt = sim::kControlRtt;
 
   friend bool operator==(const LeafPlacement&, const LeafPlacement&) = default;
 };

@@ -9,6 +9,20 @@
 
 namespace softmow::migrate {
 
+namespace {
+
+/// Modeled cost of the window barrier that fences the flip.
+constexpr sim::Duration kFlipBarrier = sim::Duration::millis(5);
+/// Checkpoint stream rate between sites (KB per modeled millisecond).
+constexpr double kStreamKbPerMs = 64.0;
+/// Modeled cost of pre-warming one southbound standby session.
+constexpr sim::Duration kSessionPrewarm = sim::Duration::millis(2);
+/// Catch-up rounds before the flip stops waiting and ships the remainder
+/// inside the window.
+constexpr int kMaxCatchupRounds = 4;
+
+}  // namespace
+
 const char* phase_name(Phase p) {
   switch (p) {
     case Phase::kIdle: return "idle";
@@ -23,8 +37,9 @@ const char* phase_name(Phase p) {
   return "unknown";
 }
 
-MigrationManager::MigrationManager(topo::Scenario& scenario, MigrationOptions opts)
-    : scenario_(&scenario), opts_(opts) {
+MigrationManager::MigrationManager(topo::Scenario& scenario,
+                                   obs::TimeSeriesRecorder* recorder)
+    : scenario_(&scenario), recorder_(recorder) {
   obs::MetricsRegistry& reg = obs::default_registry();
   disruption_ms_ = reg.histogram("migration_disruption_ms",
                                  obs::Histogram::exponential_bounds(1.0, 2.0, 24));
@@ -45,7 +60,7 @@ void MigrationManager::finish_phase(Active& a, Phase p, double ms) {
       .histogram("migration_ms", obs::Histogram::exponential_bounds(1.0, 2.0, 24),
                  {{"phase", phase_name(p)}})
       ->observe(ms);
-  if (opts_.recorder != nullptr) opts_.recorder->force_sample(a.clock);
+  if (recorder_ != nullptr) recorder_->force_sample(a.clock);
 }
 
 void MigrationManager::close_cycle(Active& a, Phase final_phase, const std::string& detail) {
@@ -96,7 +111,7 @@ Result<void> MigrationManager::stream_snapshot() {
   a.rec.devices = a.base.devices.size();
   a.rec.bytes_snapshot = a.base.estimated_bytes();
   double stream_ms =
-      static_cast<double>(a.rec.bytes_snapshot) / (1024.0 * opts_.stream_kb_per_ms);
+      static_cast<double>(a.rec.bytes_snapshot) / (1024.0 * kStreamKbPerMs);
   a.rec.snapshot_ms = a.placement.control_rtt.to_millis() + stream_ms;
   finish_phase(a, Phase::kSnapshot, a.rec.snapshot_ms);
   a.phase = Phase::kCatchUp;
@@ -121,7 +136,7 @@ Result<void> MigrationManager::catch_up() {
       a.prewarmed.push_back(sw);
     }
     prewarm_ms =
-        static_cast<double>(a.prewarmed.size()) * opts_.session_prewarm.to_millis();
+        static_cast<double>(a.prewarmed.size()) * kSessionPrewarm.to_millis();
   }
 
   mgmt::CheckpointDelta delta = mgmt::delta_since(a.base, source);
@@ -129,7 +144,7 @@ Result<void> MigrationManager::catch_up() {
   if (!delta.empty()) {
     a.rec.bytes_delta += delta.estimated_bytes();
     stream_ms =
-        static_cast<double>(delta.estimated_bytes()) / (1024.0 * opts_.stream_kb_per_ms);
+        static_cast<double>(delta.estimated_bytes()) / (1024.0 * kStreamKbPerMs);
     mgmt::apply_delta(a.base, delta);
     mgmt::restore_checkpoint(*a.target, a.base);
   }
@@ -139,7 +154,7 @@ Result<void> MigrationManager::catch_up() {
   a.rec.catchup_rounds += 1;
   a.rec.catchup_ms += round_ms;
   finish_phase(a, Phase::kCatchUp, round_ms);
-  if (delta.empty() || a.rec.catchup_rounds >= opts_.max_catchup_rounds)
+  if (delta.empty() || a.rec.catchup_rounds >= kMaxCatchupRounds)
     a.phase = Phase::kReady;
   return Ok();
 }
@@ -160,11 +175,11 @@ Result<void> MigrationManager::flip() {
   // Whatever trickled in since the last catch-up round ships inside the
   // window — it is the only state transfer that counts as disruption.
   mgmt::CheckpointDelta delta = mgmt::delta_since(a.base, source);
-  double window_ms = opts_.flip_barrier.to_millis();
+  double window_ms = kFlipBarrier.to_millis();
   if (!delta.empty()) {
     a.rec.bytes_delta += delta.estimated_bytes();
     window_ms +=
-        static_cast<double>(delta.estimated_bytes()) / (1024.0 * opts_.stream_kb_per_ms);
+        static_cast<double>(delta.estimated_bytes()) / (1024.0 * kStreamKbPerMs);
     mgmt::apply_delta(a.base, delta);
     mgmt::restore_checkpoint(*a.target, a.base);
   }
@@ -177,7 +192,7 @@ Result<void> MigrationManager::flip() {
   // Per-device role promotions drain through one station inside the window
   // (the Fig. 10 queueing idiom), then the parent's re-adoption costs one
   // control RTT to the new site.
-  sim::QueueingStation station(opts_.service_per_message, "migrate-flip", 1);
+  sim::QueueingStation station(sim::kControllerServiceTime, "migrate-flip", 1);
   sim::TimePoint window_start = a.clock;
   sim::TimePoint done = station.submit_burst(window_start, a.rec.devices);
   window_ms += (done - window_start).to_millis();

@@ -57,25 +57,6 @@ enum class Phase {
 /// Short stable tag ("idle", "snapshot", ...), used as the metric label.
 [[nodiscard]] const char* phase_name(Phase p);
 
-/// Deterministic migration-model parameters.
-struct MigrationOptions {
-  /// Per-message service time of the flip-window queueing model (matches
-  /// the Fig. 10 / RecoveryOptions value).
-  sim::Duration service_per_message = sim::Duration::millis(1);
-  /// Modeled cost of the window barrier that fences the flip.
-  sim::Duration flip_barrier = sim::Duration::millis(5);
-  /// Checkpoint stream rate between sites (KB per modeled millisecond).
-  double stream_kb_per_ms = 64.0;
-  /// Modeled cost of pre-warming one southbound standby session.
-  sim::Duration session_prewarm = sim::Duration::millis(2);
-  /// Catch-up rounds before the flip stops waiting and ships the remainder
-  /// inside the window.
-  int max_catchup_rounds = 4;
-  /// When set, force-sampled at each phase's modeled completion so
-  /// `migration_ms{phase}` series land in the v3 `timeseries` array.
-  obs::TimeSeriesRecorder* recorder = nullptr;
-};
-
 /// What one migration cycle did, plus the modeled timings.
 struct MigrationRecord {
   std::size_t leaf = 0;
@@ -106,7 +87,11 @@ class MigrationManager {
   /// Every phase first drains the engine the scenario's management plane
   /// is bound to (ManagementPlane::engine()), so mutations land at
   /// barriers; an unbound plane migrates fully synchronously (unit tests).
-  explicit MigrationManager(topo::Scenario& scenario, MigrationOptions opts = {});
+  /// When `recorder` is set, it is force-sampled at each phase's modeled
+  /// completion so `migration_ms{phase}` series land in the v3 `timeseries`
+  /// array.
+  explicit MigrationManager(topo::Scenario& scenario,
+                            obs::TimeSeriesRecorder* recorder = nullptr);
 
   // --- phased API (callback-sequenced by the caller) -------------------------
   /// Opens a cycle for `leaf`. Errors: kNotFound (no such leaf), kConflict
@@ -143,7 +128,6 @@ class MigrationManager {
   [[nodiscard]] const std::vector<MigrationRecord>& records() const { return records_; }
   [[nodiscard]] std::size_t completed() const;
   [[nodiscard]] std::size_t aborted() const;
-  [[nodiscard]] const MigrationOptions& options() const { return opts_; }
 
  private:
   struct Active {
@@ -164,7 +148,7 @@ class MigrationManager {
   void close_cycle(Active& a, Phase final_phase, const std::string& detail);
 
   topo::Scenario* scenario_;
-  MigrationOptions opts_;
+  obs::TimeSeriesRecorder* recorder_;
   std::unique_ptr<Active> active_;
   std::vector<MigrationRecord> records_;
   obs::Histogram* disruption_ms_;  ///< migration_disruption_ms

@@ -4,13 +4,29 @@
 #include <span>
 #include <string>
 
+#include "apps/region_opt.h"
 #include "core/log.h"
+#include "sim/simulator.h"
 
 namespace softmow::migrate {
 
-ContinuousRehoming::ContinuousRehoming(topo::Scenario& scenario, MigrationManager& manager,
-                                       RehomingPolicy policy)
-    : scenario_(&scenario), manager_(&manager), policy_(policy) {}
+namespace {
+
+/// A leaf is "hot" when its load share reaches kHotFactor x the mean share,
+/// "cold" when it falls to kColdFactor x the mean.
+constexpr double kHotFactor = 1.25;
+constexpr double kColdFactor = 0.75;
+/// Control RTT of a region-local site; the central "core" site is
+/// sim::kControlRtt away.
+constexpr sim::Duration kLocalRtt = sim::Duration::millis(6);
+/// Migrations per step: few cycles at a time keep the control plane stable
+/// while the loop converges over multiple windows.
+constexpr std::size_t kMaxMovesPerStep = 2;
+
+}  // namespace
+
+ContinuousRehoming::ContinuousRehoming(topo::Scenario& scenario, MigrationManager& manager)
+    : scenario_(&scenario), manager_(&manager) {}
 
 Result<std::size_t> ContinuousRehoming::step(const std::vector<double>& leaf_load,
                                              sim::TimePoint at) {
@@ -37,7 +53,7 @@ Result<std::size_t> ContinuousRehoming::step(const std::vector<double>& leaf_loa
     for (GBsId g : groups) gbs_load[g] = share;
   }
   if (apps::RegionOptApp* opt = scenario_->apps->region_opt(mp.root())) {
-    auto round = opt->optimize_round(policy_.constraints, gbs_load, /*execute=*/false);
+    auto round = opt->optimize_round(apps::RegionOptConstraints{}, gbs_load, /*execute=*/false);
     if (!round.ok()) return round.error();
   }
 
@@ -46,18 +62,18 @@ Result<std::size_t> ContinuousRehoming::step(const std::vector<double>& leaf_loa
   // resolves deterministically.
   const double mean = total / static_cast<double>(mp.leaf_count());
   std::size_t moves = 0;
-  for (std::size_t i = 0; i < mp.leaf_count() && moves < policy_.max_moves_per_step; ++i) {
+  for (std::size_t i = 0; i < mp.leaf_count() && moves < kMaxMovesPerStep; ++i) {
     const mgmt::LeafPlacement& current = mp.leaf_placement(i);
     const std::string local_site = "site-" + mp.leaf(i).name();
-    if (leaf_load[i] >= policy_.hot_factor * mean && current.site != local_site) {
-      auto rec = manager_->migrate_leaf(i, {local_site, policy_.local_rtt}, at);
+    if (leaf_load[i] >= kHotFactor * mean && current.site != local_site) {
+      auto rec = manager_->migrate_leaf(i, {local_site, kLocalRtt}, at);
       if (!rec.ok()) return rec.error();
       ++moves;
       ++rehomings_;
       SOFTMOW_LOG(LogLevel::kInfo, "migrate")
           << "re-homed hot leaf " << rec->leaf_name << " to " << local_site;
-    } else if (leaf_load[i] <= policy_.cold_factor * mean && current.site != "core") {
-      auto rec = manager_->migrate_leaf(i, {"core", policy_.central_rtt}, at);
+    } else if (leaf_load[i] <= kColdFactor * mean && current.site != "core") {
+      auto rec = manager_->migrate_leaf(i, {"core", sim::kControlRtt}, at);
       if (!rec.ok()) return rec.error();
       ++moves;
       ++rehomings_;

@@ -10,36 +10,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "apps/region_opt.h"
 #include "core/result.h"
 #include "migrate/migration.h"
 #include "topo/scenario.h"
 
 namespace softmow::migrate {
 
-struct RehomingPolicy {
-  /// A leaf is "hot" when its load share reaches hot_factor x the mean
-  /// share, "cold" when it falls to cold_factor x the mean.
-  double hot_factor = 1.25;
-  double cold_factor = 0.75;
-  /// Control RTT of a region-local site vs the central one.
-  sim::Duration local_rtt = sim::Duration::millis(6);
-  sim::Duration central_rtt = sim::Duration::millis(30);
-  /// At most this many migrations per step (one cycle at a time keeps the
-  /// control plane stable while the loop converges over multiple windows).
-  std::size_t max_moves_per_step = 1;
-  /// Constraints for the advisory region-optimization round that runs
-  /// before each placement decision (§7.4 defaults).
-  apps::RegionOptConstraints constraints;
-};
-
 /// Drives MigrationManager from load observations. One step() per replay
 /// window: run the §5.3 gain function at the root (advisory — the G-BS
-/// moves themselves stay with the apps), then re-home hot/cold leaves.
+/// moves themselves stay with the apps), then re-home hot leaves to a
+/// region-local site and cold ones back to the "core" site, a few per step.
 class ContinuousRehoming {
  public:
-  ContinuousRehoming(topo::Scenario& scenario, MigrationManager& manager,
-                     RehomingPolicy policy = {});
+  ContinuousRehoming(topo::Scenario& scenario, MigrationManager& manager);
 
   /// `leaf_load[i]` is leaf i's observed control load over the last window
   /// (any consistent unit; only shares matter). Returns how many
@@ -52,7 +35,6 @@ class ContinuousRehoming {
  private:
   topo::Scenario* scenario_;
   MigrationManager* manager_;
-  RehomingPolicy policy_;
   std::uint64_t rehomings_ = 0;
   std::uint64_t steps_ = 0;
 };

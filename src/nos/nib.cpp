@@ -256,13 +256,6 @@ void Nib::upsert_middlebox(southbound::GMiddleboxAnnounce info) {
   bump();
 }
 
-Result<void> Nib::remove_middlebox(MiddleboxId id) {
-  if (middleboxes_.erase(id) == 0)
-    return {ErrorCode::kNotFound, "no such middlebox " + id.str()};
-  bump();
-  return Ok();
-}
-
 const southbound::GMiddleboxAnnounce* Nib::middlebox(MiddleboxId id) const {
   return middleboxes_.find_value(id);
 }

@@ -125,7 +125,6 @@ class Nib {
 
   // --- middleboxes -----------------------------------------------------------
   void upsert_middlebox(southbound::GMiddleboxAnnounce info);
-  Result<void> remove_middlebox(MiddleboxId id);
   [[nodiscard]] const southbound::GMiddleboxAnnounce* middlebox(MiddleboxId id) const;
   /// Middlebox IDs in ascending order; view valid until the next mutation.
   [[nodiscard]] std::span<const MiddleboxId> middleboxes() const;

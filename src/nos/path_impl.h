@@ -163,9 +163,6 @@ class PathImplementer {
   [[nodiscard]] std::vector<PathId> paths() const;
   [[nodiscard]] std::size_t active_count() const;
 
-  /// Labels allocated so far (monotone; labels are not recycled).
-  [[nodiscard]] std::uint64_t labels_allocated() const { return next_label_; }
-
   /// Live tag aggregates (policy-tag encapsulation), keyed by tag value.
   [[nodiscard]] const std::map<std::uint32_t, TagAggregate>& aggregates() const {
     return aggregates_;

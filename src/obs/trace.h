@@ -143,7 +143,6 @@ class Tracer {
   [[nodiscard]] const TraceSpan* find_span(std::uint64_t span_id) const;
   /// Closed children of `span_id`, in recording order.
   [[nodiscard]] std::vector<const TraceSpan*> children_of(std::uint64_t span_id) const;
-  [[nodiscard]] std::size_t open_span_count() const { return open_.size(); }
 
   // --- sharded execution ----------------------------------------------------
   /// Starts span/trace-id allocation at `base` instead of 1. The sharded

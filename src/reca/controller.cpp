@@ -112,11 +112,8 @@ Result<void> Controller::send_batch(SwitchId sw, std::span<const Message> batch)
   return Ok();
 }
 
-void Controller::set_reliable_delivery(bool on) { set_reliable_delivery(on, RetryPolicy{}); }
-
-void Controller::set_reliable_delivery(bool on, RetryPolicy policy) {
+void Controller::set_reliable_delivery(bool on) {
   reliable_ = on;
-  retry_policy_ = policy;
   if (!on) pending_acks_.clear();
 }
 
@@ -127,7 +124,7 @@ Result<void> Controller::send_reliable(SwitchId sw, southbound::Channel* ch,
   std::uint64_t xid = (id_.value << 32) | (barrier_seq_++ & 0xffffffffULL);
   msgs.push_back(southbound::BarrierRequest{Xid{xid}});
   pending_acks_.emplace(
-      xid, PendingAck{sw, std::move(msgs), 1, retry_policy_.base_timeout});
+      xid, PendingAck{sw, std::move(msgs), 1, kRetryBaseTimeout});
   if (sim::ShardedSimulator::engine_active(engine_)) {
     auto p = pending_acks_.find(xid);
     ch->send_to_device(std::vector<Message>(p->second.batch));
@@ -141,7 +138,7 @@ Result<void> Controller::send_reliable(SwitchId sw, southbound::Channel* ch,
     if (p == pending_acks_.end()) return Ok();  // acked
     ch->send_to_device(std::vector<Message>(p->second.batch));
     if (pending_acks_.find(xid) == pending_acks_.end()) return Ok();
-    if (attempt >= retry_policy_.max_attempts) {
+    if (attempt >= kRetryMaxAttempts) {
       pending_acks_.erase(xid);
       retry_exhausted_metric_->inc();
       SOFTMOW_LOG(LogLevel::kWarn, "controller")
@@ -158,7 +155,7 @@ void Controller::arm_retry_timer(std::uint64_t xid) {
   engine_->schedule(shard_, it->second.timeout, [this, xid] {
     auto p = pending_acks_.find(xid);
     if (p == pending_acks_.end()) return;  // acked while the timer ran
-    if (p->second.attempts >= retry_policy_.max_attempts) {
+    if (p->second.attempts >= kRetryMaxAttempts) {
       retry_exhausted_metric_->inc();
       SOFTMOW_LOG(LogLevel::kWarn, "controller")
           << name_ << " gave up on barrier " << xid << " to " << p->second.sw.str();
@@ -168,7 +165,7 @@ void Controller::arm_retry_timer(std::uint64_t xid) {
     ++p->second.attempts;
     retries_metric_->inc();
     p->second.timeout =
-        std::min(p->second.timeout * retry_policy_.backoff, retry_policy_.max_timeout);
+        std::min(p->second.timeout * kRetryBackoff, kRetryMaxTimeout);
     auto ch = device_channels_.find(p->second.sw);
     if (ch != device_channels_.end())
       ch->second->send_to_device(std::vector<Message>(p->second.batch));

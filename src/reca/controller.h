@@ -78,13 +78,12 @@ class Controller : public nos::DeviceBus {
   Result<void> send_batch(SwitchId sw, std::span<const southbound::Message> batch) override;
 
   // --- fault hardening ---------------------------------------------------------
-  /// Timeout/backoff parameters for reliable batch delivery.
-  struct RetryPolicy {
-    int max_attempts = 4;
-    sim::Duration base_timeout = sim::Duration::millis(50);
-    double backoff = 2.0;  ///< timeout multiplier per retry, capped below
-    sim::Duration max_timeout = sim::Duration::millis(400);
-  };
+  /// Timeout/backoff of reliable batch delivery: the base timeout, times
+  /// the backoff per retry up to the cap, for at most kRetryMaxAttempts.
+  static constexpr int kRetryMaxAttempts = 4;
+  static constexpr sim::Duration kRetryBaseTimeout = sim::Duration::millis(50);
+  static constexpr double kRetryBackoff = 2.0;
+  static constexpr sim::Duration kRetryMaxTimeout = sim::Duration::millis(400);
   /// Turns batch sends into reliable exchanges: each batch is extended with
   /// a BarrierRequest carrying a controller-namespaced xid, and the whole
   /// unit is retransmitted with bounded exponential backoff until the
@@ -93,9 +92,7 @@ class Controller : public nos::DeviceBus {
   /// Under a bound engine, timers are shard events; in synchronous pump mode
   /// each attempt's round trip completes inside the send.
   void set_reliable_delivery(bool on);
-  void set_reliable_delivery(bool on, RetryPolicy policy);
   [[nodiscard]] bool reliable_delivery() const { return reliable_; }
-  [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   /// §6 automatic recovery: when enabled, a PortStatus reporting a dead link
   /// immediately triggers repair_paths() — broken paths re-route without an
@@ -235,7 +232,6 @@ class Controller : public nos::DeviceBus {
   sim::ShardedSimulator* engine_ = nullptr;  ///< set while shard-bound (retry timers)
 
   bool reliable_ = false;
-  RetryPolicy retry_policy_;
   std::uint64_t barrier_seq_ = 1;  ///< low word of the namespaced barrier xid
   std::map<std::uint64_t, PendingAck> pending_acks_;
   bool self_heal_ = false;

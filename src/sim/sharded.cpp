@@ -141,12 +141,6 @@ std::uint64_t ShardedSimulator::alloc_recycled_total() const {
   return total;
 }
 
-void ShardedSimulator::post(ShardId to, Duration delay, Callback fn) {
-  assert(to < shards_.size());
-  TimePoint base = g_in_shard_event ? shards_[g_current_shard]->now : shards_[to]->now;
-  schedule_at(to, base + delay, std::move(fn));
-}
-
 TimePoint ShardedSimulator::now(ShardId shard) const {
   assert(shard < shards_.size());
   return shards_[shard]->now;

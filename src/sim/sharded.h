@@ -75,19 +75,15 @@ class ShardedSimulator {
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
-  /// Schedules `fn` on `shard`, `delay` after that shard's clock. Events at
+  /// Schedules `fn` on `shard`, `delay` after that shard's clock — or, from
+  /// inside a running event, after the executing shard's clock. Events at
   /// the same instant run in scheduling order (stable FIFO per shard). The
   /// ambient trace context is captured and restored around the callback.
-  /// From inside a running event this is safe only for the executing shard
-  /// (or via post() for others).
+  /// From inside a running event, scheduling onto another shard is the
+  /// cross-shard handoff: the delivery goes through that shard's mailbox,
+  /// clamped up to `lookahead` (counted in lookahead_clamps).
   void schedule(ShardId shard, Duration delay, Callback fn);
   void schedule_at(ShardId shard, TimePoint when, Callback fn);
-
-  /// Cross-shard handoff, callable from inside a running event: delivers
-  /// `fn` to shard `to` at `delay` after the sending shard's current time,
-  /// clamped up to `lookahead` when crossing shards (counted in
-  /// lookahead_clamps). Same-shard posts are plain schedules.
-  void post(ShardId to, Duration delay, Callback fn);
 
   [[nodiscard]] TimePoint now(ShardId shard) const;
   [[nodiscard]] bool idle() const;
@@ -140,8 +136,6 @@ class ShardedSimulator {
   /// in (window, shard) order across every profiled engine run so far.
   /// Returns the drained samples and the count evicted by the ring cap.
   static std::vector<obs::CounterSample> drain_profile_samples(std::uint64_t* dropped = nullptr);
-
-  [[nodiscard]] obs::Tracer& shard_tracer(ShardId shard) { return *shards_[shard]->tracer; }
 
   /// TEST ONLY: disables the cross-shard lookahead clamp so a message can be
   /// stamped into a destination's past — the seeded violation the analysis

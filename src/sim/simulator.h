@@ -54,6 +54,13 @@ class Simulator {
   obs::Counter* events_counter_;  ///< sim_events_executed_total
 };
 
+/// The §7.3 controller model shared by every experiment that queues control
+/// messages (Fig. 9 root hops, Fig. 10 discovery, region re-optimization,
+/// scaling, fault recovery, live-migration flips): a software controller
+/// handles ~1k msgs/s, and a controller-switch round trip takes tens of ms.
+inline constexpr Duration kControllerServiceTime = Duration::millis(1);
+inline constexpr Duration kControlRtt = Duration::millis(30);
+
 /// Single-server FIFO queue with deterministic service times — the model of
 /// a controller's message-processing pipeline. The paper (§7.3) attributes
 /// the discovery-convergence gap to queuing delay proportional to the number
@@ -82,7 +89,6 @@ class QueueingStation {
   TimePoint submit_burst(TimePoint at, std::uint64_t n);
 
   [[nodiscard]] Duration service_time() const { return service_time_; }
-  [[nodiscard]] TimePoint busy_until() const { return busy_until_; }
   [[nodiscard]] std::uint64_t processed() const { return processed_; }
   /// Total time messages spent waiting (not being served).
   [[nodiscard]] Duration total_wait() const { return total_wait_; }

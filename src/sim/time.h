@@ -31,7 +31,6 @@ class Duration {
   [[nodiscard]] constexpr double to_millis() const { return static_cast<double>(ns_) / 1e6; }
   [[nodiscard]] constexpr double to_seconds() const { return static_cast<double>(ns_) / 1e9; }
   [[nodiscard]] constexpr double to_minutes() const { return to_seconds() / 60.0; }
-  [[nodiscard]] constexpr double to_hours() const { return to_seconds() / 3600.0; }
 
   friend constexpr Duration operator+(Duration a, Duration b) { return Duration(a.ns_ + b.ns_); }
   friend constexpr Duration operator-(Duration a, Duration b) { return Duration(a.ns_ - b.ns_); }

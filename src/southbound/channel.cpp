@@ -121,8 +121,8 @@ void Channel::send(Direction dir, std::vector<Message> unit) {
     auto deliver = [this, dir, msgs = std::move(unit)] {
       for (const Message& m : msgs) deliver_direct(m, dir);
     };
-    if (fate.duplicated) binding_.engine->post(shard, delay, deliver);
-    binding_.engine->post(shard, delay, std::move(deliver));
+    if (fate.duplicated) binding_.engine->schedule(shard, delay, deliver);
+    binding_.engine->schedule(shard, delay, std::move(deliver));
     return;
   }
   obs::TraceContext ctx = obs::default_tracer().current();

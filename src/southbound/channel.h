@@ -74,13 +74,6 @@ class Channel {
   /// Installs the device-side handler (receives controller -> device).
   void bind_device(Handler h) { lane(Direction::kToDevice).receiver = std::move(h); }
 
-  [[nodiscard]] bool controller_bound() const {
-    return static_cast<bool>(lane(Direction::kToController).receiver);
-  }
-  [[nodiscard]] bool device_bound() const {
-    return static_cast<bool>(lane(Direction::kToDevice).receiver);
-  }
-
   void bind_shards(const ShardBinding& binding) { binding_ = binding; }
   void unbind_shards() { binding_ = ShardBinding{}; }
   [[nodiscard]] bool shard_bound() const { return binding_.engine != nullptr; }

@@ -226,11 +226,11 @@ void SwitchAgent::handle(const Message& msg) {
         // become cross-shard mailbox hops.
         Hub* hub = hub_;
         Endpoint to = link->other(from);
-        hub_->engine()->post(hub_->owner_of(to.sw), link->latency,
-                             [hub, to, frame = std::move(p)] {
-                               if (SwitchAgent* a = hub->find_agent(to.sw))
-                                 a->receive_frame(to, frame);
-                             });
+        hub_->engine()->schedule(hub_->owner_of(to.sw), link->latency,
+                                 [hub, to, frame = std::move(p)] {
+                                   if (SwitchAgent* a = hub->find_agent(to.sw))
+                                     a->receive_frame(to, frame);
+                                 });
         return;
       }
       const Endpoint peer = link->other(from);

@@ -68,8 +68,6 @@ class SwitchAgent {
  public:
   SwitchAgent(Hub* hub, SwitchId sw);
 
-  [[nodiscard]] SwitchId switch_id() const { return sw_; }
-
   /// Connects a controller over `channel` with the given role. Binds the
   /// device side of the channel and sends Hello to the controller.
   void connect(ControllerId controller, Channel* channel,

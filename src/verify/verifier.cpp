@@ -19,6 +19,9 @@ using dataplane::MatchKey;
 using dataplane::PeerKind;
 using dataplane::Port;
 
+/// Cap on symbolic splits per equivalence class (wildcard refinement).
+constexpr std::size_t kMaxBranchesPerClass = 64;
+
 const char* to_string(Invariant invariant) {
   switch (invariant) {
     case Invariant::kLoop: return "loop";
@@ -221,7 +224,7 @@ StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin, const Flo
         break;
       }
       b.visited.push_back(std::move(state));
-      if (++b.hops > options_.max_walk_hops) {
+      if (++b.hops > dataplane::PhysicalNetwork::kHopGuard) {
         report(Invariant::kLoop, b.at.sw, b.last_cookie, "hop guard exceeded");
         break;
       }
@@ -240,7 +243,7 @@ StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin, const Flo
         }
         // kMay: split the class. The bound sub-class takes this rule; the
         // residue continues scanning lower-ranked rules.
-        if (branches_spawned < options_.max_branches_per_class) {
+        if (branches_spawned < kMaxBranchesPerClass) {
           Branch bound = b;
           bind_to_match(bound.header, rule.match);
           branches.push_back(std::move(bound));
@@ -355,7 +358,7 @@ StaticVerifier::WalkResult StaticVerifier::walk_class(SwitchId origin, const Flo
                    std::to_string(options_.max_label_depth) + " (§4.3)");
       }
       if (out->peer == PeerKind::kExternal || out->peer == PeerKind::kBsGroup) {
-        if (options_.require_empty_stack_at_exit && !b.header.labels.empty()) {
+        if (!b.header.labels.empty()) {
           report(Invariant::kUnbalancedStack, b.at.sw, fired->cookie,
                  "delivered with " + std::to_string(b.header.labels.size()) +
                      " label(s) still on the stack");
@@ -397,21 +400,19 @@ std::vector<Finding> StaticVerifier::per_switch_findings(SwitchId sw,
   const FlowTable& table = s->table();
   const FlowTable::RuleView rules = table.rules();
 
-  if (options_.check_shadowing) {
-    // A rule is dead iff a rule ranked before it (priority desc, specificity
-    // desc, cookie asc) match-dominates it. Its dominators are exactly the
-    // rules its own match key satisfies; the earliest-ranked one is named.
-    for (const FlowRule& rule : rules) {
-      const FlowRule* first = nullptr;
-      table.for_each_matching(MatchKey::of(rule.match), [&](const FlowRule& other) {
-        if (!FlowTable::ranks_before(other, rule)) return;  // itself, or later
-        if (first == nullptr || FlowTable::ranks_before(other, *first)) first = &other;
-      });
-      if (first == nullptr) continue;
-      out.push_back(Finding{Invariant::kShadowedRule, sw, rule.cookie, SwitchId{}, 0, SliceId{},
-                            "unreachable: dominated by cookie " + std::to_string(first->cookie) +
-                                " at priority " + std::to_string(first->priority)});
-    }
+  // A rule is dead iff a rule ranked before it (priority desc, specificity
+  // desc, cookie asc) match-dominates it. Its dominators are exactly the
+  // rules its own match key satisfies; the earliest-ranked one is named.
+  for (const FlowRule& rule : rules) {
+    const FlowRule* first = nullptr;
+    table.for_each_matching(MatchKey::of(rule.match), [&](const FlowRule& other) {
+      if (!FlowTable::ranks_before(other, rule)) return;  // itself, or later
+      if (first == nullptr || FlowTable::ranks_before(other, *first)) first = &other;
+    });
+    if (first == nullptr) continue;
+    out.push_back(Finding{Invariant::kShadowedRule, sw, rule.cookie, SwitchId{}, 0, SliceId{},
+                          "unreachable: dominated by cookie " + std::to_string(first->cookie) +
+                              " at priority " + std::to_string(first->priority)});
   }
 
   if (state != nullptr && state->have_live_rules) {

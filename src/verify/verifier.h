@@ -85,15 +85,6 @@ struct VerifyOptions {
   /// Maximum label-stack depth tolerated on the wire. 1 = the paper's
   /// single-label invariant (§4.3); the stacking strawman needs `levels`.
   std::size_t max_label_depth = 1;
-  /// Require an empty label stack when a class exits the network or is
-  /// delivered to the RAN (push/pop balance across border switches).
-  bool require_empty_stack_at_exit = true;
-  /// Report rules dominated into unreachability by higher-ranked rules.
-  bool check_shadowing = true;
-  /// Walk guard, mirroring dataplane::PhysicalNetwork::kHopGuard.
-  std::size_t max_walk_hops = dataplane::PhysicalNetwork::kHopGuard;
-  /// Cap on symbolic splits per equivalence class (wildcard refinement).
-  std::size_t max_branches_per_class = 64;
 };
 
 /// Control-plane state the rule graph is cross-checked against. Built by
@@ -174,8 +165,6 @@ class StaticVerifier {
   /// checks there; everything else is served from cache. Falls back to a
   /// full pass when no prior full pass exists.
   VerifyReport reverify(const std::vector<SwitchId>& dirty, const ControlState* state = nullptr);
-
-  [[nodiscard]] const VerifyOptions& options() const { return options_; }
 
  private:
   struct ClassKey {

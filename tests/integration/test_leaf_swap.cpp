@@ -1,8 +1,8 @@
 // A leaf swap — the §6 standby promotion after a controller crash, or the
 // §5.3.2 flip that ends a live migration — rebinds the fresh leaf at the
-// parent-link delay the management plane was bound with. Recovery and
-// migration options carry no copy of that delay, so defaults must not
-// change it.
+// parent-link delay the management plane was bound with, and the fresh
+// instance keeps the §6 hardening (self-healing, reliable delivery) the
+// leaf it replaces had.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -72,7 +72,7 @@ TEST_F(LeafSwapTest, FailedOverLeafKeepsTheBoundParentDelay) {
   expect_parent_delay(0);
   const reca::Controller* crashed = &mp->leaf(0);
 
-  faults::RecoveryCoordinator coord(*scenario);  // default options
+  faults::RecoveryCoordinator coord(*scenario);
   faults::FaultEvent crash;
   crash.at = sim::TimePoint::zero() + sim::Duration::minutes(1.0);
   crash.kind = faults::FaultKind::kControllerCrash;
@@ -87,11 +87,42 @@ TEST_F(LeafSwapTest, MigratedLeafKeepsTheBoundParentDelay) {
   expect_parent_delay(0);
   const reca::Controller* source = &mp->leaf(0);
 
-  migrate::MigrationManager mgr(*scenario);  // default options
+  migrate::MigrationManager mgr(*scenario);
   ASSERT_TRUE(mgr.migrate_leaf(0, {"dc-east", sim::Duration::millis(6)}).ok());
   ASSERT_NE(&mp->leaf(0), source);
 
   expect_parent_delay(0);
+}
+
+TEST_F(LeafSwapTest, FailedOverLeafKeepsItsHardening) {
+  faults::RecoveryCoordinator coord(*scenario);
+  coord.harden();
+  const reca::Controller* crashed = &mp->leaf(0);
+  ASSERT_TRUE(crashed->self_healing());
+  ASSERT_TRUE(crashed->reliable_delivery());
+
+  faults::FaultEvent crash;
+  crash.at = sim::TimePoint::zero() + sim::Duration::minutes(1.0);
+  crash.kind = faults::FaultKind::kControllerCrash;
+  crash.leaf = 0;
+  ASSERT_TRUE(coord.execute(crash).has_value());
+  ASSERT_NE(&mp->leaf(0), crashed);
+
+  EXPECT_TRUE(mp->leaf(0).self_healing());
+  EXPECT_TRUE(mp->leaf(0).reliable_delivery());
+}
+
+TEST_F(LeafSwapTest, MigratedLeafKeepsItsHardening) {
+  reca::Controller* source = &mp->leaf(0);
+  source->set_self_healing(true);
+  source->set_reliable_delivery(true);
+
+  migrate::MigrationManager mgr(*scenario);
+  ASSERT_TRUE(mgr.migrate_leaf(0, {"dc-east", sim::Duration::millis(6)}).ok());
+  ASSERT_NE(&mp->leaf(0), source);
+
+  EXPECT_TRUE(mp->leaf(0).self_healing());
+  EXPECT_TRUE(mp->leaf(0).reliable_delivery());
 }
 
 }  // namespace

@@ -181,7 +181,7 @@ TEST_F(MigrationTest, EveryIllegalTransitionReturnsTypedConflict) {
 
 TEST_F(MigrationTest, ContinuousRehomingMovesHotOutAndColdBack) {
   migrate::MigrationManager mgr(*scenario);
-  migrate::ContinuousRehoming loop(*scenario, mgr, {});
+  migrate::ContinuousRehoming loop(*scenario, mgr);
 
   {
     auto r = loop.step({1.0}, sim::TimePoint::zero());

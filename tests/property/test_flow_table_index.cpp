@@ -4,7 +4,11 @@
 // are driven through install, conflicting install, replace-by-cookie,
 // remove-by-cookie and remove-by-match churn; swap-pop removal then moves
 // rules that sit mid-chain. After every operation the index must agree with
-// two oracles that scan the ordered table:
+// a model of the installed cookies and two oracles that scan the ordered
+// table:
+//   - rules() holds exactly the installed cookies, each ranked strictly
+//     before the next (the order is total), however removals, which only
+//     mark the order stale, interleave with installs;
 //   - FlowTable::lookup returns the cookie of the first rule of rules() that
 //     matches the packet (or nothing);
 //   - the verifier's shadowed-rule findings equal the all-pairs loop: for
@@ -13,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -120,6 +125,7 @@ void churn(std::uint64_t seed) {
   const std::vector<int> priorities = {0, 10, 10, 20};
 
   std::uint64_t next_cookie = 1;
+  std::set<std::uint64_t> installed;  // the model rules() must list
   auto some_rule = [&]() -> const FlowRule& {
     const int last = static_cast<int>(table.size()) - 1;
     return table.rules()[static_cast<std::size_t>(rng.uniform_int(0, last))];
@@ -143,6 +149,7 @@ void churn(std::uint64_t seed) {
         EXPECT_EQ(r.code(), ErrorCode::kConflict);
       }
       EXPECT_EQ(table.size(), before + (conflict ? 0 : 1));
+      if (r.ok()) installed.insert(rule.cookie);
     } else if (op <= 5) {
       // Replace by cookie: same cookie, new priority and match.
       FlowRule rule = some_rule();
@@ -154,18 +161,32 @@ void churn(std::uint64_t seed) {
       const std::uint64_t cookie = some_rule().cookie;
       ASSERT_TRUE(table.remove_by_cookie(cookie).ok());
       EXPECT_EQ(table.find_by_cookie(cookie), nullptr);
+      installed.erase(cookie);
     } else {
       const Match match = rng.bernoulli(0.8) ? some_rule().match : random_match(rng, masks);
-      std::size_t expected = 0;
-      for (const FlowRule& r : table.rules()) expected += r.match == match ? 1 : 0;
+      std::vector<std::uint64_t> matching;
+      for (const FlowRule& r : table.rules())
+        if (r.match == match) matching.push_back(r.cookie);
+      const std::size_t expected = matching.size();
       Result<std::size_t> removed = table.remove_by_match(match);
       ASSERT_EQ(removed.ok(), expected != 0);
       if (removed.ok()) {
         EXPECT_EQ(*removed, expected);
       }
+      for (std::uint64_t cookie : matching) installed.erase(cookie);
       for (const FlowRule& r : table.rules()) EXPECT_FALSE(r.match == match);
     }
 
+    const FlowTable::RuleView view = table.rules();
+    std::set<std::uint64_t> listed;
+    for (std::size_t i = 0; i < view.size(); ++i) {
+      listed.insert(view[i].cookie);
+      if (i > 0) {
+        ASSERT_TRUE(FlowTable::ranks_before(view[i - 1], view[i])) << "step " << step;
+      }
+    }
+    ASSERT_EQ(view.size(), installed.size()) << "step " << step;
+    ASSERT_EQ(listed, installed) << "step " << step;
     for (const FlowRule& r : table.rules()) {
       const FlowRule* found = table.find_by_cookie(r.cookie);
       ASSERT_NE(found, nullptr);

@@ -94,9 +94,7 @@ MigrationRunResult run_migration_plan(std::size_t threads = 1) {
   EXPECT_TRUE(mgr.abort("drill").ok());
 
   // Two continuous re-homing windows: a surge on leaf 2, then the ebb.
-  migrate::RehomingPolicy policy;
-  policy.max_moves_per_step = 2;
-  migrate::ContinuousRehoming loop(*scenario, mgr, policy);
+  migrate::ContinuousRehoming loop(*scenario, mgr);
   std::vector<double> surge(mp.leaf_count(), 1.0);
   surge[2 % mp.leaf_count()] = 8.0;
   EXPECT_TRUE(loop.step(surge, t0 + sim::Duration::minutes(3)).ok());

@@ -200,7 +200,7 @@ TEST(ShardCheckEngine, SanctionedMailboxHandoffIsNotFlagged) {
   ShardChecker checker;
   sim::ShardedSimulator engine(2);
   engine.schedule(0, sim::Duration::millis(1), [&] {
-    engine.post(1, sim::Duration::millis(1), [&] {
+    engine.schedule(1, sim::Duration::millis(1), [&] {
       dataplane::FlowRule rule;
       rule.cookie = 9;
       ASSERT_TRUE(table.install(rule).ok());
@@ -230,7 +230,7 @@ TEST(ShardCheckEngine, LateCrossShardDeliveryIsCaught) {
   // Window [2ms, 3ms): shard 1 executes up to 2.5ms while shard 0's event at
   // 2ms posts mail stamped 2ms — delivered at the barrier into shard 1's past.
   engine.schedule(0, sim::Duration::millis(2),
-                  [&] { engine.post(1, sim::Duration{}, [] {}); });
+                  [&] { engine.schedule(1, sim::Duration{}, [] {}); });
   engine.schedule(1, sim::Duration::millis(2), [] {});
   engine.schedule(1, sim::Duration::millis(2.5), [] {});
   engine.run();
@@ -255,7 +255,7 @@ TEST(ShardCheckEngine, ClampedDeliveryOfSameWorkloadIsClean) {
   opts.lookahead = sim::Duration::millis(1);
   sim::ShardedSimulator engine(2, opts);
   engine.schedule(0, sim::Duration::millis(2),
-                  [&] { engine.post(1, sim::Duration{}, [] {}); });
+                  [&] { engine.schedule(1, sim::Duration{}, [] {}); });
   engine.schedule(1, sim::Duration::millis(2), [] {});
   engine.schedule(1, sim::Duration::millis(2.5), [] {});
   engine.run();

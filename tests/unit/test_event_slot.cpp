@@ -155,8 +155,8 @@ TEST(EventPoolSteadyState, ShardedEngineAllocationsGoFlatAndRepeatExactly) {
       if (n >= 2000) return;
       // Mostly local ticks, a periodic cross-shard post.
       if (n % 10 == 0) {
-        engine.post((shard + 1) % 4, Duration::micros(60),
-                    [hop, shard] { (*hop)((shard + 1) % 4); });
+        engine.schedule((shard + 1) % 4, Duration::micros(60),
+                        [hop, shard] { (*hop)((shard + 1) % 4); });
       } else {
         engine.schedule(shard, Duration::micros(5), [hop, shard] { (*hop)(shard); });
       }

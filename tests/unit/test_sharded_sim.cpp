@@ -60,7 +60,7 @@ TEST(ShardedSim, CrossShardPostDelaysByAtLeastLookahead) {
   TimePoint delivered_at;
   engine.schedule(0, Duration::millis(1), [&] {
     // Zero-delay cross-shard post: must be clamped up to the lookahead.
-    engine.post(1, Duration{}, [&] { delivered_at = engine.now(1); });
+    engine.schedule(1, Duration{}, [&] { delivered_at = engine.now(1); });
   });
   engine.run();
   EXPECT_EQ(delivered_at, TimePoint::zero() + Duration::millis(6));
@@ -74,7 +74,7 @@ TEST(ShardedSim, CrossShardPostAtOrBeyondLookaheadIsNotClamped) {
   ShardedSimulator engine(2, opts);
   TimePoint delivered_at;
   engine.schedule(0, Duration::millis(1), [&] {
-    engine.post(1, Duration::millis(9), [&] { delivered_at = engine.now(1); });
+    engine.schedule(1, Duration::millis(9), [&] { delivered_at = engine.now(1); });
   });
   engine.run();
   EXPECT_EQ(delivered_at, TimePoint::zero() + Duration::millis(10));
@@ -90,11 +90,11 @@ TEST(ShardedSim, MailboxDeliversInSenderOrderAtEqualTimes) {
   ShardedSimulator engine(3, opts);
   std::vector<std::string> order;
   engine.schedule(0, Duration{}, [&] {
-    engine.post(2, Duration::millis(1), [&] { order.push_back("a0"); });
-    engine.post(2, Duration::millis(1), [&] { order.push_back("a1"); });
+    engine.schedule(2, Duration::millis(1), [&] { order.push_back("a0"); });
+    engine.schedule(2, Duration::millis(1), [&] { order.push_back("a1"); });
   });
   engine.schedule(1, Duration{}, [&] {
-    engine.post(2, Duration::millis(1), [&] { order.push_back("b0"); });
+    engine.schedule(2, Duration::millis(1), [&] { order.push_back("b0"); });
   });
   engine.run();
   EXPECT_EQ(order, (std::vector<std::string>{"a0", "a1", "b0"}));
@@ -131,7 +131,7 @@ TEST(ShardedSim, RepeatRunsExecuteIdenticalPerShardSequences) {
         per_shard[s].push_back("start@" + std::to_string(engine.now(s).since_start().to_micros()));
         for (std::size_t peer = 0; peer < 4; ++peer) {
           if (peer == s) continue;
-          engine.post(peer, Duration::millis(2), [&, s, peer] {
+          engine.schedule(peer, Duration::millis(2), [&, s, peer] {
             per_shard[peer].push_back("from" + std::to_string(s) + "@" +
                                       std::to_string(engine.now(peer).since_start().to_micros()));
           });
@@ -160,7 +160,7 @@ TEST(ShardedSim, EveryEventRunsOnTheCallingThread) {
       ran_on.push_back(std::this_thread::get_id());
       for (std::size_t peer = 0; peer < 3; ++peer) {
         if (peer != s)
-          engine.post(peer, Duration{}, [&] { ran_on.push_back(std::this_thread::get_id()); });
+          engine.schedule(peer, Duration{}, [&] { ran_on.push_back(std::this_thread::get_id()); });
       }
     });
   }
@@ -187,7 +187,7 @@ TEST(ShardedSim, ShardClocksNeverRegress) {
   std::vector<TimePoint> times;
   engine.schedule(0, Duration::millis(3), [&] {
     times.push_back(engine.now(0));
-    engine.post(1, Duration::millis(1), [&] { times.push_back(engine.now(1)); });
+    engine.schedule(1, Duration::millis(1), [&] { times.push_back(engine.now(1)); });
   });
   engine.schedule(1, Duration::millis(1), [&] { times.push_back(engine.now(1)); });
   engine.run();
@@ -233,7 +233,7 @@ void profiled_workload(ShardedSimulator& engine, std::size_t shards) {
   for (std::size_t s = 0; s < shards; ++s) {
     engine.schedule(s, Duration::millis(1.0 + static_cast<double>(s)), [&engine, s, shards] {
       for (int k = 0; k < 3; ++k) {
-        engine.post((s + 1) % shards, Duration::millis(1.0 + k), [&engine] {
+        engine.schedule((s + 1) % shards, Duration::millis(1.0 + k), [&engine] {
           engine.schedule(ShardedSimulator::current_shard(), Duration::millis(2), [] {});
         });
       }

@@ -27,15 +27,6 @@ bool parse_positive_size(const std::string& value, std::size_t* out) {
   return true;
 }
 
-bool parse_nonneg_size(const std::string& value, std::size_t* out) {
-  if (value.empty()) return false;
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::size_t>(n);
-  return true;
-}
-
 }  // namespace
 
 const std::vector<OptionSpec>& bench_option_registry() {
@@ -109,9 +100,6 @@ const std::vector<OptionSpec>& bench_option_registry() {
          o.fault_seed = n;
          return true;
        }},
-      {"--shards", "<n>",
-       "override the engine's shard count\n(default 0: one per region + one per level)",
-       [](BenchOptions& o, const std::string& v) { return parse_nonneg_size(v, &o.shards); }},
       {"--encap", "<mode>",
        "slicing encapsulation: tags (SoftCell\npolicy tags) or labels (per-path §4.3)",
        [](BenchOptions& o, const std::string& v) {
@@ -332,13 +320,12 @@ ShardedRun::ShardedRun(topo::Scenario& scenario, sim::Duration parent_link_delay
     : scenario_(&scenario) {
   auto started = std::chrono::steady_clock::now();
   const BenchOptions& opts = current_bench_options();
-  std::size_t shards =
-      opts.shards > 0 ? opts.shards : scenario.mgmt->natural_shard_count();
   sim::ShardedSimulator::Options engine_opts;
   // A bench report without profile data answers none of the "which shard is
   // slow" questions it exists for, so --bench-json implies profiling.
   engine_opts.profile = opts.profile || !opts.bench_json.empty();
-  engine_ = std::make_unique<sim::ShardedSimulator>(shards, engine_opts);
+  engine_ = std::make_unique<sim::ShardedSimulator>(scenario.mgmt->natural_shard_count(),
+                                                    engine_opts);
   scenario.mgmt->bind_shards(*engine_, parent_link_delay);
   add_setup_wall_ms(std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                               started)

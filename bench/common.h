@@ -26,7 +26,6 @@ struct BenchOptions {
   std::uint64_t seed = 1;       ///< --seed <n>: master seed for scenario synthesis
   std::string faults;           ///< --faults <name>: fault plan (fault benches)
   std::uint64_t fault_seed = 1; ///< --fault-seed <n>: fault-plan target selection
-  std::size_t shards = 0;       ///< --shards <n>: shard override (0 = topology's natural count)
   std::string encap = "tags";   ///< --encap tags|labels: slicing encapsulation scheme
   std::size_t slices = 4;       ///< --slices <n>: tenant count for slicing benches
   bool shard_check = false;     ///< --shard-check: race/determinism audit over run()
@@ -112,11 +111,11 @@ std::unique_ptr<topo::Scenario> build_scenario_timed(topo::ScenarioParams params
 void add_setup_wall_ms(double ms);
 
 /// RAII harness for engine-driven bench phases: builds a
-/// sim::ShardedSimulator sized from the scenario's hierarchy (or the
-/// `--shards` override), binds the scenario's
-/// controllers/hub onto it, and unbinds on destruction so later synchronous
-/// phases are unaffected. `parent_link_delay` is the one-way parent<->child
-/// control-channel latency and must be >= the engine's 1 ms lookahead.
+/// sim::ShardedSimulator sized from the scenario's hierarchy, binds the
+/// scenario's controllers/hub onto it, and unbinds on destruction so later
+/// synchronous phases are unaffected. `parent_link_delay` is the one-way
+/// parent<->child control-channel latency and must be >= the engine's 1 ms
+/// lookahead.
 class ShardedRun {
  public:
   explicit ShardedRun(topo::Scenario& scenario,

@@ -7,7 +7,7 @@
 
 #include "core/log.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
+#include "sim/queueing.h"
 
 namespace softmow::faults {
 

@@ -1,6 +1,7 @@
 #include "mgmt/management.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "analysis/shard_guard.h"
@@ -182,22 +183,18 @@ std::size_t ManagementPlane::natural_shard_count() const {
 
 void ManagementPlane::bind_shards(sim::ShardedSimulator& engine,
                                   sim::Duration parent_link_delay) {
+  assert(engine.shard_count() == natural_shard_count() &&
+         "bind_shards needs an engine of natural_shard_count() shards");
   parent_link_delay_ = parent_link_delay;
-  const std::size_t total = engine.shard_count();
-  // Non-leaf controllers take the top shards; whatever remains is folded
-  // across the leaves round-robin. A 1-shard engine degenerates to the
-  // sequential schedule with everything on shard 0.
-  const std::size_t nonleaf_levels = 1 + (mids_.empty() ? 0 : 1);
-  const std::size_t leaf_budget = total > nonleaf_levels ? total - nonleaf_levels : 1;
-  const sim::ShardId root_shard = total - 1;
-  const sim::ShardId mid_shard =
-      mids_.empty() ? root_shard : std::min<sim::ShardId>(total - 1, leaf_budget);
-  auto leaf_shard = [&](std::size_t i) -> sim::ShardId { return i % leaf_budget; };
+  // Leaf i runs on shard i, the mid level on the next shard, the root on
+  // the last.
+  const sim::ShardId root_shard = engine.shard_count() - 1;
+  const sim::ShardId mid_shard = leaves_.size();
 
   // Children before parents: a parent's device resolver reads each child's
   // shard(), which bind_shards sets.
   for (std::size_t i = 0; i < leaves_.size(); ++i)
-    leaves_[i]->bind_shards(&engine, leaf_shard(i), parent_link_delay);
+    leaves_[i]->bind_shards(&engine, i, parent_link_delay);
   auto child_resolver = [](Controller* parent) {
     return [parent](SwitchId gswitch) -> sim::ShardId {
       Controller* child = parent->child_by_gswitch(gswitch);
@@ -217,8 +214,8 @@ void ManagementPlane::bind_shards(sim::ShardedSimulator& engine,
   // finding.
   std::unordered_map<SwitchId, sim::ShardId> owners;
   for (std::size_t i = 0; i < leaves_.size(); ++i) {
-    for (SwitchId sw : leaves_[i]->devices()) owners[sw] = leaf_shard(i);
-    handoff_leaf_tables(i, leaf_shard(i));
+    for (SwitchId sw : leaves_[i]->devices()) owners[sw] = i;
+    handoff_leaf_tables(i, i);
   }
   hub_->bind_shards(&engine, std::move(owners));
 }

@@ -19,7 +19,7 @@
 #include "dataplane/network.h"
 #include "mgmt/failover.h"
 #include "reca/controller.h"
-#include "sim/simulator.h"
+#include "sim/queueing.h"
 #include "southbound/switch_agent.h"
 #include "verify/verifier.h"
 
@@ -127,11 +127,11 @@ class ManagementPlane {
   /// per-shard observability repeats exactly run to run.
   [[nodiscard]] std::size_t natural_shard_count() const;
   /// Binds every controller's channels and the hub's frame transit onto
-  /// `engine`: leaf i runs on shard i (folded modulo the engine's leaf
-  /// budget when the engine was built with fewer shards), mids share the
-  /// next shard, the root takes the last. `parent_link_delay` is the
-  /// one-way parent<->child control-channel propagation time; it must be
-  /// >= the engine's lookahead for clamp-free conservative execution.
+  /// `engine`, which must have natural_shard_count() shards (asserted):
+  /// leaf i runs on shard i, mids share the next shard, the root takes the
+  /// last. `parent_link_delay` is the one-way parent<->child control-channel
+  /// propagation time; it must be >= the engine's lookahead for clamp-free
+  /// conservative execution.
   /// Bind after bootstrap; rebind after adopting new devices. The plane
   /// records both, so a leaf swap (failover, migration) rebinds itself.
   void bind_shards(sim::ShardedSimulator& engine, sim::Duration parent_link_delay);

@@ -4,8 +4,8 @@
 
 #include "core/log.h"
 #include "obs/metrics.h"
+#include "sim/queueing.h"
 #include "sim/sharded.h"
-#include "sim/simulator.h"
 
 namespace softmow::migrate {
 

@@ -1,12 +1,9 @@
 #include "migrate/rehoming.h"
 
-#include <map>
-#include <span>
 #include <string>
 
-#include "apps/region_opt.h"
 #include "core/log.h"
-#include "sim/simulator.h"
+#include "sim/queueing.h"
 
 namespace softmow::migrate {
 
@@ -40,22 +37,6 @@ Result<std::size_t> ContinuousRehoming::step(const std::vector<double>& leaf_loa
   double total = 0;
   for (double l : leaf_load) total += l;
   if (total <= 0) return std::size_t{0};  // idle window: nothing to rebalance
-
-  // Spread each leaf's observed load over its G-BSes and run the §5.3 gain
-  // function at the root. The round is advisory here (execute=false): its
-  // gain ranking is the trigger signal, while the actual G-BS reassignments
-  // remain the application's own periodic job.
-  std::map<GBsId, double> gbs_load;
-  for (std::size_t i = 0; i < mp.leaf_count(); ++i) {
-    std::span<const GBsId> groups = mp.leaf(i).nib().gbs_list();
-    if (groups.empty()) continue;
-    double share = leaf_load[i] / static_cast<double>(groups.size());
-    for (GBsId g : groups) gbs_load[g] = share;
-  }
-  if (apps::RegionOptApp* opt = scenario_->apps->region_opt(mp.root())) {
-    auto round = opt->optimize_round(apps::RegionOptConstraints{}, gbs_load, /*execute=*/false);
-    if (!round.ok()) return round.error();
-  }
 
   // Placement pass: hot leaves move out to a region-local site, cold leaves
   // consolidate back to the core. Leaves scan in index order so a tie

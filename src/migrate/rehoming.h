@@ -1,10 +1,10 @@
 // Continuous re-homing (paper §5.3 run as a control loop): as replayed
-// diurnal load shifts between regions, the region-optimization application's
-// gain function decides *where G-BSes should live* and this policy decides
-// *where leaf controllers should live* — a leaf whose load share runs hot
-// moves to a site local to its region (short control RTT), a leaf gone cold
-// moves back to the central site (consolidation). Each move is one planned
-// MigrationManager cycle, so the data plane never notices.
+// diurnal load shifts between regions, this policy decides *where leaf
+// controllers should live* from each leaf's load share — a leaf whose share
+// runs hot moves to a site local to its region (short control RTT), a leaf
+// gone cold moves back to the central site (consolidation). Where G-BSes
+// live stays the region-optimization application's job. Each move is one
+// planned MigrationManager cycle, so the data plane never notices.
 #pragma once
 
 #include <cstdint>
@@ -17,9 +17,9 @@
 namespace softmow::migrate {
 
 /// Drives MigrationManager from load observations. One step() per replay
-/// window: run the §5.3 gain function at the root (advisory — the G-BS
-/// moves themselves stay with the apps), then re-home hot leaves to a
-/// region-local site and cold ones back to the "core" site, a few per step.
+/// window compares each leaf's load share with the mean share and re-homes
+/// hot leaves to a region-local site and cold ones back to the "core" site,
+/// a few per step.
 class ContinuousRehoming {
  public:
   ContinuousRehoming(topo::Scenario& scenario, MigrationManager& manager);

@@ -1,6 +1,5 @@
-// Pooled event storage shared by the sequential `Simulator` oracle and the
-// region-sharded engine — the single definition both engines schedule
-// through, so their event layouts cannot drift.
+// Pooled event storage for the region-sharded engine: every shard's queue
+// schedules through these types.
 //
 // The hot path replaces the old std::function-carrying `Event` (one heap
 // allocation per scheduled event, 64-byte queue elements) with:
@@ -10,8 +9,8 @@
 //                     `this` plus a handful of ids) never touch the heap;
 //                     oversized captures fall back to one boxed allocation.
 //   * EventSlot     — { SmallFn, TraceContext } living in a pool slab.
-//   * EventPool     — per-engine / per-shard slab allocator handing out
-//                     u32 slot handles with LIFO recycling. Slabs are never
+//   * EventPool     — per-shard slab allocator handing out u32 slot
+//                     handles with LIFO recycling. Slabs are never
 //                     freed mid-run, so a steady-state window allocates
 //                     nothing: every pop releases its slot *before* invoking
 //                     the callback, and the schedules the callback performs

@@ -20,8 +20,12 @@
 // timeline. Mailboxes are drained at window barriers sorted by (delivery
 // time, sender shard, sender sequence), and each shard executes its queue in
 // (when, seq) order, so at a fixed seed every run executes the identical
-// event sequence. The single-queue `Simulator` remains the 1-shard
-// degenerate case and the reference oracle for equivalence tests.
+// event sequence.
+//
+// This is the only event engine. A bound hierarchy runs on exactly one
+// shard per leaf and per non-leaf level (ManagementPlane::bind_shards
+// asserts natural_shard_count()); a 1-shard engine is the sequential
+// degenerate case that equivalence tests use as their oracle.
 //
 // Observability: each shard owns an obs::Tracer with a disjoint id range,
 // installed as the default_tracer() while the shard runs; after run() the
@@ -205,7 +209,7 @@ class ShardedSimulator {
   std::uint64_t cross_posts_ = 0;
   std::uint64_t clamps_ = 0;
   double wall_ms_ = 0;
-  obs::Counter* events_counter_;  ///< sim_events_executed_total (shared with Simulator)
+  obs::Counter* events_counter_;  ///< sim_events_executed_total
 };
 
 }  // namespace softmow::sim

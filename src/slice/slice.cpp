@@ -33,7 +33,10 @@ double default_demand_kbps(apps::ApplicationClass app) {
 }
 
 SliceManager::SliceManager(topo::Scenario& scenario, Options opts)
-    : scenario_(&scenario), opts_(opts) {
+    : scenario_(&scenario),
+      opts_(opts),
+      ignored_close_metric_(obs::default_registry().counter(
+          "ignored_errors_total", {{"site", "slice.close_bearer"}})) {
   rewire_encapsulation();
 }
 
@@ -240,9 +243,11 @@ Result<void> SliceManager::close_bearer(SliceId id, UeId ue, BearerId bearer) {
     return {ErrorCode::kNotFound, "bearer not open in this slice"};
   }
   reca::Controller* leaf = scenario_->mgmt->leaf_of_group(t->attach_group.at(ue));
-  if (leaf != nullptr) {
-    (void)scenario_->apps->mobility(*leaf).deactivate_bearer(ue, bearer);
-  }
+  // The slice's charge is released either way; a bearer the leaf no longer
+  // holds under this id (the UE moved away, or a re-activation replaced it)
+  // is counted.
+  if (leaf != nullptr && !scenario_->apps->mobility(*leaf).deactivate_bearer(ue, bearer).ok())
+    ignored_close_metric_->inc();
   t->reserved_kbps -= it->second;
   if (t->reserved_kbps < 0) t->reserved_kbps = 0;
   t->reserved_metric->set(t->reserved_kbps);

@@ -167,6 +167,9 @@ class SliceManager {
   std::vector<std::unique_ptr<Tenant>> tenants_;
   core::FlatMap<UeId, SliceId> ue_slices_;
   analysis::ShardGuard guard_{"slice_budgets", 0};
+  /// ignored_errors_total{site=slice.close_bearer}: bearers the owning leaf
+  /// could not deactivate when their slice closed them.
+  obs::Counter* ignored_close_metric_;
 };
 
 /// The per-bearer bandwidth demand (kbps) a traffic class reserves when the

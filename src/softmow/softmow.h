@@ -29,8 +29,8 @@
 #include "analysis/shard_check.h"  // IWYU pragma: export
 #include "analysis/shard_guard.h"  // IWYU pragma: export
 
+#include "sim/queueing.h"          // IWYU pragma: export
 #include "sim/sharded.h"           // IWYU pragma: export
-#include "sim/simulator.h"         // IWYU pragma: export
 #include "sim/time.h"              // IWYU pragma: export
 
 #include "dataplane/entities.h"    // IWYU pragma: export

@@ -29,6 +29,8 @@ void TraceDriver::ensure_attached(std::size_t group_index) {
   BsGroupId group = scenario_.trace.groups[group_index];
   const dataplane::BsGroup* rec = scenario_.net.bs_group(group);
   auto& mobility = scenario_.apps->leaf_mobility_of_group(group);
+  // ue_attach fails only for an unknown base station; a group member is
+  // always known.
   for (std::size_t slot = 0; slot < params_.ues_per_group; ++slot) {
     (void)mobility.ue_attach(ue_for(group_index, slot), rec->members.front());
   }
@@ -82,7 +84,9 @@ TraceDriverReport TraceDriver::replay(std::size_t first_minute, std::size_t coun
           continue;
         }
         // Radio bearers time out within seconds (§7.1): cycle idle/active
-        // or tear down, so state does not accumulate unboundedly.
+        // or tear down, so state does not accumulate unboundedly. These
+        // calls fail only for a UE or bearer this app does not hold, and the
+        // bearer was granted to the attached `ue` just above.
         if (rng_.bernoulli(params_.idle_probability)) {
           (void)mobility.ue_idle(ue);
           (void)mobility.ue_active(ue);
@@ -114,7 +118,8 @@ TraceDriverReport TraceDriver::replay(std::size_t first_minute, std::size_t coun
           handovers_failed_->inc();
           continue;
         }
-        // Park a replacement UE at the source so later events still fire.
+        // Park a replacement UE at the source so later events still fire
+        // (a fresh UE at a group member: ue_attach cannot fail).
         state.ues[(state.next - 1) % params_.ues_per_group] = UeId{next_ue_++};
         (void)mobility.ue_attach(state.ues[(state.next - 1) % params_.ues_per_group],
                                  scenario_.net.bs_group(trace.groups[from])->members.front());

@@ -1,7 +1,8 @@
 // End-to-end tenant isolation: the slice-annotated static verifier and the
 // rule/probe audit both stay clean over a multi-tenant scenario, both pin a
 // seeded cross-tenant classifier to its exact (switch, cookie, slice)
-// triple, and the self-healing plane removes it again.
+// triple, and the self-healing plane removes it again. A slice closing a
+// bearer its leaf no longer holds releases the charge and counts the miss.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -126,6 +127,35 @@ TEST_F(SliceIsolationTest, FailoverRewiresTagAllocator) {
   EXPECT_EQ(promoted.tag_allocator(), nullptr);
   mgr->rewire_encapsulation();
   EXPECT_EQ(promoted.tag_allocator(), mgr->tag_allocator());
+}
+
+TEST_F(SliceIsolationTest, CloseOfBearerTheLeafNoLongerHoldsIsCounted) {
+  const obs::Counter* ignored = obs::default_registry().find_counter(
+      "ignored_errors_total", {{"site", "slice.close_bearer"}});
+  ASSERT_NE(ignored, nullptr);
+  const std::uint64_t before = ignored->value();
+  const SliceId id{0};
+  const UeId ue = mgr->subscribers(id).front();
+
+  auto held = mgr->open_bearer(id, ue, PrefixId{18});
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(mgr->close_bearer(id, ue, *held).ok());
+  EXPECT_EQ(ignored->value(), before);
+
+  // The leaf drops the bearer behind the slice's back: closing it still
+  // releases the slice's charge, and the failed deactivation is counted.
+  auto bearer = mgr->open_bearer(id, ue, PrefixId{19});
+  ASSERT_TRUE(bearer.ok());
+  const double reserved = mgr->stats(id).reserved_kbps;
+  apps::MobilityApp* owner = nullptr;
+  for (reca::Controller* leaf : scenario->mgmt->leaves()) {
+    if (scenario->apps->mobility(*leaf).ue(ue) != nullptr) owner = &scenario->apps->mobility(*leaf);
+  }
+  ASSERT_NE(owner, nullptr);
+  ASSERT_TRUE(owner->deactivate_bearer(ue, *bearer).ok());
+  ASSERT_TRUE(mgr->close_bearer(id, ue, *bearer).ok());
+  EXPECT_LT(mgr->stats(id).reserved_kbps, reserved);
+  EXPECT_EQ(ignored->value(), before + 1);
 }
 
 }  // namespace

@@ -24,10 +24,8 @@ struct RoundResult {
 /// Builds the scenario at a fixed seed and runs one steady-state discovery
 /// round (all leaves, then the root). `on_engine` false selects the legacy
 /// synchronous channel pump; otherwise the sharded engine runs the round.
-/// `shards` == 0 uses the hierarchy's natural count. `threads` is passed as
-/// `Options::threads`, which the engine ignores.
-RoundResult run_round(std::uint64_t seed, bool on_engine, std::size_t shards = 0,
-                      std::size_t threads = 1) {
+/// `threads` is passed as `Options::threads`, which the engine ignores.
+RoundResult run_round(std::uint64_t seed, bool on_engine, std::size_t threads = 1) {
   topo::ScenarioParams params = topo::small_scenario_params();
   params.seed = seed;
   auto scenario = topo::build_scenario(params);
@@ -42,7 +40,7 @@ RoundResult run_round(std::uint64_t seed, bool on_engine, std::size_t shards = 0
   } else {
     sim::ShardedSimulator::Options opts;
     opts.threads = threads;
-    sim::ShardedSimulator engine(shards > 0 ? shards : mp.natural_shard_count(), opts);
+    sim::ShardedSimulator engine(mp.natural_shard_count(), opts);
     mp.bind_shards(engine, sim::Duration::millis(5));
     for (reca::Controller* leaf : mp.leaves())
       engine.schedule(leaf->shard(), sim::Duration{}, [leaf] { leaf->run_link_discovery(); });
@@ -79,27 +77,14 @@ TEST(ShardDeterminism, EngineMatchesLegacySynchronousCounts) {
 TEST(ShardDeterminism, ByteIdenticalAcrossThreadCounts) {
   // Options::threads is still accepted (the benchmark driver sets it) but the
   // shards always run on the calling thread, so no value may change a byte.
-  RoundResult baseline = run_round(1, true, 0, 1);
+  RoundResult baseline = run_round(1, true, 1);
   ASSERT_FALSE(baseline.messages.empty());
   for (std::size_t threads : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    RoundResult r = run_round(1, true, 0, threads);
+    RoundResult r = run_round(1, true, threads);
     EXPECT_EQ(baseline.messages, r.messages) << threads << " threads";
     EXPECT_EQ(baseline.links, r.links) << threads << " threads";
     EXPECT_EQ(baseline.switches, r.switches) << threads << " threads";
     EXPECT_EQ(baseline.metrics_json, r.metrics_json) << threads << " threads";
-  }
-}
-
-TEST(ShardDeterminism, ShardFoldingPreservesControlPlaneCounts) {
-  // --shards below the natural count folds leaf regions onto shared shards;
-  // timing changes (fewer cross-shard hops) but control-plane outcomes must
-  // not: same messages, same learned topology.
-  RoundResult natural = run_round(1, true);
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
-    RoundResult folded = run_round(1, true, shards);
-    EXPECT_EQ(natural.messages, folded.messages) << shards << " shards";
-    EXPECT_EQ(natural.links, folded.links) << shards << " shards";
-    EXPECT_EQ(natural.switches, folded.switches) << shards << " shards";
   }
 }
 

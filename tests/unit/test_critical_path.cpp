@@ -4,7 +4,8 @@
 #include "obs/critical_path.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "sim/simulator.h"
+#include "sim/queueing.h"
+#include "sim/sharded.h"
 
 namespace softmow::obs {
 namespace {
@@ -45,23 +46,25 @@ TEST(SpanTree, ThreeLevelParentLinkage) {
 TEST(SpanTree, AmbientContextFlowsThroughScheduledEvents) {
   Tracer& tracer = default_tracer();
   tracer.clear();
-  sim::Simulator simulator;
+  sim::ShardedSimulator engine(1);
+  // Inside an event, default_tracer() is the shard's own tracer; its spans
+  // merge into the caller's tracer when run() returns.
+  auto record = [&engine, &tracer](const char* name, sim::Duration length) {
+    Tracer& shard = default_tracer();
+    EXPECT_NE(&shard, &tracer);
+    shard.span_under(shard.current(), engine.now(0), engine.now(0) + length, name, 2);
+  };
 
   TraceContext op = tracer.open_span_under({}, at_ms(0), "op", 1, "test");
   {
     // Events scheduled while `op` is ambient inherit it; spans recorded in
     // the callback attach to the operation even though it runs later.
     Tracer::ScopedContext scoped(tracer, op);
-    simulator.schedule(sim::Duration::millis(1), [&] {
-      tracer.span_under(tracer.current(), simulator.now(),
-                        simulator.now() + sim::Duration::millis(1), "work", 2);
-    });
+    engine.schedule(0, sim::Duration::millis(1), [&] { record("work", sim::Duration::millis(1)); });
   }
   // Scheduled outside any context: must NOT attach to `op`.
-  simulator.schedule(sim::Duration::millis(2), [&] {
-    tracer.span_under(tracer.current(), simulator.now(), simulator.now(), "unrelated", 2);
-  });
-  simulator.run();
+  engine.schedule(0, sim::Duration::millis(2), [&] { record("unrelated", sim::Duration{}); });
+  engine.run();
   tracer.close_span(op, at_ms(3));
 
   const TraceSpan* work = nullptr;

@@ -11,7 +11,6 @@
 
 #include "sim/event_slot.h"
 #include "sim/sharded.h"
-#include "sim/simulator.h"
 
 namespace softmow::sim {
 namespace {
@@ -110,32 +109,38 @@ TEST(EventPool, SlotStateSurvivesSlabGrowth) {
   EXPECT_EQ(pool.at(first).ctx.trace_id, 1u);
 }
 
-// The steady-state property on the sequential oracle: a fixed population of
-// self-rescheduling events reaches its slot high-water mark during warmup
-// and never allocates again.
+// The steady-state property on the sequential (1-shard) engine: a fixed
+// population of self-rescheduling events reaches its slot high-water mark
+// in a warmup run() and never allocates again.
 TEST(EventPoolSteadyState, SequentialEngineAllocationsGoFlat) {
-  Simulator simulator;
+  ShardedSimulator engine(1);
   constexpr int kChains = 16;
   std::uint64_t executed = 0;
+  std::uint64_t limit = 0;
   std::function<void(int)> hop = [&](int chain) {
     ++executed;
-    if (executed < 10000)
-      simulator.schedule(Duration::micros(10 + chain), [&hop, chain] { hop(chain); });
+    if (executed < limit)
+      engine.schedule(0, Duration::micros(10 + chain), [&hop, chain] { hop(chain); });
   };
-  for (int c = 0; c < kChains; ++c)
-    simulator.schedule(Duration::micros(c + 1), [&hop, c] { hop(c); });
-  // Warmup: run a slice, note the high-water mark.
-  while (executed < 1000 && simulator.step()) {
-  }
-  const std::uint64_t fresh_after_warmup = simulator.pool().fresh_count();
-  simulator.run();
+  auto run_chains = [&](std::uint64_t hops) {
+    executed = 0;
+    limit = hops;
+    for (int c = 0; c < kChains; ++c)
+      engine.schedule(0, Duration::micros(c + 1), [&hop, c] { hop(c); });
+    engine.run();
+  };
+  // Warmup: a first run, then note the high-water mark.
+  run_chains(1000);
+  const std::uint64_t fresh_after_warmup = engine.alloc_fresh_total();
+  const std::uint64_t recycled_after_warmup = engine.alloc_recycled_total();
+  run_chains(10000);
   // The stop condition is checked inside the handler, so the other chains'
   // in-flight hops still drain: 10000 plus at most one tail hop per chain.
   EXPECT_GE(executed, 10000u);
   EXPECT_LT(executed, 10000u + kChains);
   // Steady state must be pure recycling: zero fresh slots after warmup.
-  EXPECT_EQ(simulator.pool().fresh_count(), fresh_after_warmup);
-  EXPECT_GT(simulator.pool().recycled_count(), 0u);
+  EXPECT_EQ(engine.alloc_fresh_total(), fresh_after_warmup);
+  EXPECT_GT(engine.alloc_recycled_total(), recycled_after_warmup);
   EXPECT_LE(fresh_after_warmup, 2u * kChains);
 }
 

@@ -1,16 +1,16 @@
 // ShardedSimulator: window math, mailbox ordering, lookahead clamping, and
-// equivalence with the sequential Simulator oracle.
+// equivalence of a multi-shard engine with the 1-shard sequential oracle.
 #include "sim/sharded.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "obs/timeseries.h"
-#include "sim/simulator.h"
 
 namespace softmow::sim {
 namespace {
@@ -28,28 +28,28 @@ TEST(ShardedSim, SingleShardRunsInScheduleOrder) {
 }
 
 TEST(ShardedSim, OneShardMatchesSequentialSimulatorOracle) {
-  // The same self-rescheduling workload on both engines must execute the
-  // same number of events and reach the same final clock.
-  auto drive = [](auto& eng, auto schedule) {
+  // A 1-shard engine is the sequential oracle: the same self-rescheduling
+  // workload on one shard of a 3-shard engine must execute the same number
+  // of events and reach the same final clock.
+  auto drive = [](ShardedSimulator& eng, ShardId shard) {
     std::uint64_t ticks = 0;
     std::function<void()> tick = [&] {
-      if (++ticks < 50) schedule(Duration::millis(7), tick);
+      if (++ticks < 50) eng.schedule(shard, Duration::millis(7), tick);
     };
-    schedule(Duration::millis(7), tick);
+    eng.schedule(shard, Duration::millis(7), tick);
     eng.run();
     return ticks;
   };
 
-  Simulator seq;
-  std::uint64_t seq_ticks =
-      drive(seq, [&](Duration d, auto fn) { seq.schedule(d, fn); });
+  ShardedSimulator oracle(1);
+  std::uint64_t oracle_ticks = drive(oracle, 0);
 
-  ShardedSimulator sharded(1);
-  std::uint64_t sharded_ticks =
-      drive(sharded, [&](Duration d, auto fn) { sharded.schedule(0, d, fn); });
+  ShardedSimulator sharded(3);
+  std::uint64_t sharded_ticks = drive(sharded, 1);
 
-  EXPECT_EQ(seq_ticks, sharded_ticks);
-  EXPECT_EQ(seq.now(), sharded.now(0));
+  EXPECT_EQ(oracle_ticks, sharded_ticks);
+  EXPECT_EQ(oracle.events_executed(), sharded.events_executed());
+  EXPECT_EQ(oracle.now(0), sharded.now(1));
   EXPECT_EQ(sharded.events_executed(), 50u);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "sim/simulator.h"
+#include <vector>
+
+#include "sim/queueing.h"
+#include "sim/sharded.h"
 
 namespace softmow::sim {
 namespace {
@@ -14,62 +17,38 @@ TEST(Duration, UnitConversions) {
   EXPECT_EQ((Duration::millis(10) * 2.5).to_millis(), 25);
 }
 
+// The engine's sequential case: one shard runs events in time order, ties
+// in scheduling order, and lets events schedule more events.
 TEST(Simulator, EventsRunInTimeOrder) {
-  Simulator sim;
+  ShardedSimulator engine(1);
   std::vector<int> order;
-  sim.schedule(Duration::millis(30), [&] { order.push_back(3); });
-  sim.schedule(Duration::millis(10), [&] { order.push_back(1); });
-  sim.schedule(Duration::millis(20), [&] { order.push_back(2); });
-  EXPECT_EQ(sim.run(), 3u);
+  engine.schedule(0, Duration::millis(30), [&] { order.push_back(3); });
+  engine.schedule(0, Duration::millis(10), [&] { order.push_back(1); });
+  engine.schedule(0, Duration::millis(20), [&] { order.push_back(2); });
+  EXPECT_EQ(engine.run(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.now().since_start().to_millis(), 30);
+  EXPECT_EQ(engine.now(0).since_start().to_millis(), 30);
 }
 
 TEST(Simulator, SameInstantIsFifo) {
-  Simulator sim;
+  ShardedSimulator engine(1);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i)
-    sim.schedule(Duration::millis(1), [&order, i] { order.push_back(i); });
-  sim.run();
+    engine.schedule(0, Duration::millis(1), [&order, i] { order.push_back(i); });
+  engine.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
+  ShardedSimulator engine(1);
   int fired = 0;
-  sim.schedule(Duration::millis(1), [&] {
+  engine.schedule(0, Duration::millis(1), [&] {
     ++fired;
-    sim.schedule(Duration::millis(1), [&] { ++fired; });
+    engine.schedule(0, Duration::millis(1), [&] { ++fired; });
   });
-  sim.run();
+  engine.run();
   EXPECT_EQ(fired, 2);
-  EXPECT_EQ(sim.now().since_start().to_millis(), 2);
-}
-
-TEST(Simulator, RunUntilLeavesLaterEventsQueued) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(Duration::millis(10), [&] { ++fired; });
-  sim.schedule(Duration::millis(30), [&] { ++fired; });
-  sim.run_until(TimePoint::at(Duration::millis(20)));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_EQ(sim.now().since_start().to_millis(), 20);  // advanced to deadline
-  sim.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, RunUntilExecutesEventExactlyAtDeadline) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(Duration::millis(20), [&] { ++fired; });
-  sim.schedule(Duration::millis(20) + Duration::micros(1), [&] { ++fired; });
-  sim.run_until(TimePoint::at(Duration::millis(20)));
-  // The deadline is inclusive: an event at exactly t=deadline runs; one a
-  // single tick later stays queued.
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending(), 1u);
-  EXPECT_EQ(sim.now().since_start().to_millis(), 20);
+  EXPECT_EQ(engine.now(0).since_start().to_millis(), 2);
 }
 
 TEST(QueueingStation, TotalWaitAccumulatesAcrossBusyPeriods) {

@@ -235,7 +235,6 @@ void print_slice_audit(const mgmt::SliceAuditReport& report, const char* when) {
 void run_isolation(topo::Scenario& scenario, SliceManager& mgr) {
   const BenchOptions& opts = current_bench_options();
   std::printf("\n--- tenant isolation: verifier + rule/probe audit ---\n");
-  mgr.install_annotator();
   verify::VerifyReport report = scenario.mgmt->verify_data_plane();
   std::printf("static verifier: %zu findings, %zu isolation violations\n",
               report.findings.size(), report.isolation_violations());
@@ -282,9 +281,7 @@ void run_isolation(topo::Scenario& scenario, SliceManager& mgr) {
   }
 
   // Optional chaos phase: run any requested fault plan (e.g. --faults mixed)
-  // with the tenants live, then require the isolation SLO to survive it. A
-  // controller failover replaces a leaf instance, so the tag-allocator
-  // wiring is reapplied before re-auditing.
+  // with the tenants live, then require the isolation SLO to survive it.
   if (!opts.faults.empty() && opts.faults != "rogue-rule") {
     faults::FaultScenario chaos =
         faults::make_fault_plan(opts.faults, scenario, opts.fault_seed);
@@ -301,7 +298,6 @@ void run_isolation(topo::Scenario& scenario, SliceManager& mgr) {
     coord.harden();
     faults::FaultInjector injector;
     std::vector<faults::FaultRecord> records = injector.run(chaos, coord);
-    mgr.rewire_encapsulation();
     std::printf("chaos plan '%s': %zu faults injected, %zu recoveries\n",
                 chaos.name.c_str(), chaos.events.size(), records.size());
   }
@@ -360,7 +356,7 @@ void run() {
 
   run_skewed_load(*scenario, *mgr);
 
-  // run_isolation installs the tenant map on the management plane, so
+  // The manager installs the tenant map on the management plane, so
   // maybe_verify (--verify) sees it too.
   run_isolation(*scenario, *mgr);
   maybe_verify(*scenario, "slicing");

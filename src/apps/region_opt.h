@@ -76,9 +76,6 @@ class RegionOptApp {
                mgmt::ManagementPlane* mgmt)
       : controller_(controller), mobility_(mobility), mgmt_(mgmt) {}
 
-  /// Re-attaches to a replacement controller instance after failover (§6).
-  void rebind(reca::Controller* controller) { controller_ = controller; }
-
   /// One optimization round at this (non-leaf) controller: collect the
   /// subtree's handover graph, run the greedy, and (if `execute`) perform
   /// each reassignment through the management plane. `loads` may be empty,

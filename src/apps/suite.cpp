@@ -22,12 +22,12 @@ AppSuite::AppSuite(mgmt::ManagementPlane& mgmt) : mgmt_(mgmt) {
       [this](BsGroupId group, reca::Controller& /*from*/, reca::Controller& to) {
         mobility_.at(to.id())->rehome_transferred_bearers(group);
       });
-}
-
-void AppSuite::rebind(reca::Controller& c) {
-  if (auto it = mobility_.find(c.id()); it != mobility_.end()) it->second->rebind(&c);
-  if (auto it = interdomain_.find(c.id()); it != interdomain_.end()) it->second->rebind(&c);
-  if (auto it = region_opt_.find(c.id()); it != region_opt_.end()) it->second->rebind(&c);
+  // A swapped-in leaf answers to the same ControllerId: its apps keep their
+  // state (UE tables, bearers, handover logs) and follow the new instance.
+  mgmt_.set_leaf_swap_hook([this](reca::Controller& c) {
+    mobility_.at(c.id())->rebind(&c);
+    interdomain_.at(c.id())->rebind(&c);
+  });
 }
 
 RegionOptApp* AppSuite::region_opt(reca::Controller& c) {

@@ -1,6 +1,7 @@
 // Convenience bundle: instantiates the full set of operator applications on
 // every controller of a bootstrapped hierarchy and wires the cross-cutting
-// hooks (UE state transfer during reconfiguration, interdomain origination).
+// hooks (UE state transfer during reconfiguration, re-attachment after a
+// leaf swap, interdomain origination).
 // Examples, benches and integration tests all start from this.
 #pragma once
 
@@ -31,11 +32,6 @@ class AppSuite {
 
   /// Leaf-side interdomain origination + recursive propagation to the root.
   void originate_interdomain(const ExternalPathProvider& provider);
-
-  /// Re-attaches every app of `c`'s ControllerId to the (promoted)
-  /// replacement instance after a failover. App state — UE tables, bearers,
-  /// handover logs — survives; only the controller wiring is refreshed.
-  void rebind(reca::Controller& c);
 
   /// The leaf mobility app currently serving `group`.
   [[nodiscard]] MobilityApp& leaf_mobility_of_group(BsGroupId group);

@@ -68,6 +68,12 @@ bool TagAllocator::Side::release(std::uint32_t id) {
   return true;
 }
 
+std::size_t TagAllocator::Side::references() const {
+  std::size_t n = 0;
+  for (const auto& [id, count] : live) n += count;
+  return n;
+}
+
 std::uint32_t TagAllocator::tag_for(SliceId slice, std::uint32_t clause, Endpoint ingress,
                                     Endpoint egress) {
   PolicyTag tag;

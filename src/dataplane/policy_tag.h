@@ -99,6 +99,9 @@ class TagAllocator {
 
   [[nodiscard]] std::size_t ingress_aggregates() const { return ingress_.ids.size(); }
   [[nodiscard]] std::size_t egress_aggregates() const { return egress_.ids.size(); }
+  /// References held by live TagAggregates on ingress / egress ids.
+  [[nodiscard]] std::size_t ingress_references() const { return ingress_.references(); }
+  [[nodiscard]] std::size_t egress_references() const { return egress_.references(); }
   /// Aggregate ids recycled so far (both directions) — the GC's work proof.
   [[nodiscard]] std::uint64_t ids_recycled() const { return recycled_; }
 
@@ -117,6 +120,7 @@ class TagAllocator {
     void retain(std::uint32_t id) { ++live[id]; }
     /// True when the id drained and was recycled.
     bool release(std::uint32_t id);
+    [[nodiscard]] std::size_t references() const;
   };
 
   Side ingress_{PolicyTag::kMaxIngressAggs};

@@ -223,10 +223,9 @@ void RecoveryCoordinator::dispatch_recovery(const FaultEvent& ev, FaultRecord& r
       break;
     }
     case FaultKind::kControllerCrash: {
-      // The plane rebinds its own shards; the apps follow the fresh leaf and
-      // a new standby starts watching it.
-      scenario_->apps->rebind(
-          mp.fail_over_leaf(ev.leaf, *standbys_[ev.leaf], ev.at, kPromoteDuration));
+      // The plane rebinds its own shards and apps; a new standby starts
+      // watching the fresh leaf.
+      mp.fail_over_leaf(ev.leaf, *standbys_[ev.leaf], ev.at, kPromoteDuration);
       refresh_standbys(ev.at + kPromoteDuration);
       break;
     }

@@ -275,33 +275,34 @@ void ManagementPlane::sever_leaf(std::size_t i) {
 }
 
 std::unique_ptr<Controller> ManagementPlane::install_leaf(std::size_t i,
-                                                          std::unique_ptr<Controller> fresh) {
+                                                          std::unique_ptr<Controller> fresh,
+                                                          const DeviceFlip& flip) {
+  Controller& outgoing = *leaves_.at(i);
+  fresh->set_self_healing(outgoing.self_healing());
+  fresh->set_reliable_delivery(outgoing.reliable_delivery());
+  fresh->set_tag_allocator(outgoing.tag_allocator());
+  fresh->reca().set_vfabric_threshold(outgoing.reca().vfabric_threshold());
+  if (flip) flip(outgoing, *fresh);
+
   // Same ControllerId => same G-switch id: re-adoption overwrites the
   // parent's child maps in place and the hierarchy keeps its shape.
-  std::unique_ptr<Controller> outgoing = std::exchange(leaves_.at(i), std::move(fresh));
+  std::unique_ptr<Controller> retired = std::exchange(leaves_.at(i), std::move(fresh));
   if (Controller* parent = parent_of_leaf(i)) parent->adopt_child(*leaves_[i]);
   // Keep the table pins consistent with the replaced instance until the
   // rebind below, through the one sanctioned handoff path.
-  handoff_leaf_tables(i, outgoing->shard());
+  handoff_leaf_tables(i, retired->shard());
   recompute_borders();
   refresh_topology();
   if (sim::ShardedSimulator* bound = engine()) bind_shards(*bound, parent_link_delay_);
-  return outgoing;
+  if (leaf_swap_hook_) leaf_swap_hook_(*leaves_[i]);
+  return retired;
 }
 
 Controller& ManagementPlane::fail_over_leaf(std::size_t i, HotStandby& standby,
                                             sim::TimePoint at,
                                             std::optional<sim::Duration> modeled_duration) {
-  Controller& dead = *leaves_.at(i);
   sever_leaf(i);
-
-  bool self_heal = dead.self_healing();
-  bool reliable = dead.reliable_delivery();
-  auto promoted = standby.promote(at, modeled_duration);
-  promoted->set_self_healing(self_heal);
-  promoted->set_reliable_delivery(reliable);
-
-  install_leaf(i, std::move(promoted));  // the dead instance is freed here
+  install_leaf(i, standby.promote(at, modeled_duration));  // the dead instance is freed here
   Controller& fresh = *leaves_[i];
   SOFTMOW_LOG(LogLevel::kInfo, "mgmt")
       << "failed over leaf " << fresh.name() << " (" << fresh.devices().size()
@@ -312,32 +313,27 @@ Controller& ManagementPlane::fail_over_leaf(std::size_t i, HotStandby& standby,
 std::unique_ptr<Controller> ManagementPlane::migrate_leaf(std::size_t i,
                                                           std::unique_ptr<Controller> target,
                                                           const LeafPlacement& placement) {
-  Controller& source = *leaves_.at(i);
   sever_leaf(i);
-
-  // Hardening toggles carry over to the new instance.
-  target->set_self_healing(source.self_healing());
-  target->set_reliable_delivery(source.reliable_delivery());
-
   // §5.3.2 master switchover, per device: the source steps aside and the
   // target's pre-warmed standby session is swapped in as master. Rule
   // tables are untouched — this is a control-session flip only. Devices
   // without a parked standby (caller skipped pre-warming) are adopted
   // cold, which still converges but pays the handshake inside the window.
-  std::vector<SwitchId> devices = source.devices();
-  for (SwitchId sw : devices) source.release_physical_switch(*hub_, sw);
-  for (SwitchId sw : devices) {
-    southbound::SwitchAgent* agent = hub_->agent(sw);
-    if (agent == nullptr) continue;
-    if (!agent->promote_standby(target->id(), dataplane::ControllerRole::kMaster))
-      target->adopt_physical_switch(*hub_, sw);
-  }
-  // Discovery PacketIns only reach *active* sessions, so the target could
-  // not learn links while parked; one sweep now rebuilds them (the
-  // HotStandby::promote idiom).
-  target->run_link_discovery();
-
-  std::unique_ptr<Controller> retired = install_leaf(i, std::move(target));
+  auto flip = [this](Controller& source, Controller& fresh) {
+    std::vector<SwitchId> devices = source.devices();
+    for (SwitchId sw : devices) source.release_physical_switch(*hub_, sw);
+    for (SwitchId sw : devices) {
+      southbound::SwitchAgent* agent = hub_->agent(sw);
+      if (agent == nullptr) continue;
+      if (!agent->promote_standby(fresh.id(), dataplane::ControllerRole::kMaster))
+        fresh.adopt_physical_switch(*hub_, sw);
+    }
+    // Discovery PacketIns only reach *active* sessions, so the target could
+    // not learn links while parked; one sweep now rebuilds them (the
+    // HotStandby::promote idiom).
+    fresh.run_link_discovery();
+  };
+  std::unique_ptr<Controller> retired = install_leaf(i, std::move(target), flip);
   placements_.at(i) = placement;
   Controller& fresh = *leaves_[i];
   SOFTMOW_LOG(LogLevel::kInfo, "mgmt")

@@ -88,9 +88,8 @@ class ManagementPlane {
   /// undelivered messages count as dropped), the promoted controller
   /// re-attaches under the same G-switch identity, borders/abstractions
   /// refresh bottom-up, and a bound plane rebinds its shards at the delay it
-  /// was bound with. Hardening toggles (self-healing, reliable delivery)
-  /// carry over. The caller re-binds applications afterwards. Returns the
-  /// new leaf.
+  /// was bound with. The swap is complete on return: see install_leaf for
+  /// the wiring the new leaf inherits. Returns the new leaf.
   reca::Controller& fail_over_leaf(
       std::size_t i, HotStandby& standby, sim::TimePoint at = sim::TimePoint::zero(),
       std::optional<sim::Duration> modeled_duration = std::nullopt);
@@ -105,7 +104,8 @@ class ManagementPlane {
   /// re-pin through the sanctioned handoff path, and a bound plane rebinds
   /// its shards. Returns the retired source so the caller can drain it; the
   /// data plane is untouched (zero rule churn). Placement bookkeeping records
-  /// where the leaf now lives. The caller re-binds applications afterwards.
+  /// where the leaf now lives. The swap is complete on return, as for
+  /// fail_over_leaf.
   std::unique_ptr<reca::Controller> migrate_leaf(std::size_t i,
                                                  std::unique_ptr<reca::Controller> target,
                                                  const LeafPlacement& placement);
@@ -155,6 +155,12 @@ class ManagementPlane {
   /// update, so transferred bearers can be re-established from the target
   /// leaf over the refreshed topology.
   void set_ue_rehome_hook(UeTransferHook hook) { ue_rehome_hook_ = std::move(hook); }
+
+  /// Called at the end of every leaf swap (failover, migration) with the
+  /// fresh instance, so applications re-attach to it. App state survives;
+  /// only the controller wiring is refreshed.
+  using LeafSwapHook = std::function<void(reca::Controller& fresh)>;
+  void set_leaf_swap_hook(LeafSwapHook hook) { leaf_swap_hook_ = std::move(hook); }
 
   /// §5.3.2 reconfiguration: transfers control of border G-BS `gbs` (one BS
   /// group) from the leaf under `source_gswitch` to a leaf under
@@ -209,12 +215,21 @@ class ManagementPlane {
   /// First step of a leaf swap: disconnects the parent's channel into leaf
   /// `i`'s outgoing instance, whose handlers capture that instance.
   void sever_leaf(std::size_t i);
-  /// Last step of a leaf swap: `fresh` takes leaf `i`'s slot, the parent
+  /// Moves a migrating leaf's device sessions from the source to the target.
+  using DeviceFlip = std::function<void(reca::Controller& source, reca::Controller& target)>;
+  /// Last step of a leaf swap, and the only place that decides what survives
+  /// one: `fresh` inherits the outgoing instance's hardening (self-healing,
+  /// reliable delivery), tag allocator and vFabric threshold, `flip` (when
+  /// given) moves the devices over, `fresh` takes leaf `i`'s slot, the parent
   /// re-adopts it, tables re-pin to the outgoing instance's shard, borders
-  /// and abstractions refresh, and a bound plane rebinds at its recorded
-  /// delay. Returns the outgoing instance.
+  /// and abstractions refresh, a bound plane rebinds at its recorded delay,
+  /// and the leaf-swap hook re-attaches the apps. `fresh` takes the
+  /// allocator after its checkpoint restore, so it inherits the outgoing
+  /// instance's tag references and the allocator's counts do not move.
+  /// Returns the outgoing instance.
   std::unique_ptr<reca::Controller> install_leaf(std::size_t i,
-                                                 std::unique_ptr<reca::Controller> fresh);
+                                                 std::unique_ptr<reca::Controller> fresh,
+                                                 const DeviceFlip& flip = {});
 
   dataplane::PhysicalNetwork* net_;
   std::unique_ptr<southbound::Hub> hub_;
@@ -228,6 +243,7 @@ class ManagementPlane {
   sim::Duration parent_link_delay_;  ///< of the current bind_shards; see engine()
   UeTransferHook ue_transfer_hook_;
   UeTransferHook ue_rehome_hook_;
+  LeafSwapHook leaf_swap_hook_;
   std::uint64_t next_controller_ = 1;
   std::unique_ptr<verify::StaticVerifier> verifier_;  ///< walk caches for reverify
   std::function<void(verify::ControlState&)> slice_annotator_;

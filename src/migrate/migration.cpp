@@ -106,7 +106,6 @@ Result<void> MigrationManager::stream_snapshot() {
   a.base = mgmt::capture_checkpoint(source);
   a.target = std::make_unique<reca::Controller>(source.id(), 1, source.name(),
                                                 mp.label_mode());
-  a.target->set_tag_allocator(source.tag_allocator());
   mgmt::restore_checkpoint(*a.target, a.base);
   a.rec.devices = a.base.devices.size();
   a.rec.bytes_snapshot = a.base.estimated_bytes();
@@ -187,7 +186,6 @@ Result<void> MigrationManager::flip() {
   // The atomic flip: standby sessions promote to master, the parent
   // re-adopts the G-switch, shards rebind, apps re-attach.
   a.retired = mp.migrate_leaf(a.leaf, std::move(a.target), a.placement);
-  scenario_->apps->rebind(mp.leaf(a.leaf));
 
   // Per-device role promotions drain through one station inside the window
   // (the Fig. 10 queueing idiom), then the parent's re-adoption costs one

@@ -13,8 +13,8 @@
 //              pre-warmed as parked standbys on every device;
 //   kFlip      at an engine barrier, atomically promote the standby
 //              sessions to master, re-adopt the G-switch at the parent,
-//              rebind engine shards and apps (ManagementPlane::migrate_leaf
-//              + AppSuite::rebind) — the only window that counts as
+//              rebind engine shards and apps (ManagementPlane::migrate_leaf,
+//              complete on return) — the only window that counts as
 //              disruption;
 //   kDrain     retire the source instance.
 //

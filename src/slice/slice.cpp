@@ -37,23 +37,23 @@ SliceManager::SliceManager(topo::Scenario& scenario, Options opts)
       opts_(opts),
       ignored_close_metric_(obs::default_registry().counter(
           "ignored_errors_total", {{"site", "slice.close_bearer"}})) {
-  rewire_encapsulation();
+  for (reca::Controller* c : scenario_->mgmt->all_controllers()) {
+    c->set_tag_allocator(tag_allocator());
+  }
+  scenario_->mgmt->set_slice_annotator([this](verify::ControlState& state) {
+    state.have_slices = true;
+    state.ue_slices = ue_slices_;
+  });
 }
 
 SliceManager::~SliceManager() {
-  // Controllers keep a raw pointer to the shared allocator; sever it so a
-  // scenario outliving its slice manager cannot tag through a dead object.
+  // Controllers keep a raw pointer to the shared allocator and the plane
+  // keeps the annotator, which captures this manager; sever both so a
+  // scenario outliving its slice manager cannot reach a dead object.
   if (scenario_->mgmt == nullptr) return;
+  scenario_->mgmt->set_slice_annotator(nullptr);
   for (reca::Controller* c : scenario_->mgmt->all_controllers()) {
     if (c->tag_allocator() == &tags_) c->set_tag_allocator(nullptr);
-  }
-}
-
-void SliceManager::rewire_encapsulation() {
-  dataplane::TagAllocator* allocator =
-      opts_.encap == EncapMode::kTags ? &tags_ : nullptr;
-  for (reca::Controller* c : scenario_->mgmt->all_controllers()) {
-    c->set_tag_allocator(allocator);
   }
 }
 
@@ -253,13 +253,6 @@ Result<void> SliceManager::close_bearer(SliceId id, UeId ue, BearerId bearer) {
   t->reserved_metric->set(t->reserved_kbps);
   t->open_kbps.erase(it);
   return Ok();
-}
-
-void SliceManager::install_annotator() {
-  scenario_->mgmt->set_slice_annotator([this](verify::ControlState& state) {
-    state.have_slices = true;
-    state.ue_slices = ue_slices_;
-  });
 }
 
 }  // namespace softmow::slice

@@ -74,7 +74,11 @@ class SliceManager {
 
   /// Binds to a bootstrapped scenario. Under `kTags` this wires one shared
   /// TagAllocator into every controller of the hierarchy (ancestors included,
-  /// so delegated bearers aggregate the same way).
+  /// so delegated bearers aggregate the same way); a leaf swapped in later
+  /// inherits it from the instance it replaces. It also installs the
+  /// ue->slice annotator into the management plane, so every verify pass
+  /// enforces the per-tenant isolation invariants (kCrossSlice,
+  /// kTagMismatch). The destructor removes both again.
   SliceManager(topo::Scenario& scenario, Options opts);
   ~SliceManager();
   SliceManager(const SliceManager&) = delete;
@@ -116,16 +120,6 @@ class SliceManager {
   [[nodiscard]] dataplane::TagAllocator* tag_allocator() {
     return opts_.encap == EncapMode::kTags ? &tags_ : nullptr;
   }
-
-  /// Installs the ue->slice annotator into the management plane so every
-  /// verify pass enforces the per-tenant isolation invariants (kCrossSlice,
-  /// kTagMismatch).
-  void install_annotator();
-
-  /// Re-applies the encapsulation wiring across the hierarchy — call after
-  /// a controller failover replaced an instance (the promoted controller
-  /// starts without the tag allocator hook).
-  void rewire_encapsulation();
 
   /// Shard-ownership tag over the per-tenant budget/bearer bookkeeping
   /// (open_kbps, reserved_kbps). Unowned by default: bearer churn driven

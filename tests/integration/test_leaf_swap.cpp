@@ -1,8 +1,10 @@
 // A leaf swap — the §6 standby promotion after a controller crash, or the
-// §5.3.2 flip that ends a live migration — rebinds the fresh leaf at the
-// parent-link delay the management plane was bound with, and the fresh
-// instance keeps the §6 hardening (self-healing, reliable delivery) the
-// leaf it replaces had.
+// §5.3.2 flip that ends a live migration — is complete when the management
+// plane returns: the fresh leaf is rebound at the parent-link delay the
+// plane was bound with, keeps the §6 hardening (self-healing, reliable
+// delivery), the tag allocator and the vFabric threshold of the leaf it
+// replaces, serves the apps without a caller re-attaching them, and
+// inherits the outgoing instance's tag references.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -59,6 +61,72 @@ class LeafSwapTest : public ::testing::Test {
     EXPECT_EQ(arrived - sent, kParentDelay);
   }
 
+  /// A BS whose group is homed in leaf 0.
+  BsId leaf0_bs() {
+    for (const auto& region : scenario->partition.group_regions) {
+      for (BsGroupId group : region) {
+        if (mp->leaf_of_group(group) == &mp->leaf(0))
+          return scenario->net.bs_group(group)->members.front();
+      }
+    }
+    ADD_FAILURE() << "no base station homed in leaf 0";
+    return BsId{};
+  }
+
+  /// Tags mode: two tenants with every subscriber's bearer open.
+  std::unique_ptr<slice::SliceManager> tagged_tenants() {
+    auto mgr = std::make_unique<slice::SliceManager>(*scenario, slice::SliceManager::Options{});
+    for (const char* name : {"a", "b"}) {
+      slice::SliceSpec spec;
+      spec.name = name;
+      SliceId id = *mgr->add_slice(spec);
+      EXPECT_TRUE(mgr->provision(id, 4).ok());
+      for (UeId ue : mgr->subscribers(id))
+        EXPECT_TRUE(mgr->open_bearer(id, ue, PrefixId{17}).ok());
+    }
+    return mgr;
+  }
+
+  /// Live counts of the shared tag allocator.
+  static std::vector<std::size_t> tag_counts(dataplane::TagAllocator& tags) {
+    return {tags.ingress_aggregates(), tags.egress_aggregates(), tags.ingress_references(),
+            tags.egress_references()};
+  }
+
+  /// The first leaf holding a tag aggregate.
+  std::size_t tagged_leaf() {
+    for (std::size_t i = 0; i < mp->leaf_count(); ++i)
+      if (!mp->leaf(i).paths().aggregates().empty()) return i;
+    ADD_FAILURE() << "no leaf holds a tag aggregate";
+    return 0;
+  }
+
+  /// Opens new bearers for a subscriber homed in leaf `i`, to prefixes it
+  /// has no bearer to yet; the first one the leaf serves itself must carry
+  /// its slice's tag.
+  void expect_new_bearer_tagged(slice::SliceManager& mgr, std::size_t i) {
+    reca::Controller& leaf = mp->leaf(i);
+    apps::MobilityApp& mobility = scenario->apps->mobility(leaf);
+    for (SliceId id : mgr.slices()) {
+      for (UeId ue : mgr.subscribers(id)) {
+        if (mobility.ue(ue) == nullptr) continue;
+        for (std::uint64_t dst = 21; dst <= 50; ++dst) {
+          auto bearer = mgr.open_bearer(id, ue, PrefixId{dst});
+          ASSERT_TRUE(bearer.ok());
+          const apps::BearerRecord& rec = mobility.ue(ue)->bearers.at(*bearer);
+          if (!rec.handled_locally) continue;
+          const nos::InstalledPath* path = leaf.paths().path(rec.local_path);
+          ASSERT_NE(path, nullptr);
+          auto tag = dataplane::decode_tag(path->label.value);
+          ASSERT_TRUE(tag.has_value());
+          EXPECT_EQ(tag->slice, id);
+          return;
+        }
+      }
+    }
+    FAIL() << "leaf " << i << " serves no new bearer itself";
+  }
+
   std::unique_ptr<topo::Scenario> scenario;
   mgmt::ManagementPlane* mp = nullptr;
   std::unique_ptr<sim::ShardedSimulator> engine;
@@ -97,7 +165,10 @@ TEST_F(LeafSwapTest, MigratedLeafKeepsTheBoundParentDelay) {
 TEST_F(LeafSwapTest, FailedOverLeafKeepsItsHardening) {
   faults::RecoveryCoordinator coord(*scenario);
   coord.harden();
-  const reca::Controller* crashed = &mp->leaf(0);
+  dataplane::TagAllocator tags;
+  reca::Controller* crashed = &mp->leaf(0);
+  crashed->set_tag_allocator(&tags);
+  crashed->reca().set_vfabric_threshold(0.3);
   ASSERT_TRUE(crashed->self_healing());
   ASSERT_TRUE(crashed->reliable_delivery());
 
@@ -110,12 +181,17 @@ TEST_F(LeafSwapTest, FailedOverLeafKeepsItsHardening) {
 
   EXPECT_TRUE(mp->leaf(0).self_healing());
   EXPECT_TRUE(mp->leaf(0).reliable_delivery());
+  EXPECT_EQ(mp->leaf(0).tag_allocator(), &tags);
+  EXPECT_EQ(mp->leaf(0).reca().vfabric_threshold(), 0.3);
 }
 
 TEST_F(LeafSwapTest, MigratedLeafKeepsItsHardening) {
+  dataplane::TagAllocator tags;
   reca::Controller* source = &mp->leaf(0);
   source->set_self_healing(true);
   source->set_reliable_delivery(true);
+  source->set_tag_allocator(&tags);
+  source->reca().set_vfabric_threshold(0.3);
 
   migrate::MigrationManager mgr(*scenario);
   ASSERT_TRUE(mgr.migrate_leaf(0, {"dc-east", sim::Duration::millis(6)}).ok());
@@ -123,6 +199,52 @@ TEST_F(LeafSwapTest, MigratedLeafKeepsItsHardening) {
 
   EXPECT_TRUE(mp->leaf(0).self_healing());
   EXPECT_TRUE(mp->leaf(0).reliable_delivery());
+  EXPECT_EQ(mp->leaf(0).tag_allocator(), &tags);
+  EXPECT_EQ(mp->leaf(0).reca().vfabric_threshold(), 0.3);
+}
+
+TEST_F(LeafSwapTest, DirectFailoverLeavesTheAppsAttached) {
+  mgmt::HotStandby standby(mp->leaf(0), mp->hub());
+  standby.sync();
+  reca::Controller& fresh = mp->fail_over_leaf(0, standby);
+
+  // No caller re-attached the apps: the swap did.
+  apps::MobilityApp& mobility = scenario->apps->mobility(fresh);
+  const BsId bs = leaf0_bs();
+  const UeId ue{90201};
+  ASSERT_TRUE(mobility.ue_attach(ue, bs).ok());
+  apps::BearerRequest request;
+  request.ue = ue;
+  request.bs = bs;
+  request.dst_prefix = scenario->iplane->prefixes().front();
+  EXPECT_TRUE(mobility.request_bearer(request).ok());
+}
+
+TEST_F(LeafSwapTest, FailedOverLeafInheritsItsTagReferences) {
+  auto mgr = tagged_tenants();
+  const std::size_t i = tagged_leaf();
+  mgmt::HotStandby standby(mp->leaf(i), mp->hub());
+  standby.sync();
+  const std::vector<std::size_t> before = tag_counts(*mgr->tag_allocator());
+
+  mp->fail_over_leaf(i, standby);
+  EXPECT_EQ(tag_counts(*mgr->tag_allocator()), before);
+
+  expect_new_bearer_tagged(*mgr, i);
+  EXPECT_EQ(mp->verify_data_plane().isolation_violations(), 0u);
+}
+
+TEST_F(LeafSwapTest, MigratedLeafInheritsItsTagReferences) {
+  auto mgr = tagged_tenants();
+  const std::size_t i = tagged_leaf();
+  const std::vector<std::size_t> before = tag_counts(*mgr->tag_allocator());
+
+  migrate::MigrationManager migrations(*scenario);
+  ASSERT_TRUE(migrations.migrate_leaf(i, {"dc-east", sim::Duration::millis(6)}).ok());
+  EXPECT_EQ(tag_counts(*mgr->tag_allocator()), before);
+
+  expect_new_bearer_tagged(*mgr, i);
+  EXPECT_EQ(mp->verify_data_plane().isolation_violations(), 0u);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // seeded cross-tenant classifier to its exact (switch, cookie, slice)
 // triple, and the self-healing plane removes it again. A slice closing a
 // bearer its leaf no longer holds releases the charge and counts the miss.
+// A promoted leaf keeps the tag allocator, and a destroyed manager leaves
+// nothing behind in the plane.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,7 +30,6 @@ class SliceIsolationTest : public ::testing::Test {
         ASSERT_TRUE(mgr->open_bearer(id, ue, PrefixId{17}).ok());
       }
     }
-    mgr->install_annotator();
   }
 
   std::unique_ptr<topo::Scenario> scenario;
@@ -119,14 +120,22 @@ TEST_F(SliceIsolationTest, SelfHealingRemovesRogueRule) {
 }
 
 TEST_F(SliceIsolationTest, FailoverRewiresTagAllocator) {
-  // A promoted standby starts without the shared tag allocator;
-  // rewire_encapsulation restores tag stamping for post-failover bearers.
+  // The promoted standby takes the shared tag allocator over from the
+  // instance it replaces, so post-failover bearers are tagged at once.
   mgmt::HotStandby standby(scenario->mgmt->leaf(0), scenario->mgmt->hub());
   standby.sync();
   reca::Controller& promoted = scenario->mgmt->fail_over_leaf(0, standby);
-  EXPECT_EQ(promoted.tag_allocator(), nullptr);
-  mgr->rewire_encapsulation();
   EXPECT_EQ(promoted.tag_allocator(), mgr->tag_allocator());
+}
+
+TEST_F(SliceIsolationTest, VerifyAfterTheManagerIsGoneTouchesNoFreedState) {
+  // The plane's slice annotator captures the manager; destroying the
+  // manager removes it, so a later verify pass runs unannotated.
+  mgr.reset();
+  verify::VerifyReport report = scenario->mgmt->verify_data_plane();
+  EXPECT_EQ(report.isolation_violations(), 0u) << report.summary();
+  for (reca::Controller* c : scenario->mgmt->all_controllers())
+    EXPECT_EQ(c->tag_allocator(), nullptr);
 }
 
 TEST_F(SliceIsolationTest, CloseOfBearerTheLeafNoLongerHoldsIsCounted) {

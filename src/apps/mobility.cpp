@@ -390,6 +390,12 @@ Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
   auto it = ues_.find(request.ue);
   if (it == ues_.end()) return Error{ErrorCode::kNotFound, "UE not attached"};
   UeRecord& rec = it->second;
+  // A bearer's classifier matches (UE, destination prefix) at one priority,
+  // so a second active one would collide with the first at the access switch.
+  for (const auto& [bid, bearer] : rec.bearers) {
+    if (bearer.active && bearer.request.dst_prefix == request.dst_prefix)
+      return Error{ErrorCode::kConflict, "UE already holds an active bearer to this prefix"};
+  }
 
   SpanGuard span("bearer.setup", controller_->level(), controller_->name());
   span.detail("failed");

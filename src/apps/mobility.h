@@ -162,7 +162,8 @@ class MobilityApp {
   Result<void> ue_active(UeId ue);
 
   /// Sets up a bearer; delegates to the parent when the local region cannot
-  /// satisfy the QoS / policy (§5.1).
+  /// satisfy the QoS / policy (§5.1). kConflict, before any route is
+  /// computed, when the UE already holds an active bearer to the prefix.
   Result<BearerId> request_bearer(const BearerRequest& request);
   Result<void> deactivate_bearer(UeId ue, BearerId bearer);
 

@@ -31,6 +31,8 @@ struct Link {
 struct GeoPoint {
   double x = 0;
   double y = 0;
+
+  friend bool operator==(const GeoPoint&, const GeoPoint&) = default;
 };
 double distance(GeoPoint p, GeoPoint q);
 

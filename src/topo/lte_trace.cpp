@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "topo/bs_group_inference.h"
 
@@ -31,10 +32,19 @@ double LteTrace::diurnal(double minute_of_day, double offpeak_fraction) {
   return offpeak_fraction + (1.0 - offpeak_fraction) * shape;
 }
 
-LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& wan,
-                            const LteTraceParams& params) {
+std::vector<AttachSite> attach_sites(const dataplane::PhysicalNetwork& net,
+                                     const WanTopology& wan) {
+  std::vector<AttachSite> sites;
+  sites.reserve(wan.switches.size());
+  for (SwitchId sw : wan.switches) sites.push_back(AttachSite{sw, net.switch_location(sw)});
+  return sites;
+}
+
+LteTraceSynthesis synthesize_lte_trace(const std::vector<AttachSite>& sites,
+                                       const LteTraceParams& params) {
   Rng rng(params.seed);
-  LteTrace trace;
+  LteTraceSynthesis synthesis;
+  LteTrace& trace = synthesis.trace;
 
   // --- 1. Base-station locations: one large, continuous metropolitan area ----
   // The paper's trace covers a single large metro that the logical regions
@@ -96,7 +106,8 @@ LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& 
   // --- 3. Group inference (§7.1 greedy) and attachment to the WAN -------------
   auto inferred = infer_bs_groups(bs_graph, InferenceParams{6});
 
-  // Map provisional BsIds to real network BsIds as groups are materialized.
+  // Map provisional BsIds to the real IDs that materialize will get: a
+  // network without groups or stations numbers both from 0 in add order.
   std::map<BsId, BsId> real_id;
   std::map<BsId, BsGroupId> group_of_real;
   for (const InferredGroup& g : inferred) {
@@ -109,18 +120,22 @@ LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& 
     centroid.y /= static_cast<double>(g.members.size());
 
     // Nearest WAN switch hosts the group's access uplink.
-    SwitchId nearest = wan.switches.front();
+    SwitchId nearest = sites.front().sw;
     double best = 1e18;
-    for (SwitchId sw : wan.switches) {
-      double d = dataplane::distance(net.switch_location(sw), centroid);
+    for (const AttachSite& site : sites) {
+      double d = dataplane::distance(site.location, centroid);
       if (d < best) {
         best = d;
-        nearest = sw;
+        nearest = site.sw;
       }
     }
-    BsGroupId gid = net.add_bs_group(nearest, dataplane::BsGroupTopology::kRing, centroid);
+    LteTraceSynthesis::Group& group = synthesis.groups.emplace_back();
+    group.attach = nearest;
+    group.centroid = centroid;
+    BsGroupId gid{trace.groups.size()};
     for (BsId provisional : g.members) {
-      BsId real = net.add_base_station(gid, bs_locations[provisional.value]);
+      group.members.push_back(bs_locations[provisional.value]);
+      BsId real{trace.stations.size()};
       real_id[provisional] = real;
       group_of_real[real] = gid;
       trace.stations.push_back(real);
@@ -165,7 +180,8 @@ LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& 
     edge_weight_total += w;
   }
 
-  trace.bins.reserve(params.duration_minutes);
+  std::vector<TraceBin> bins;
+  bins.reserve(params.duration_minutes);
   for (std::size_t minute = 0; minute < params.duration_minutes; ++minute) {
     double shape = LteTrace::diurnal(static_cast<double>(minute % 1440),
                                      params.offpeak_fraction);
@@ -190,14 +206,14 @@ LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& 
         bin.handovers.emplace_back(std::min(e.a, e.b), std::max(e.a, e.b), count);
       }
     }
-    trace.bins.push_back(std::move(bin));
+    bins.push_back(std::move(bin));
   }
 
   // --- 5. Aggregate load per group --------------------------------------------
   // Summed densely by group index, in bin order, then stored once. Keep the
   // order: float sums depend on it, and group_load feeds region partitioning.
   std::vector<double> load(n_groups, 0.0);
-  for (const TraceBin& bin : trace.bins) {
+  for (const TraceBin& bin : bins) {
     for (std::size_t g = 0; g < n_groups; ++g)
       load[g] += static_cast<double>(bin.bearer_arrivals[g]) + bin.ue_arrivals[g];
     for (const auto& [a, b, count] : bin.handovers) {
@@ -206,7 +222,34 @@ LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& 
     }
   }
   for (std::size_t g = 0; g < n_groups; ++g) trace.group_load[trace.groups[g]] = load[g];
+  trace.bins = TraceBins(std::move(bins));
+  return synthesis;
+}
+
+LteTrace materialize(dataplane::PhysicalNetwork& net, const LteTraceSynthesis& synthesis) {
+  const LteTrace& trace = synthesis.trace;
+  std::size_t station = 0;
+  for (std::size_t g = 0; g < synthesis.groups.size(); ++g) {
+    const LteTraceSynthesis::Group& group = synthesis.groups[g];
+    BsGroupId gid =
+        net.add_bs_group(group.attach, dataplane::BsGroupTopology::kRing, group.centroid);
+    if (gid != trace.groups[g])
+      throw std::logic_error("materialize: network assigned " + gid.str() + ", synthesis " +
+                             trace.groups[g].str());
+    for (GeoPoint at : group.members) {
+      BsId id = net.add_base_station(gid, at);
+      if (id != trace.stations[station])
+        throw std::logic_error("materialize: network assigned " + id.str() + ", synthesis " +
+                               trace.stations[station].str());
+      ++station;
+    }
+  }
   return trace;
+}
+
+LteTrace generate_lte_trace(dataplane::PhysicalNetwork& net, const WanTopology& wan,
+                            const LteTraceParams& params) {
+  return materialize(net, synthesize_lte_trace(attach_sites(net, wan), params));
 }
 
 }  // namespace softmow::topo

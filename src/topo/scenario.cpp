@@ -1,8 +1,46 @@
 #include "topo/scenario.h"
 
+#include <mutex>
+
 #include "core/log.h"
+#include "obs/metrics.h"
 
 namespace softmow::topo {
+
+namespace {
+
+/// The synthesis of the last trace built in this process, under its inputs.
+/// Benches and tests build the same scenario again and again; one slot is
+/// enough for that, and keeps at most one trace alive beyond its scenarios.
+struct TraceMemo {
+  std::mutex mu;
+  LteTraceParams params;
+  std::vector<AttachSite> sites;
+  std::shared_ptr<const LteTraceSynthesis> synthesis;
+};
+
+/// The synthesis for (sites, params): the memo's when both compare equal to
+/// its key, else a fresh one that replaces it.
+std::shared_ptr<const LteTraceSynthesis> shared_synthesis(std::vector<AttachSite> sites,
+                                                          const LteTraceParams& params) {
+  static TraceMemo memo;
+  obs::MetricsRegistry& reg = obs::default_registry();
+  obs::Counter* synthesized = reg.counter("lte_traces_total", {{"result", "synthesized"}});
+  obs::Counter* reused = reg.counter("lte_traces_total", {{"result", "reused"}});
+  std::lock_guard<std::mutex> lock(memo.mu);
+  if (memo.synthesis == nullptr || memo.params != params || memo.sites != sites) {
+    memo.synthesis =
+        std::make_shared<const LteTraceSynthesis>(synthesize_lte_trace(sites, params));
+    memo.params = params;
+    memo.sites = std::move(sites);
+    synthesized->inc();
+  } else {
+    reused->inc();
+  }
+  return memo.synthesis;
+}
+
+}  // namespace
 
 std::unique_ptr<Scenario> build_scenario(ScenarioParams params) {
   auto scenario = std::make_unique<Scenario>();
@@ -13,7 +51,8 @@ std::unique_ptr<Scenario> build_scenario(ScenarioParams params) {
       place_egress_points(scenario->net, scenario->wan, params.egress_points, rng);
   params.trace.extent = params.wan.extent;
   params.iplane.extent = params.wan.extent;
-  scenario->trace = generate_lte_trace(scenario->net, scenario->wan, params.trace);
+  scenario->trace = materialize(
+      scenario->net, *shared_synthesis(attach_sites(scenario->net, scenario->wan), params.trace));
   scenario->iplane = std::make_unique<IPlaneModel>(scenario->net, params.iplane);
 
   scenario->partition =

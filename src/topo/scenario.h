@@ -41,7 +41,9 @@ struct Scenario {
   std::unique_ptr<apps::AppSuite> apps;
 };
 
-/// Builds the full scenario. Deterministic under `params`.
+/// Builds the full scenario. Deterministic under `params`. The LTE trace
+/// comes from the process's last synthesis when its inputs are equal
+/// (lte_traces_total{result=synthesized|reused} counts both).
 [[nodiscard]] std::unique_ptr<Scenario> build_scenario(ScenarioParams params);
 
 /// A small scenario (fast enough for unit/integration tests): ~40 switches,

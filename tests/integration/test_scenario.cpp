@@ -1,8 +1,12 @@
 // Integration tests over a complete (small) generated scenario: hierarchy
 // bootstrap, interdomain propagation, bearers through the mobility app,
 // intra- and inter-region handovers, and an executed region-optimization
-// round with its reconfiguration protocol.
+// round with its reconfiguration protocol, and the refusal of a duplicate
+// (UE, prefix) bearer.
 #include <gtest/gtest.h>
+
+#include <iostream>
+#include <sstream>
 
 #include "softmow/softmow.h"
 
@@ -268,6 +272,62 @@ TEST_F(ScenarioTest, RegionOptimizationReducesCrossRegionHandovers) {
   request.dst_prefix = PrefixId{13};
   auto bearer = mobility.request_bearer(request);
   ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+}
+
+// A bearer's access classifier matches (UE, destination prefix) at one
+// priority, so a second active bearer to the same prefix is refused up
+// front instead of reported as set up while the switch rejects its rule.
+TEST(BearerConflict, SecondActiveBearerToTheSamePrefixIsRefused) {
+  auto scenario = topo::build_scenario(topo::small_scenario_params(3));
+  auto& mp = *scenario->mgmt;
+  BsGroupId group = scenario->partition.group_regions[0].front();
+  const dataplane::BsGroup* g = scenario->net.bs_group(group);
+  BsId bs = g->members.front();
+  auto& mobility = scenario->apps->mobility(*mp.leaf_of_group(group));
+
+  std::ostringstream log;
+  std::streambuf* saved = std::clog.rdbuf(log.rdbuf());
+  UeId ue{1001};
+  ASSERT_TRUE(mobility.ue_attach(ue, bs).ok());
+  apps::BearerRequest request;
+  request.ue = ue;
+  request.bs = bs;
+  request.dst_prefix = PrefixId{17};
+  auto first = mobility.request_bearer(request);
+  ASSERT_TRUE(first.ok()) << first.error().message;
+
+  obs::Counter* to_device = obs::default_registry().counter(
+      "southbound_messages_total", {{"direction", "to_device"}});
+  const std::uint64_t sent = to_device->value();
+  const apps::MobilityStats before = mobility.stats();
+  auto second = mobility.request_bearer(request);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.code(), ErrorCode::kConflict);
+  // Refused before any route or FlowMod: nothing reached a device.
+  EXPECT_EQ(to_device->value(), sent);
+  EXPECT_EQ(mobility.stats().bearers_local, before.bearers_local);
+  EXPECT_EQ(mobility.stats().bearers_delegated, before.bearers_delegated);
+  EXPECT_EQ(mobility.ue(ue)->bearers.size(), 1u);
+
+  // Another prefix is a different classifier; a released bearer frees its own.
+  request.dst_prefix = PrefixId{18};
+  ASSERT_TRUE(mobility.request_bearer(request).ok());
+  ASSERT_TRUE(mobility.deactivate_bearer(ue, *first).ok());
+  request.dst_prefix = PrefixId{17};
+  ASSERT_TRUE(mobility.request_bearer(request).ok());
+  std::clog.rdbuf(saved);
+  EXPECT_EQ(log.str().find("rejected flow-mod"), std::string::npos) << log.str();
+
+  std::size_t classifiers = 0;
+  for (const dataplane::FlowRule& rule : scenario->net.sw(g->access_switch)->table().rules())
+    if (rule.match.ue == ue && rule.match.dst_prefix == PrefixId{17}) ++classifiers;
+  EXPECT_EQ(classifiers, 1u);
+
+  verify::ControlState state = mp.control_state();
+  state.bearers = scenario->apps->bearer_claims();
+  verify::VerifyReport report =
+      verify::verify_data_plane(scenario->net, &state, mp.verify_options());
+  EXPECT_TRUE(report.clean()) << report.summary();
 }
 
 }  // namespace

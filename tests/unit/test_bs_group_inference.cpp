@@ -1,12 +1,14 @@
-// BS-group inference against its reference greedy, and golden pins of the
-// synthesized LTE trace.
+// BS-group inference against its reference greedy, golden pins of the
+// synthesized LTE trace, and build_scenario's reuse of one synthesis.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 #include "bs_group_greedy_oracle.h"
+#include "obs/metrics.h"
 #include "topo/lte_trace.h"
 #include "topo/scenario.h"
 #include "topo/wan_generator.h"
@@ -129,6 +131,27 @@ std::uint64_t group_digest(const dataplane::PhysicalNetwork& net, const LteTrace
   return d.value;
 }
 
+/// Each group's load, keyed by group, bit for bit.
+std::uint64_t load_digest(const LteTrace& trace) {
+  Digest load;
+  for (const auto& [gid, value] : trace.group_load) {
+    load.mix(gid.value);
+    load.mix(value);
+  }
+  return load.value;
+}
+
+/// Per-bin bearer, UE-arrival and handover totals, in bin order.
+std::uint64_t bins_digest(const LteTrace& trace) {
+  Digest bins;
+  for (const TraceBin& bin : trace.bins) {
+    bins.mix(bin.total_bearers());
+    bins.mix(bin.total_ue_arrivals());
+    bins.mix(bin.total_handovers());
+  }
+  return bins.value;
+}
+
 LteTrace synthesize(dataplane::PhysicalNetwork& net, ScenarioParams p) {
   p.trace.extent = p.wan.extent;  // as build_scenario does
   WanTopology wan = generate_wan(net, p.wan);
@@ -142,21 +165,12 @@ TEST(LteTraceGolden, SmallScenarioSeed1) {
   EXPECT_EQ(trace.groups.size(), 51u);
   EXPECT_EQ(group_digest(net, trace), 0x5f0a9a03d96df2e5ull);
 
-  Digest load;
-  for (const auto& [gid, value] : trace.group_load) {
-    load.mix(gid.value);
-    load.mix(value);
-  }
   EXPECT_EQ(trace.group_load.size(), trace.groups.size());
-  EXPECT_EQ(load.value, 0xbd0e852fbc279abbull);
+  EXPECT_EQ(load_digest(trace), 0xbd0e852fbc279abbull);
 
   ASSERT_EQ(trace.bins.size(), 120u);
-  Digest bins;
   std::uint64_t bearers = 0, ue_arrivals = 0, handovers = 0;
   for (const TraceBin& bin : trace.bins) {
-    bins.mix(bin.total_bearers());
-    bins.mix(bin.total_ue_arrivals());
-    bins.mix(bin.total_handovers());
     bearers += bin.total_bearers();
     ue_arrivals += bin.total_ue_arrivals();
     handovers += bin.total_handovers();
@@ -164,7 +178,7 @@ TEST(LteTraceGolden, SmallScenarioSeed1) {
   EXPECT_EQ(bearers, 168700u);
   EXPECT_EQ(ue_arrivals, 16742u);
   EXPECT_EQ(handovers, 25060u);
-  EXPECT_EQ(bins.value, 0x0e74fc4aa4428915ull);
+  EXPECT_EQ(bins_digest(trace), 0x0e74fc4aa4428915ull);
 }
 
 // Groups depend only on the RNG stream before the bins, so one bin is
@@ -181,6 +195,82 @@ TEST(LteTraceGolden, PaperScaleGroups) {
   EXPECT_EQ(trace.stations.size(), 1000u);
   EXPECT_EQ(trace.groups.size(), 567u);
   EXPECT_EQ(group_digest(net, trace), 0xccfa227cd0df0eecull);
+}
+
+// ------------------------------------------------------------------ memo
+// build_scenario synthesizes a trace once and materializes the last
+// synthesis again while its inputs compare equal.
+
+std::uint64_t lte_traces(const char* result) {
+  return obs::default_registry().counter("lte_traces_total", {{"result", result}})->value();
+}
+
+/// Each group's and station's ID and location, in trace order.
+::testing::AssertionResult same_stations(const Scenario& a, const Scenario& b) {
+  if (a.trace.groups != b.trace.groups) return ::testing::AssertionFailure() << "group ids";
+  if (a.trace.stations != b.trace.stations) return ::testing::AssertionFailure() << "BS ids";
+  for (BsGroupId gid : a.trace.groups) {
+    const dataplane::BsGroup* ga = a.net.bs_group(gid);
+    const dataplane::BsGroup* gb = b.net.bs_group(gid);
+    if (ga->centroid != gb->centroid || ga->core_attach.sw != gb->core_attach.sw ||
+        ga->members != gb->members)
+      return ::testing::AssertionFailure() << gid << " differs";
+  }
+  for (BsId bs : a.trace.stations) {
+    if (a.net.base_station(bs)->location != b.net.base_station(bs)->location)
+      return ::testing::AssertionFailure() << bs << " location differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(LteTraceMemo, RepeatBuildReusesTheSynthesis) {
+  auto first = build_scenario(small_scenario_params(1));
+  const std::uint64_t synthesized = lte_traces("synthesized");
+  const std::uint64_t reused = lte_traces("reused");
+  auto second = build_scenario(small_scenario_params(1));
+  EXPECT_EQ(lte_traces("synthesized"), synthesized);
+  EXPECT_EQ(lte_traces("reused"), reused + 1);
+
+  EXPECT_TRUE(same_stations(*first, *second));
+  EXPECT_EQ(load_digest(second->trace), load_digest(first->trace));
+  EXPECT_EQ(bins_digest(second->trace), bins_digest(first->trace));
+  // The bins are one storage, not a copy.
+  ASSERT_FALSE(first->trace.bins.empty());
+  EXPECT_EQ(second->trace.bins.begin(), first->trace.bins.begin());
+
+  // The memoized path yields the golden trace.
+  EXPECT_EQ(group_digest(second->net, second->trace), 0x5f0a9a03d96df2e5ull);
+  EXPECT_EQ(load_digest(second->trace), 0xbd0e852fbc279abbull);
+  EXPECT_EQ(bins_digest(second->trace), 0x0e74fc4aa4428915ull);
+}
+
+TEST(LteTraceMemo, OtherSeedInBetweenGetsItsOwnSynthesis) {
+  ScenarioParams other = small_scenario_params(1);
+  other.trace.seed += 1;
+  auto first = build_scenario(small_scenario_params(1));
+  const std::uint64_t synthesized = lte_traces("synthesized");
+  auto between = build_scenario(other);
+  EXPECT_EQ(lte_traces("synthesized"), synthesized + 1);
+  EXPECT_NE(between->trace.bins.begin(), first->trace.bins.begin());
+  EXPECT_NE(bins_digest(between->trace), bins_digest(first->trace));
+
+  // One slot: the first inputs are synthesized again, to the same trace.
+  auto again = build_scenario(small_scenario_params(1));
+  EXPECT_EQ(lte_traces("synthesized"), synthesized + 2);
+  EXPECT_NE(again->trace.bins.begin(), first->trace.bins.begin());
+  EXPECT_TRUE(same_stations(*first, *again));
+  EXPECT_EQ(load_digest(again->trace), load_digest(first->trace));
+  EXPECT_EQ(bins_digest(again->trace), bins_digest(first->trace));
+}
+
+TEST(LteTraceMemo, MaterializeIntoANetWithGroupsThrows) {
+  ScenarioParams p = small_scenario_params(1);
+  p.trace.extent = p.wan.extent;
+  dataplane::PhysicalNetwork net;
+  WanTopology wan = generate_wan(net, p.wan);
+  LteTraceSynthesis synthesis = synthesize_lte_trace(attach_sites(net, wan), p.trace);
+  (void)net.add_bs_group(wan.switches.front());
+  EXPECT_THROW((void)materialize(net, synthesis), std::logic_error);
 }
 
 }  // namespace

@@ -74,7 +74,7 @@ class Console {
       std::printf("  %-10s level %d: %3zu switches, %3zu links, %3zu ports exposed, "
                   "%3zu active paths\n",
                   c->name().c_str(), c->level(), s.switches, s.links, s.exposed_ports,
-                  c->paths().active_count());
+                  c->paths().paths().size());
     }
     return true;
   }

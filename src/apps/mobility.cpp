@@ -315,17 +315,8 @@ void MobilityApp::drop_path(PathId id) {
   (void)controller_->deactivate_path(id);
 }
 
-void MobilityApp::resetup_bearer(const BearerRequest& request, LogLevel level,
-                                 const char* when) {
-  auto replaced = request_bearer(request);
-  if (!replaced.ok()) {
-    SOFTMOW_LOG(level, "mobility") << controller_->name() << " bearer re-setup " << when
-                                   << " failed: " << replaced.error().message;
-  }
-}
-
 BearerId MobilityApp::add_bearer(UeRecord& rec, BearerRecord bearer) {
-  bearer.id = BearerId{next_bearer_++};
+  if (!bearer.id.valid()) bearer.id = BearerId{next_bearer_++};
   BearerId id = bearer.id;
   rec.bearers.emplace(id, std::move(bearer));
   return id;
@@ -365,27 +356,36 @@ Result<void> MobilityApp::ue_active(UeId ue) {
   auto it = ues_.find(ue);
   if (it == ues_.end()) return {ErrorCode::kNotFound, "UE not attached"};
   it->second.idle = false;
-  auto& bearers = it->second.bearers;
-  // By position, over the records present on entry: a re-request adds its
-  // replacement record, which can reallocate the store under an iterator.
-  for (std::size_t i = 0, n = bearers.size(); i < n; ++i) {
-    BearerRecord& bearer = bearers.begin()[i].second;
-    if (bearer.active) continue;
-    if (bearer.handled_locally) {
-      if (controller_->paths().reactivate(bearer.local_path).ok()) bearer.active = true;
-      continue;
-    }
-    // Re-request through the hierarchy (from a copy: the store may move);
-    // the previous path was deactivated and the inactive record is
-    // superseded (dropped below).
-    resetup_bearer(BearerRequest{bearer.request}, LogLevel::kDebug, "on UE activation");
-  }
-  bearers.erase_if(
-      [](const auto& kv) { return !kv.second.active && !kv.second.handled_locally; });
+  restore_bearers(it->second, LogLevel::kDebug, "on UE activation");
   return Ok();
 }
 
+void MobilityApp::restore_bearers(UeRecord& rec, LogLevel level, const char* when) {
+  if (rec.idle) return;
+  // The superseded records go first: every re-request adds its replacement,
+  // and a request colliding with a bearer set up meanwhile is refused.
+  // Each comes back under its old id, which the slice manager keys it by.
+  std::vector<std::pair<BearerId, BearerRequest>> to_restore;
+  for (auto& [bid, bearer] : rec.bearers) {
+    if (bearer.active) continue;
+    bearer.request.bs = rec.bs;
+    to_restore.emplace_back(bid, bearer.request);
+  }
+  rec.bearers.erase_if([](const auto& kv) { return !kv.second.active; });
+  for (const auto& [bid, request] : to_restore) {
+    auto restored = request_bearer(request, bid);
+    if (!restored.ok()) {
+      SOFTMOW_LOG(level, "mobility") << controller_->name() << " bearer re-setup " << when
+                                     << " failed: " << restored.error().message;
+    }
+  }
+}
+
 Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
+  return request_bearer(request, BearerId{});
+}
+
+Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request, BearerId id) {
   ++stats_.bearer_arrivals;
   auto it = ues_.find(request.ue);
   if (it == ues_.end()) return Error{ErrorCode::kNotFound, "UE not attached"};
@@ -407,7 +407,8 @@ Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
   if (local.ok()) {
     ++stats_.bearers_local;
     span.detail("local");
-    return add_bearer(rec, {.request = request,
+    return add_bearer(rec, {.id = id,
+                            .request = request,
                             .local_path = *local,
                             .handled_level = controller_->level()});
   }
@@ -430,7 +431,8 @@ Result<BearerId> MobilityApp::request_bearer(const BearerRequest& request) {
                                        : outcome.error};
   }
   span.detail("delegated L" + std::to_string(outcome.handled_level));
-  return add_bearer(rec, {.request = request,
+  return add_bearer(rec, {.id = id,
+                          .request = request,
                           .handled_locally = false,
                           .handled_level = outcome.handled_level,
                           .ancestor_key = outcome.ancestor_key});
@@ -500,20 +502,12 @@ Result<void> MobilityApp::handover(UeId ue, BsId target_bs) {
     ++stats_.intra_region_handovers;
     rec.bs = target_bs;
     rec.group = target->group;
-    // Tear down the old paths first, collect the requests, then re-create
-    // them from the new group (replacements must not be re-visited). An
+    // Tear down the old paths, then re-create them from the new group. An
     // ancestor's classification rule points at the old access switch, so
-    // delegated bearers are re-delegated too.
-    std::vector<BearerRequest> to_restore;
-    for (auto& [bid, bearer] : rec.bearers) {
-      if (!bearer.active) continue;
-      release_bearer(ue, bearer);
-      bearer.request.bs = target_bs;
-      to_restore.push_back(bearer.request);
-    }
-    rec.bearers.erase_if([](const auto& kv) { return !kv.second.active; });
-    for (const BearerRequest& request : to_restore)
-      resetup_bearer(request, LogLevel::kDebug, "after intra handover");
+    // delegated bearers are re-delegated too. An idle UE keeps its inactive
+    // bearers until ue_active restores them from wherever it is then.
+    for (auto& [bid, bearer] : rec.bearers) release_bearer(ue, bearer);
+    restore_bearers(rec, LogLevel::kDebug, "after intra handover");
     span.detail("intra-region");
     return Ok();
   }
@@ -666,15 +660,11 @@ std::vector<UeRecord> MobilityApp::extract_group_state(BsGroupId group) {
     if (it->second.group == group) {
       // Local path ids are meaningless in the target leaf's path table, and
       // this leaf is about to lose control of the switches carrying them:
-      // tear them down now and hand the bearer over as pending re-setup.
-      // Ancestor-implemented paths survive the leaf change untouched.
-      for (auto& [bid, bearer] : it->second.bearers) {
-        if (!bearer.active || !bearer.handled_locally) continue;
-        drop_path(bearer.local_path);
-        bearer.local_path = PathId{};
-        bearer.active = false;
-        bearer.pending_rehome = true;
-      }
+      // tear them down now and hand the bearer over inactive, to be
+      // restored by the target. Ancestor-implemented paths survive the leaf
+      // change untouched.
+      for (auto& [bid, bearer] : it->second.bearers)
+        if (bearer.handled_locally) release_bearer(it->second.ue, bearer);
       out.push_back(std::move(it->second));
       it = ues_.erase(it);
     } else {
@@ -685,20 +675,18 @@ std::vector<UeRecord> MobilityApp::extract_group_state(BsGroupId group) {
 }
 
 void MobilityApp::absorb_group_state(std::vector<UeRecord> records) {
-  for (UeRecord& rec : records) ues_[rec.ue] = std::move(rec);
+  // The records keep the source leaf's bearer ids; fresh ones drawn here
+  // must not collide with them.
+  for (UeRecord& rec : records) {
+    for (const auto& [bid, bearer] : rec.bearers)
+      next_bearer_ = std::max(next_bearer_, bid.value + 1);
+    ues_[rec.ue] = std::move(rec);
+  }
 }
 
 void MobilityApp::rehome_transferred_bearers(BsGroupId group) {
-  std::vector<BearerRequest> to_restore;
-  for (auto& [ue_id, rec] : ues_) {
-    if (!(rec.group == group)) continue;
-    for (auto& [bid, bearer] : rec.bearers) {
-      if (bearer.pending_rehome) to_restore.push_back(bearer.request);
-    }
-    rec.bearers.erase_if([](const auto& kv) { return kv.second.pending_rehome; });
-  }
-  for (const BearerRequest& request : to_restore)
-    resetup_bearer(request, LogLevel::kWarn, "after reconfiguration");
+  for (auto& [ue_id, rec] : ues_)
+    if (rec.group == group) restore_bearers(rec, LogLevel::kWarn, "after reconfiguration");
 }
 
 }  // namespace softmow::apps

@@ -64,9 +64,6 @@ struct BearerRecord {
   /// Globally unique handle to the ancestor-installed path (0 = none); used
   /// to request deactivation from below.
   std::uint64_t ancestor_key = 0;
-  /// Set during §5.3.2 region reconfiguration: the bearer's old path was torn
-  /// down by the source leaf and the target leaf must re-establish it.
-  bool pending_rehome = false;
 };
 
 struct UeRecord {
@@ -156,9 +153,13 @@ class MobilityApp {
   // --- UE lifecycle (leaf-level entry points, §5.1) --------------------------
   Result<void> ue_attach(UeId ue, BsId bs);
   Result<void> ue_detach(UeId ue);
-  /// Marks the UE idle: all its bearers' paths are deactivated (§5.1).
+  /// Marks the UE idle: all its bearers' paths are deactivated (§5.1) and
+  /// the records stay, inactive, until the UE is active again.
   Result<void> ue_idle(UeId ue);
-  /// Re-activates an idle UE's bearers.
+  /// Marks the UE active and re-requests each of its inactive bearers from
+  /// its current BS (restore_bearers): every bearer comes back on a fresh
+  /// path under its old bearer id, or is dropped when it can no longer be
+  /// served.
   Result<void> ue_active(UeId ue);
 
   /// Sets up a bearer; delegates to the parent when the local region cannot
@@ -185,12 +186,11 @@ class MobilityApp {
   [[nodiscard]] const MobilityStats& stats() const { return stats_; }
 
   /// True iff this (ancestor) app holds `key` and the path behind it is
-  /// still active — the control-plane side of a delegated bearer's claim.
-  [[nodiscard]] bool ancestor_path_active(std::uint64_t key) const {
+  /// still in the path book — the control-plane side of a delegated
+  /// bearer's claim.
+  [[nodiscard]] bool holds_ancestor_path(std::uint64_t key) const {
     auto it = ancestor_paths_.find(key);
-    if (it == ancestor_paths_.end()) return false;
-    const nos::InstalledPath* p = controller_->paths().path(it->second);
-    return p != nullptr && p->active;
+    return it != ancestor_paths_.end() && controller_->paths().path(it->second) != nullptr;
   }
 
   /// The handover log of this controller mapped into its *exposed* ID space
@@ -209,14 +209,15 @@ class MobilityApp {
   // --- region reconfiguration support (§5.3.2) --------------------------------
   /// Extracts UE records of `group` (source side of a control transfer).
   /// Locally-implemented bearer paths are torn down here — the source leaf
-  /// still masters the region's switches at this phase — and the bearers are
-  /// marked `pending_rehome` for the target side.
+  /// still masters the region's switches at this phase — and their bearers
+  /// travel inactive, for the target side to restore.
   std::vector<UeRecord> extract_group_state(BsGroupId group);
   /// Absorbs transferred UE records (target side).
   void absorb_group_state(std::vector<UeRecord> records);
-  /// Re-establishes `pending_rehome` bearers of `group` from this (target)
-  /// leaf. Must run after the reconfiguration's logical-plane update so
-  /// routes toward the adopted access switch exist.
+  /// Restores the inactive bearers of every UE of `group` that is not idle
+  /// from this (target) leaf; idle UEs get theirs back on ue_active. Must
+  /// run after the reconfiguration's logical-plane update so routes toward
+  /// the adopted access switch exist.
   void rehome_transferred_bearers(BsGroupId group);
 
  private:
@@ -263,10 +264,15 @@ class MobilityApp {
   bool deactivate_ancestor_key(std::uint64_t key);
   /// Deactivates one of this controller's paths.
   void drop_path(PathId id);
-  /// Sets `request` up again after its old path went away, logging a
-  /// failure at `level`.
-  void resetup_bearer(const BearerRequest& request, LogLevel level, const char* when);
-  /// Stores `bearer` under a fresh bearer id.
+  /// The one way a bearer comes back: unless the UE is idle, re-requests
+  /// every inactive bearer of `rec` from the UE's current BS, each under its
+  /// superseded record's bearer id. A re-request that fails (or collides
+  /// with an active bearer to the same prefix) leaves no record behind; its
+  /// failure is logged at `level`.
+  void restore_bearers(UeRecord& rec, LogLevel level, const char* when);
+  /// request_bearer storing the bearer under `id` (a fresh one if invalid).
+  Result<BearerId> request_bearer(const BearerRequest& request, BearerId id);
+  /// Stores `bearer` under its id, or a fresh one if that is invalid.
   BearerId add_bearer(UeRecord& rec, BearerRecord bearer);
   [[nodiscard]] std::optional<Endpoint> gbs_attach(GBsId gbs) const;
 

@@ -62,12 +62,11 @@ std::vector<verify::ControlState::BearerClaim> AppSuite::bearer_claims() {
         claim.bearer = bearer_id;
         claim.active = bearer.active;
         if (bearer.handled_locally) {
-          const nos::InstalledPath* p = leaf->paths().path(bearer.local_path);
-          claim.path_installed = p != nullptr && p->active;
+          claim.path_installed = leaf->paths().path(bearer.local_path) != nullptr;
         } else {
           // Delegated: any ancestor that holds the key vouches for it.
           for (auto& [id, candidate] : mobility_) {
-            if (candidate->ancestor_path_active(bearer.ancestor_key)) {
+            if (candidate->holds_ancestor_path(bearer.ancestor_key)) {
               claim.path_installed = true;
               break;
             }

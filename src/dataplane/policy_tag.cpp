@@ -84,12 +84,6 @@ std::uint32_t TagAllocator::tag_for(SliceId slice, std::uint32_t clause, Endpoin
   return encode_tag(tag);
 }
 
-std::uint32_t TagAllocator::retag(std::uint32_t tag, Endpoint ingress, Endpoint egress) {
-  auto decoded = decode_tag(tag);
-  if (!decoded) return tag;
-  return tag_for(decoded->slice, decoded->clause, ingress, egress);
-}
-
 void TagAllocator::retain(std::uint32_t tag) {
   auto decoded = decode_tag(tag);
   if (!decoded) return;

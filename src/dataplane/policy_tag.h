@@ -78,8 +78,8 @@ struct PolicyTag {
 /// endpoint is forgotten and the id returns to a smallest-first free list,
 /// so a week-long churn of bearer arrivals cannot exhaust the 10/11-bit id
 /// spaces. Recycling is deterministic (std::set ordering), and a recycled id
-/// can be re-issued to a different endpoint — which is why path reactivation
-/// must re-derive its tag through retag() instead of trusting a stored one.
+/// can be re-issued to a different endpoint — so a tag is only good while an
+/// aggregate holds it; a bearer brought back asks tag_for() afresh.
 class TagAllocator {
  public:
   /// Tag for (slice, clause, ingress endpoint, egress endpoint). Endpoint
@@ -87,11 +87,6 @@ class TagAllocator {
   /// dense id). Returns a marker-bit label value.
   [[nodiscard]] std::uint32_t tag_for(SliceId slice, std::uint32_t clause, Endpoint ingress,
                                       Endpoint egress);
-
-  /// Re-derives the current tag carrying `tag`'s (slice, clause) for the
-  /// given endpoints. Differs from `tag` exactly when an aggregate id the
-  /// old value referenced drained and was recycled since.
-  [[nodiscard]] std::uint32_t retag(std::uint32_t tag, Endpoint ingress, Endpoint egress);
 
   /// One live TagAggregate started/stopped using `tag`'s aggregate ids.
   void retain(std::uint32_t tag);

@@ -58,7 +58,7 @@ bool eq(const std::vector<nos::ExternalRoute>& a, const std::vector<nos::Externa
 }
 
 // Content fingerprint of a path/aggregate entry (FNV-1a over the fields a
-// resync cares about: label, liveness, installed rules, reservations and the
+// resync cares about: label, installed rules, reservations and the
 // route skeleton). Two entries with equal fingerprints restore identically.
 void mix(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
@@ -70,7 +70,6 @@ std::uint64_t fingerprint(const nos::InstalledPath& p) {
   mix(h, p.id.value);
   mix(h, p.label.value);
   mix(h, p.label.owner_level);
-  mix(h, p.active ? 1 : 0);
   mix(h, static_cast<std::uint64_t>(p.options.priority));
   for (const auto& [sw, cookie] : p.rules) {
     mix(h, sw.value);

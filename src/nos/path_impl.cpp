@@ -107,9 +107,19 @@ Result<void> PathImplementer::attach(InstalledPath& p) {
     if (tagged) gc_aggregate(p.label.value);
     return installed;
   }
-  p.active = true;
   if (tagged) ++aggregates_.at(p.label.value).refs;
   return Ok();
+}
+
+void PathImplementer::detach(InstalledPath& p) {
+  remove(p.rules);
+  release_resources(p);
+  if (!p.options.shared_tag) return;
+  auto agg = aggregates_.find(p.label.value);
+  if (agg != aggregates_.end() && agg->second.refs > 0) {
+    --agg->second.refs;
+    gc_aggregate(p.label.value);
+  }
 }
 
 Result<void> PathImplementer::ensure_aggregate(Label tag, const ComputedRoute& route,
@@ -343,52 +353,27 @@ Result<void> PathImplementer::deactivate(PathId id) {
   SHARD_CHECKED(guard_, kWrite);
   auto it = paths_.find(id);
   if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
-  InstalledPath& p = it->second;
-  if (!p.active) return Ok();
-  remove(p.rules);
-  p.active = false;
-  release_resources(p);
-  if (p.options.shared_tag) {
-    auto agg = aggregates_.find(p.label.value);
-    if (agg != aggregates_.end() && agg->second.refs > 0) {
-      --agg->second.refs;
-      gc_aggregate(p.label.value);
-    }
-  }
+  detach(it->second);
+  paths_.erase(it);
   return Ok();
-}
-
-Result<void> PathImplementer::reactivate(PathId id) {
-  SHARD_CHECKED(guard_, kWrite);
-  auto it = paths_.find(id);
-  if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
-  InstalledPath& p = it->second;
-  if (p.active) return Ok();
-  if (p.options.shared_tag && tag_allocator_ != nullptr && !p.route.hops.empty()) {
-    // The tag's aggregate ids may have drained and been recycled to other
-    // endpoints while this path was down: re-derive the current tag for
-    // the same (slice, clause, endpoints) instead of trusting the stale
-    // value (which could now alias a different aggregate).
-    Endpoint egress{p.route.hops.back().sw, p.route.hops.back().out};
-    std::uint32_t fresh = tag_allocator_->retag(p.label.value, p.route.source, egress);
-    if (fresh != p.label.value) {
-      p.label.value = fresh;
-      p.options.shared_tag = p.label;
-    }
-  }
-  return attach(p);
 }
 
 Result<void> PathImplementer::reroute(PathId id, const ComputedRoute& route) {
   SHARD_CHECKED(guard_, kWrite);
-  if (auto down = deactivate(id); !down.ok()) return down;
-  if (route.hops.empty())
+  auto it = paths_.find(id);
+  if (it == paths_.end()) return {ErrorCode::kNotFound, "no such path"};
+  detach(it->second);
+  if (route.hops.empty()) {
+    paths_.erase(it);
     return Error{ErrorCode::kInvalidArgument, "route has no switch traversals"};
-  InstalledPath& p = paths_.at(id);
-  place(p, route);
-  auto attached = attach(p);
-  if (attached.ok()) setups_metric_->inc();
-  return attached;
+  }
+  place(it->second, route);
+  if (auto attached = attach(it->second); !attached.ok()) {
+    paths_.erase(it);
+    return attached;
+  }
+  setups_metric_->inc();
+  return Ok();
 }
 
 std::size_t PathImplementer::resync_switch(SwitchId sw) {
@@ -400,8 +385,7 @@ std::size_t PathImplementer::resync_switch(SwitchId sw) {
     batch.clear();
   };
   for (const auto& [id, p] : paths_) {
-    if (!p.active) continue;
-    // Only fully-installed active paths have a stable hop<->cookie pairing
+    // Only fully-installed paths have a stable hop<->cookie pairing
     // (rules are pushed in hop order, so rules[i] programs route.hops[i]).
     // Tagged paths own only their first-hop classifier; shared rules are
     // resynced once per aggregate below.
@@ -463,12 +447,6 @@ std::vector<PathId> PathImplementer::paths() const {
   out.reserve(paths_.size());
   for (const auto& [id, p] : paths_) out.push_back(id);
   return out;
-}
-
-std::size_t PathImplementer::active_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, p] : paths_) n += p.active ? 1 : 0;
-  return n;
 }
 
 }  // namespace softmow::nos

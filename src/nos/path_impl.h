@@ -78,7 +78,6 @@ struct InstalledPath {
   dataplane::Match classifier;
   ComputedRoute route;
   PathSetupOptions options;
-  bool active = true;
   /// (switch, cookie) per installed rule, for teardown.
   std::vector<std::pair<SwitchId, std::uint64_t>> rules;
   /// Link endpoints holding a bandwidth reservation for this path.
@@ -127,19 +126,18 @@ class PathImplementer {
   Result<PathId> setup(const ComputedRoute& route, dataplane::Match classifier,
                        PathSetupOptions options = {});
 
-  /// Removes every rule of the path and forgets it.
+  /// Removes every rule of the path, releases its resources and forgets it:
+  /// the book holds only live paths.
   Result<void> deactivate(PathId id);
-  /// Re-installs a deactivated path (bearer re-activation).
-  Result<void> reactivate(PathId id);
   /// Re-implements path `id` along `route` under the same PathId (§6
-  /// failure repair: "implements alternative shortest paths"): deactivates
-  /// it, then installs the new route like a fresh setup — new label for an
+  /// failure repair: "implements alternative shortest paths"): tears it
+  /// down, then installs the new route like a fresh setup — new label for an
   /// untagged path, new cookies, one path_setups_total. Every owner holding
   /// the id (bearer records, RecA cookie maps) stays valid. On failure the
-  /// path is left deactivated.
+  /// path is gone, as after deactivate().
   Result<void> reroute(PathId id, const ComputedRoute& route);
 
-  /// Re-pushes the rules of every *active* path crossing `sw`, rebuilt from
+  /// Re-pushes the rules of every path crossing `sw`, rebuilt from
   /// the stored route with their original cookies — re-installing a rule
   /// under its own cookie is idempotent at the flow table, so this repairs a
   /// wiped or partially-programmed switch (crash restart, retry exhaustion)
@@ -161,7 +159,6 @@ class PathImplementer {
 
   [[nodiscard]] const InstalledPath* path(PathId id) const;
   [[nodiscard]] std::vector<PathId> paths() const;
-  [[nodiscard]] std::size_t active_count() const;
 
   /// Live tag aggregates (policy-tag encapsulation), keyed by tag value.
   [[nodiscard]] const std::map<std::uint32_t, TagAggregate>& aggregates() const {
@@ -172,9 +169,8 @@ class PathImplementer {
   [[nodiscard]] std::vector<std::pair<SwitchId, std::uint64_t>> shared_rules() const;
 
   /// Tag-space GC hook (not owned; null = no allocator bookkeeping): each
-  /// live TagAggregate retains its tag's aggregate ids, gc_aggregate
-  /// releases them, and reactivation re-derives a path's tag through
-  /// retag() — a drained id may have been recycled to another endpoint.
+  /// live TagAggregate retains its tag's aggregate ids and gc_aggregate
+  /// releases them.
   void set_tag_allocator(dataplane::TagAllocator* allocator) { tag_allocator_ = allocator; }
 
   /// Shard-ownership tag; identity is set by the owning controller, the
@@ -221,6 +217,9 @@ class PathImplementer {
   /// path's resources and programs its own rules — all hops, or just the
   /// classifier of a tagged path — undoing all of it on failure.
   Result<void> attach(InstalledPath& p);
+  /// Detach: removes the path's own rules, releases its resources and drops
+  /// its reference on the tag aggregate. The path stays in the book.
+  void detach(InstalledPath& p);
   Result<void> acquire_resources(InstalledPath& p);
   void release_resources(InstalledPath& p);
 

@@ -222,8 +222,8 @@ void RecAAgent::translate_flow_mod(const FlowMod& mod) {
   if (mod.op == FlowMod::Op::kRemoveByCookie) {
     auto it = parent_cookie_to_paths_.find(mod.cookie);
     if (it != parent_cookie_to_paths_.end()) {
-      // deactivate() fails only for an id the implementer never issued; these
-      // all came from its own setup().
+      // deactivate() fails only for an id no longer in the book: a repair
+      // that found no alternative route already erased that path.
       for (PathId path : it->second) (void)s_.paths->deactivate(path);
       parent_cookie_to_paths_.erase(it);
       ++stats_.flowmods_removed;

@@ -222,7 +222,6 @@ std::pair<std::size_t, std::size_t> Controller::repair_paths() {
   std::size_t repaired = 0, failed = 0;
   for (PathId id : paths_.paths()) {
     const nos::InstalledPath* installed = paths_.path(id);
-    if (installed == nullptr || !installed->active) continue;
     if (nos::route_intact(nib_, installed->route)) continue;
 
     nos::RoutingRequest request;
@@ -234,8 +233,8 @@ std::pair<std::size_t, std::size_t> Controller::repair_paths() {
     }
     auto route = routing_.route(request);
     // Re-route in place, so every owner of the id (bearer records, RecA
-    // cookie maps) keeps a live path; with no alternative the path goes
-    // down clean instead of keeping stale rules.
+    // cookie maps) keeps a live path; with no alternative the path is torn
+    // down and erased instead of keeping stale rules.
     auto rerouted = route.ok() ? paths_.reroute(id, *route) : paths_.deactivate(id);
     if (route.ok() && rerouted.ok()) ++repaired;
     else ++failed;
@@ -285,7 +284,7 @@ void Controller::handle_device_message(Channel* ch, const Message& msg) {
   if (const auto* hello = std::get_if<southbound::Hello>(&msg)) {
     // A Hello on a switch we already adopted is a reconnect after a crash:
     // its tables rebooted empty, so once the FeaturesReply refreshes the
-    // NIB we must re-push every rule our active paths placed there.
+    // NIB we must re-push every rule our paths placed there.
     if (device_channels_.count(hello->sw) != 0) pending_resync_.insert(hello->sw);
     device_channels_[hello->sw] = ch;
     discovery_.on_hello(hello->sw);

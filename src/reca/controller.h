@@ -148,9 +148,10 @@ class Controller : public nos::DeviceBus {
 
   /// Runs one round of link discovery over the current NIB (§4.1.2).
   void run_link_discovery() { discovery_.run_link_discovery(); }
-  /// §6 failure recovery: finds active paths broken by link/port failures
-  /// and re-implements each over an alternative route under the same
-  /// PathId (nos::PathImplementer::reroute). Returns (repaired, irreparable).
+  /// §6 failure recovery: finds paths broken by link/port failures and
+  /// re-implements each over an alternative route under the same PathId
+  /// (nos::PathImplementer::reroute); a path with no alternative is erased.
+  /// Returns (repaired, irreparable).
   std::pair<std::size_t, std::size_t> repair_paths();
   /// Recomputes the abstraction and announces changes to the parent.
   void refresh_abstraction();
@@ -186,7 +187,7 @@ class Controller : public nos::DeviceBus {
   /// (default) the §4.3 per-path label scheme is used unchanged.
   void set_tag_allocator(dataplane::TagAllocator* allocator) {
     tag_allocator_ = allocator;
-    paths_.set_tag_allocator(allocator);  // tag-space GC: retain/release/retag
+    paths_.set_tag_allocator(allocator);  // tag-space GC: retain/release
   }
   [[nodiscard]] dataplane::TagAllocator* tag_allocator() const { return tag_allocator_; }
 

@@ -76,11 +76,8 @@ ControlState collect_control_state(const std::vector<const reca::Controller*>& c
     if (c == nullptr || !c->is_leaf()) continue;  // ancestors program G-switches
     state.have_live_rules = true;
     const nos::PathImplementer& paths = const_cast<reca::Controller*>(c)->paths();
-    for (PathId id : paths.paths()) {
-      const nos::InstalledPath* p = paths.path(id);
-      if (p == nullptr || !p->active) continue;
-      for (const auto& rule : p->rules) state.live_rules.insert(rule);
-    }
+    for (PathId id : paths.paths())
+      for (const auto& rule : paths.path(id)->rules) state.live_rules.insert(rule);
     // Shared tag-aggregate rules are as live as per-path ones.
     for (const auto& rule : paths.shared_rules()) state.live_rules.insert(rule);
   }

@@ -1,8 +1,8 @@
 // Integration tests over a complete (small) generated scenario: hierarchy
 // bootstrap, interdomain propagation, bearers through the mobility app,
 // intra- and inter-region handovers, and an executed region-optimization
-// round with its reconfiguration protocol, and the refusal of a duplicate
-// (UE, prefix) bearer.
+// round with its reconfiguration protocol, the refusal of a duplicate
+// (UE, prefix) bearer, and bearers restored when an idle UE turns active.
 #include <gtest/gtest.h>
 
 #include <iostream>
@@ -322,6 +322,115 @@ TEST(BearerConflict, SecondActiveBearerToTheSamePrefixIsRefused) {
   for (const dataplane::FlowRule& rule : scenario->net.sw(g->access_switch)->table().rules())
     if (rule.match.ue == ue && rule.match.dst_prefix == PrefixId{17}) ++classifiers;
   EXPECT_EQ(classifiers, 1u);
+
+  verify::ControlState state = mp.control_state();
+  state.bearers = scenario->apps->bearer_claims();
+  verify::VerifyReport report =
+      verify::verify_data_plane(scenario->net, &state, mp.verify_options());
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+/// Active bearers of `rec` to `prefix`.
+std::size_t active_bearers_to(const apps::UeRecord& rec, PrefixId prefix) {
+  std::size_t n = 0;
+  for (const auto& [id, bearer] : rec.bearers)
+    n += bearer.active && bearer.request.dst_prefix == prefix ? 1 : 0;
+  return n;
+}
+
+// A bearer requested while its UE is idle supersedes the idle one: on
+// activation the old request collides with it and is dropped, instead of
+// coming back as a second classifier for the same (UE, prefix).
+TEST(BearerConflict, BearerRequestedWhileIdleIsNotDuplicatedOnActivation) {
+  auto scenario = topo::build_scenario(topo::small_scenario_params(3));
+  auto& mp = *scenario->mgmt;
+  BsGroupId group = scenario->partition.group_regions[0].front();
+  const dataplane::BsGroup* g = scenario->net.bs_group(group);
+  BsId bs = g->members.front();
+  auto& mobility = scenario->apps->mobility(*mp.leaf_of_group(group));
+
+  std::ostringstream log;
+  std::streambuf* saved = std::clog.rdbuf(log.rdbuf());
+  UeId ue{1002};
+  ASSERT_TRUE(mobility.ue_attach(ue, bs).ok());
+  apps::BearerRequest request;
+  request.ue = ue;
+  request.bs = bs;
+  request.dst_prefix = PrefixId{17};
+  ASSERT_TRUE(mobility.request_bearer(request).ok());
+  ASSERT_TRUE(mobility.ue_idle(ue).ok());
+  ASSERT_TRUE(mobility.request_bearer(request).ok());
+  ASSERT_TRUE(mobility.ue_active(ue).ok());
+  std::clog.rdbuf(saved);
+  EXPECT_EQ(log.str().find("rejected flow-mod"), std::string::npos) << log.str();
+
+  const apps::UeRecord* rec = mobility.ue(ue);
+  ASSERT_NE(rec, nullptr);
+  EXPECT_EQ(active_bearers_to(*rec, PrefixId{17}), 1u);
+  EXPECT_EQ(rec->bearers.size(), 1u) << "the superseded record is dropped";
+  std::size_t classifiers = 0;
+  for (const dataplane::FlowRule& rule : scenario->net.sw(g->access_switch)->table().rules())
+    if (rule.match.ue == ue && rule.match.dst_prefix == PrefixId{17}) ++classifiers;
+  EXPECT_EQ(classifiers, 1u);
+
+  verify::ControlState state = mp.control_state();
+  state.bearers = scenario->apps->bearer_claims();
+  verify::VerifyReport report =
+      verify::verify_data_plane(scenario->net, &state, mp.verify_options());
+  EXPECT_TRUE(report.clean()) << report.summary();
+}
+
+// An idle UE handed over inside its region keeps its bearers; activation
+// restores them from the BS it is at now, not the one it idled at.
+TEST(BearerRestore, IdleUeHandedOverInsideItsRegionGetsItsBearersBackFromTheNewBs) {
+  auto scenario = topo::build_scenario(topo::small_scenario_params(3));
+  auto& mp = *scenario->mgmt;
+  std::vector<BsGroupId> groups;
+  for (const auto& region : scenario->partition.group_regions) {
+    if (region.size() >= 2) {
+      groups = region;
+      break;
+    }
+  }
+  ASSERT_GE(groups.size(), 2u);
+  BsId src_bs = scenario->net.bs_group(groups[0])->members.front();
+  BsId dst_bs = scenario->net.bs_group(groups[1])->members.front();
+  auto& mobility = scenario->apps->mobility(*mp.leaf_of_group(groups[0]));
+
+  UeId ue{3004};
+  ASSERT_TRUE(mobility.ue_attach(ue, src_bs).ok());
+  apps::BearerRequest request;
+  request.ue = ue;
+  request.bs = src_bs;
+  request.dst_prefix = PrefixId{9};
+  ASSERT_TRUE(mobility.request_bearer(request).ok());
+  ASSERT_TRUE(mobility.ue_idle(ue).ok());
+
+  const auto intra_before = mobility.stats().intra_region_handovers;
+  ASSERT_TRUE(mobility.handover(ue, dst_bs).ok());
+  EXPECT_EQ(mobility.stats().intra_region_handovers, intra_before + 1);
+  const apps::UeRecord* rec = mobility.ue(ue);
+  ASSERT_NE(rec, nullptr);
+  ASSERT_EQ(rec->bearers.size(), 1u) << "an idle UE keeps its inactive bearers";
+  EXPECT_FALSE(rec->bearers.begin()->second.active);
+
+  ASSERT_TRUE(mobility.ue_active(ue).ok());
+  rec = mobility.ue(ue);
+  ASSERT_EQ(rec->bearers.size(), 1u);
+  const apps::BearerRecord& restored = rec->bearers.begin()->second;
+  EXPECT_TRUE(restored.active);
+  EXPECT_EQ(restored.request.bs, dst_bs);
+  ASSERT_TRUE(restored.handled_locally);
+  const nos::InstalledPath* path =
+      mp.leaf_of_group(groups[1])->paths().path(restored.local_path);
+  ASSERT_NE(path, nullptr);
+  EXPECT_EQ(path->route.source.sw, scenario->net.bs_group(groups[1])->access_switch);
+
+  Packet pkt;
+  pkt.ue = ue;
+  pkt.dst_prefix = PrefixId{9};
+  auto delivered = scenario->net.inject_uplink(pkt, dst_bs);
+  EXPECT_EQ(delivered.outcome, dataplane::DeliveryReport::Outcome::kExternal);
 
   verify::ControlState state = mp.control_state();
   state.bearers = scenario->apps->bearer_claims();

@@ -4,7 +4,9 @@
 // triple, and the self-healing plane removes it again. A slice closing a
 // bearer its leaf no longer holds releases the charge and counts the miss.
 // A promoted leaf keeps the tag allocator, and a destroyed manager leaves
-// nothing behind in the plane.
+// nothing behind in the plane. A bearer restored after its tag's ids were
+// recycled takes a fresh tag, never the claimant's, and a slice closes a
+// bearer restored from idle under the id it opened it with.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -165,6 +167,99 @@ TEST_F(SliceIsolationTest, CloseOfBearerTheLeafNoLongerHoldsIsCounted) {
   ASSERT_TRUE(mgr->close_bearer(id, ue, *bearer).ok());
   EXPECT_LT(mgr->stats(id).reserved_kbps, reserved);
   EXPECT_EQ(ignored->value(), before + 1);
+}
+
+TEST(SliceTagRecycling, ActivationAfterTheTagsIdsWereRecycledTakesNoAlias) {
+  auto scenario = topo::build_scenario(topo::small_scenario_params(11));
+  slice::SliceManager mgr(*scenario, slice::SliceManager::Options{});
+  slice::SliceSpec spec;
+  spec.name = "a";
+  const SliceId id = *mgr.add_slice(spec);
+  ASSERT_EQ(*mgr.provision(id, 1), 1u);
+  const UeId ue = mgr.subscribers(id).front();
+  auto bearer = mgr.open_bearer(id, ue, PrefixId{17});
+  ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+
+  reca::Controller* leaf = nullptr;
+  for (reca::Controller* c : scenario->mgmt->leaves())
+    if (scenario->apps->mobility(*c).ue(ue) != nullptr) leaf = c;
+  ASSERT_NE(leaf, nullptr);
+  apps::MobilityApp& mobility = scenario->apps->mobility(*leaf);
+  const apps::BearerRecord& record = mobility.ue(ue)->bearers.at(*bearer);
+  ASSERT_TRUE(record.handled_locally);
+  const nos::InstalledPath* path = leaf->paths().path(record.local_path);
+  ASSERT_NE(path, nullptr);
+  ASSERT_TRUE(path->options.shared_tag.has_value()) << "a multi-hop route rides the tag";
+  const std::uint32_t tag = path->label.value;
+  const auto dims = dataplane::decode_tag(tag);
+  ASSERT_TRUE(dims.has_value());
+  dataplane::TagAllocator& tags = *mgr.tag_allocator();
+
+  // Idle: the bearer's aggregate drains and both of its ids are recycled.
+  const std::uint64_t recycled = tags.ids_recycled();
+  ASSERT_TRUE(mobility.ue_idle(ue).ok());
+  EXPECT_EQ(tags.ids_recycled(), recycled + 2);
+
+  // Another endpoint pair claims the recycled ids.
+  const std::uint32_t squatter =
+      tags.tag_for(dims->slice, dims->clause, Endpoint{SwitchId{9001}, PortId{1}},
+                   Endpoint{SwitchId{9002}, PortId{1}});
+  ASSERT_EQ(squatter, tag) << "recycling re-issues the drained ids";
+  tags.retain(squatter);
+
+  ASSERT_TRUE(mobility.ue_active(ue).ok());
+  const apps::UeRecord* rec = mobility.ue(ue);
+  ASSERT_EQ(rec->bearers.size(), 1u);
+  const apps::BearerRecord& restored = rec->bearers.begin()->second;
+  ASSERT_TRUE(restored.active);
+  ASSERT_TRUE(restored.handled_locally);
+  const nos::InstalledPath* fresh = leaf->paths().path(restored.local_path);
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_NE(fresh->label.value, squatter) << "the restored bearer aliases the claimant";
+  const auto fresh_dims = dataplane::decode_tag(fresh->label.value);
+  ASSERT_TRUE(fresh_dims.has_value());
+  EXPECT_EQ(fresh_dims->slice, dims->slice);
+  EXPECT_EQ(fresh_dims->clause, dims->clause);
+
+  EXPECT_TRUE(mgmt::audit_slice_isolation(scenario->net, mgr.ue_slices()).clean());
+  verify::VerifyReport report = scenario->mgmt->verify_data_plane();
+  EXPECT_TRUE(report.clean()) << report.summary();
+  tags.release(squatter);
+}
+
+TEST(SliceBearerRestore, CloseAfterAnIdleCycleTearsTheRestoredBearerDown) {
+  auto scenario = topo::build_scenario(topo::small_scenario_params(11));
+  slice::SliceManager mgr(*scenario, slice::SliceManager::Options{});
+  slice::SliceSpec spec;
+  spec.name = "a";
+  const SliceId id = *mgr.add_slice(spec);
+  ASSERT_EQ(*mgr.provision(id, 1), 1u);
+  const UeId ue = mgr.subscribers(id).front();
+  const obs::Counter* ignored = obs::default_registry().find_counter(
+      "ignored_errors_total", {{"site", "slice.close_bearer"}});
+  ASSERT_NE(ignored, nullptr);
+  const std::uint64_t ignored_before = ignored->value();
+  const std::size_t rules_before = scenario->net.total_rules();
+
+  auto bearer = mgr.open_bearer(id, ue, PrefixId{17});
+  ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+  ASSERT_GT(scenario->net.total_rules(), rules_before);
+  reca::Controller* leaf = nullptr;
+  for (reca::Controller* c : scenario->mgmt->leaves())
+    if (scenario->apps->mobility(*c).ue(ue) != nullptr) leaf = c;
+  ASSERT_NE(leaf, nullptr);
+  apps::MobilityApp& mobility = scenario->apps->mobility(*leaf);
+
+  ASSERT_TRUE(mobility.ue_idle(ue).ok());
+  ASSERT_TRUE(mobility.ue_active(ue).ok());
+  ASSERT_TRUE(mobility.ue(ue)->bearers.contains(*bearer)) << "restored under a new id";
+  ASSERT_TRUE(mobility.ue(ue)->bearers.at(*bearer).active);
+
+  ASSERT_TRUE(mgr.close_bearer(id, ue, *bearer).ok());
+  EXPECT_EQ(ignored->value(), ignored_before);
+  EXPECT_EQ(mgr.stats(id).reserved_kbps, 0.0);
+  EXPECT_TRUE(mobility.ue(ue)->bearers.empty());
+  EXPECT_EQ(scenario->net.total_rules(), rules_before) << "the restored path is left behind";
 }
 
 }  // namespace

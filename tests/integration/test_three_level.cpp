@@ -207,7 +207,7 @@ TEST_F(ThreeLevelTest, MidHandoverClimbsRootBearerFromExposedGbs) {
   const apps::BearerRecord& rec = moved->bearers.begin()->second;
   EXPECT_TRUE(rec.active) << "bearer lost across the handover";
   EXPECT_NE(rec.ancestor_key, 0u);
-  EXPECT_TRUE(scenario().apps->mobility(mp_ref.root()).ancestor_path_active(rec.ancestor_key));
+  EXPECT_TRUE(scenario().apps->mobility(mp_ref.root()).holds_ancestor_path(rec.ancestor_key));
 }
 
 TEST_F(ThreeLevelTest, CrossMidHandoverClimbsToRoot) {

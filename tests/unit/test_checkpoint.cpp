@@ -3,7 +3,8 @@
 // feeds crash failover and planned migration, so these tests pin down the
 // convergence contract both rely on: applying a delta to its base reproduces
 // a fresh capture, and an unchanged controller produces an empty (cheap)
-// delta.
+// delta. Bearer churn leaves only live paths in the book, and the delta log
+// carries the erased ones as removals.
 #include "mgmt/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -153,6 +154,124 @@ TEST_F(CheckpointTest, StandbyPromotedFromDeltaSyncedCheckpointMatchesMaster) {
   EXPECT_EQ(promoted->nib().external_route_count(), routes);
   auto promoted_gbs = promoted->nib().gbs_list();
   EXPECT_EQ(std::vector<GBsId>(promoted_gbs.begin(), promoted_gbs.end()), gbs);
+}
+
+/// Paths in `c`'s book that own no rule (none, when the book holds only
+/// live paths: a tagged path owns its classifier).
+std::size_t paths_without_rules(reca::Controller& c) {
+  std::size_t n = 0;
+  for (PathId id : c.paths().paths()) n += c.paths().path(id)->rules.empty() ? 1 : 0;
+  return n;
+}
+
+TEST(CheckpointPathBook, BearerChurnLeavesOnlyLivePathsAndTheStandbyShipsRemovals) {
+  // Fewer egress points than leaves: a leaf without one delegates every
+  // bearer to an ancestor.
+  topo::ScenarioParams params = topo::small_scenario_params();
+  params.egress_points = 2;
+  auto scenario = topo::build_scenario(params);
+  mgmt::ManagementPlane& mp = *scenario->mgmt;
+  const PrefixId prefix = scenario->iplane->prefixes().front();
+  // Tags on, so a sliced GBR bearer classifies onto a shared aggregate.
+  slice::SliceManager slices(*scenario, slice::SliceManager::Options{});
+  slice::SliceSpec spec;
+  spec.name = "gbr";
+  const SliceId tenant = *slices.add_slice(spec);
+
+  // A BS whose bearers stay leaf-local and one whose bearers are delegated.
+  std::optional<BsId> local_bs, delegated_bs;
+  std::uint64_t next_ue = 80000;
+  for (const auto& region : scenario->partition.group_regions) {
+    for (BsGroupId group : region) {
+      BsId bs = scenario->net.bs_group(group)->members.front();
+      auto& mobility = scenario->apps->leaf_mobility_of_group(group);
+      UeId probe{next_ue++};
+      ASSERT_TRUE(mobility.ue_attach(probe, bs).ok());
+      apps::BearerRequest request;
+      request.ue = probe;
+      request.bs = bs;
+      request.dst_prefix = prefix;
+      auto bearer = mobility.request_bearer(request);
+      ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+      bool local = mobility.ue(probe)->bearers.at(*bearer).handled_locally;
+      (local ? local_bs : delegated_bs) = bs;
+      ASSERT_TRUE(mobility.ue_detach(probe).ok());
+    }
+  }
+  ASSERT_TRUE(local_bs && delegated_bs);
+  reca::Controller& leaf = *mp.leaf_of_group(scenario->net.base_station(*local_bs)->group);
+
+  apps::BearerRequest local;
+  local.bs = *local_bs;
+  local.dst_prefix = prefix;
+  apps::BearerRequest delegated = local;
+  delegated.bs = *delegated_bs;
+  apps::BearerRequest gbr = local;
+  gbr.slice = tenant;
+  gbr.qos.min_bandwidth_kbps = 1000;
+  const std::vector<apps::BearerRequest> kinds{local, delegated, gbr};
+
+  std::map<reca::Controller*, std::size_t> baseline;
+  for (reca::Controller* c : mp.all_controllers()) baseline[c] = c->paths().paths().size();
+
+  // One bearer of each kind, each for a fresh UE at the kind's BS.
+  auto open = [&]() {
+    std::vector<std::pair<apps::MobilityApp*, UeId>> ues;
+    for (apps::BearerRequest request : kinds) {
+      request.ue = UeId{next_ue++};
+      auto& mobility = scenario->apps->leaf_mobility_of_group(
+          scenario->net.base_station(request.bs)->group);
+      EXPECT_TRUE(mobility.ue_attach(request.ue, request.bs).ok());
+      auto bearer = mobility.request_bearer(request);
+      EXPECT_TRUE(bearer.ok()) << bearer.error().message;
+      ues.emplace_back(&mobility, request.ue);
+    }
+    EXPECT_FALSE(leaf.paths().aggregates().empty()) << "the GBR bearer rides a tag";
+    return ues;
+  };
+
+  // The standby's base holds the first set of bearers' paths, live.
+  auto held = open();
+  mgmt::HotStandby standby(leaf, mp.hub());
+  std::vector<PathId> base_paths;
+  for (const auto& [id, path] : standby.checkpoint().paths.paths) base_paths.push_back(id);
+  ASSERT_GT(base_paths.size(), baseline[&leaf]);
+  for (auto [mobility, ue] : held) ASSERT_TRUE(mobility->ue_detach(ue).ok());
+
+  // Churn: every cycle sets the three kinds up, takes every other set
+  // through idle/active, and tears everything down again.
+  for (int i = 0; i < 20; ++i) {
+    auto ues = open();
+    if (i % 2 == 0) {
+      for (auto [mobility, ue] : ues) ASSERT_TRUE(mobility->ue_idle(ue).ok());
+      for (auto [mobility, ue] : ues) ASSERT_TRUE(mobility->ue_active(ue).ok());
+    }
+    for (auto [mobility, ue] : ues) ASSERT_TRUE(mobility->ue_detach(ue).ok());
+  }
+
+  for (reca::Controller* c : mp.all_controllers()) {
+    EXPECT_EQ(c->paths().paths().size(), baseline[c]) << c->name();
+    EXPECT_EQ(paths_without_rules(*c), 0u) << c->name();
+  }
+
+  // The next delta ships every base path that went away as a removal.
+  mgmt::CheckpointDelta delta = mgmt::delta_since(standby.checkpoint(), leaf);
+  std::set<PathId> removed(delta.path_removals.begin(), delta.path_removals.end());
+  std::size_t gone = 0;
+  for (PathId id : base_paths) {
+    if (leaf.paths().path(id) != nullptr) continue;
+    ++gone;
+    EXPECT_TRUE(removed.contains(id)) << id.str();
+  }
+  EXPECT_GT(gone, 0u);
+  standby.sync();
+  std::vector<PathId> stored;
+  for (const auto& [id, path] : standby.checkpoint().paths.paths) {
+    stored.push_back(id);
+    EXPECT_FALSE(path.rules.empty()) << id.str();
+  }
+  EXPECT_EQ(stored, leaf.paths().paths());
+  EXPECT_TRUE(mgmt::delta_since(standby.checkpoint(), leaf).empty());
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ TEST_F(DriverAuditTest, ReplayMediatesHandoversAtTheRightLevels) {
 TEST_F(DriverAuditTest, AuditIsCleanAfterReplay) {
   topo::TraceDriverParams params;
   params.event_scale = 0.01;
-  params.idle_probability = 1.0;  // leave live paths behind (idle->active)
+  params.idle_probability = 1.0;  // every bearer cycles idle->active: restored paths stay live
   topo::TraceDriver driver(*scenario, params);
   auto report = driver.replay(0, 20);
   ASSERT_GT(report.rules_at_end, 0u);

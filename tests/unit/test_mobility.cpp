@@ -155,12 +155,12 @@ TEST_F(MobilityFixture, DeactivateTearsDownAncestorBearer) {
   ASSERT_TRUE(bearer.ok()) << bearer.error().message;
   std::uint64_t key = west().ue(UeId{1})->bearers.at(*bearer).ancestor_key;
   ASSERT_NE(key, 0u);
-  ASSERT_TRUE(root().ancestor_path_active(key));
+  ASSERT_TRUE(root().holds_ancestor_path(key));
   ASSERT_GT(net.total_rules(), 0u);
 
   ASSERT_TRUE(west().deactivate_bearer(UeId{1}, *bearer).ok());
   EXPECT_EQ(net.total_rules(), 0u);
-  EXPECT_FALSE(root().ancestor_path_active(key));
+  EXPECT_FALSE(root().holds_ancestor_path(key));
   EXPECT_TRUE(west().ue(UeId{1})->bearers.empty());
 }
 
@@ -169,13 +169,13 @@ TEST_F(MobilityFixture, IntraRegionHandoverRedelegatesAncestorBearer) {
   auto bearer = west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2}));
   ASSERT_TRUE(bearer.ok()) << bearer.error().message;
   std::uint64_t old_key = west().ue(UeId{1})->bearers.at(*bearer).ancestor_key;
-  ASSERT_TRUE(root().ancestor_path_active(old_key));
+  ASSERT_TRUE(root().holds_ancestor_path(old_key));
 
   ASSERT_TRUE(west().handover(UeId{1}, bs_b).ok());
   EXPECT_EQ(west().stats().intra_region_handovers, 1u);
   // The root's path classified at group a's access switch: torn down, and the
   // bearer re-delegated from group b.
-  EXPECT_FALSE(root().ancestor_path_active(old_key));
+  EXPECT_FALSE(root().holds_ancestor_path(old_key));
   EXPECT_EQ(west().stats().bearers_delegated, 2u);
   const UeRecord* rec = west().ue(UeId{1});
   ASSERT_NE(rec, nullptr);
@@ -185,7 +185,7 @@ TEST_F(MobilityFixture, IntraRegionHandoverRedelegatesAncestorBearer) {
   EXPECT_TRUE(replaced.active);
   EXPECT_NE(replaced.ancestor_key, 0u);
   EXPECT_NE(replaced.ancestor_key, old_key);
-  EXPECT_TRUE(root().ancestor_path_active(replaced.ancestor_key));
+  EXPECT_TRUE(root().holds_ancestor_path(replaced.ancestor_key));
 
   Packet pkt;
   pkt.ue = UeId{1};
@@ -199,8 +199,10 @@ TEST_F(MobilityFixture, ActiveRestoresDelegatedAndLocalBearers) {
   // Delegated bearer first: its re-request on activation appends the
   // replacement record while the local bearer after it is still pending.
   ASSERT_TRUE(west().ue_attach(UeId{1}, bs_a).ok());
-  ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2})).ok());
-  ASSERT_TRUE(west().request_bearer(request_for(UeId{1}, bs_a)).ok());
+  auto delegated = west().request_bearer(request_for(UeId{1}, bs_a, PrefixId{2}));
+  ASSERT_TRUE(delegated.ok()) << delegated.error().message;
+  auto local = west().request_bearer(request_for(UeId{1}, bs_a));
+  ASSERT_TRUE(local.ok()) << local.error().message;
   std::size_t rules_active = net.total_rules();
 
   ASSERT_TRUE(west().ue_idle(UeId{1}).ok());
@@ -213,10 +215,52 @@ TEST_F(MobilityFixture, ActiveRestoresDelegatedAndLocalBearers) {
   for (const auto& [id, bearer] : rec->bearers) {
     EXPECT_TRUE(bearer.active) << id.str();
     if (!bearer.handled_locally) {
-      EXPECT_TRUE(root().ancestor_path_active(bearer.ancestor_key));
+      EXPECT_TRUE(root().holds_ancestor_path(bearer.ancestor_key));
     }
   }
   EXPECT_EQ(net.total_rules(), rules_active);
+
+  // Both come back under the ids their requesters hold, so deactivating
+  // by those ids tears the restored paths down.
+  ASSERT_TRUE(rec->bearers.contains(*delegated));
+  ASSERT_TRUE(rec->bearers.contains(*local));
+  EXPECT_FALSE(rec->bearers.at(*delegated).handled_locally);
+  EXPECT_TRUE(rec->bearers.at(*local).handled_locally);
+  ASSERT_TRUE(west().deactivate_bearer(UeId{1}, *delegated).ok());
+  ASSERT_TRUE(west().deactivate_bearer(UeId{1}, *local).ok());
+  EXPECT_EQ(net.total_rules(), 0u);
+  for (reca::Controller* c : mp->all_controllers())
+    EXPECT_TRUE(c->paths().paths().empty()) << c->name();
+}
+
+TEST_F(MobilityFixture, ActiveDropsAGbrBearerWhoseFloorNoLongerFits) {
+  // Group b's access switch reaches prefix 1 across the s2-s1 link, or
+  // through the root across the region border.
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_b).ok());
+  BearerRequest request = request_for(UeId{1}, bs_b);
+  request.qos.min_bandwidth_kbps = 400000;
+  auto bearer = west().request_bearer(request);
+  ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+  ASSERT_TRUE(west().ue(UeId{1})->bearers.at(*bearer).handled_locally);
+  ASSERT_TRUE(west().ue_idle(UeId{1}).ok());
+  ASSERT_EQ(net.total_rules(), 0u);
+
+  // While the UE is idle, other traffic takes all but 1 Mb/s of every link
+  // in every controller's view: the floor fits nowhere any more.
+  for (reca::Controller* c : mp->all_controllers()) {
+    for (std::size_t i = 0; i < c->nib().links().size(); ++i) {
+      const nos::LinkRecord& link = c->nib().links()[i];
+      ASSERT_TRUE(
+          c->nib().reserve_link_bandwidth(link.a, link.metrics.bandwidth_kbps - 1000).ok());
+    }
+  }
+  const std::uint64_t failed = west().stats().bearers_failed;
+  ASSERT_TRUE(west().ue_active(UeId{1}).ok());
+  EXPECT_TRUE(west().ue(UeId{1})->bearers.empty()) << "the bearer is dropped";
+  EXPECT_EQ(west().stats().bearers_failed, failed + 1);
+  EXPECT_EQ(net.total_rules(), 0u);
+  for (reca::Controller* c : mp->all_controllers())
+    EXPECT_TRUE(c->paths().paths().empty()) << c->name();
 }
 
 TEST_F(MobilityFixture, DetachCleansEverything) {
@@ -321,6 +365,30 @@ TEST_F(MobilityFixture, GroupStateExtractAbsorb) {
   EXPECT_EQ(west().ue_count(), 1u);
   east().absorb_group_state(std::move(moved));
   EXPECT_NE(east().ue(UeId{1}), nullptr);
+}
+
+TEST_F(MobilityFixture, TransferredBearerKeepsItsIdAndIsNotReissued) {
+  // West's first bearer id travels with the UE when group b moves east;
+  // east has issued none yet, so its next bearer for that UE must not
+  // reuse the transferred id.
+  ASSERT_TRUE(west().ue_attach(UeId{1}, bs_b).ok());
+  auto moved = west().request_bearer(request_for(UeId{1}, bs_b));
+  ASSERT_TRUE(moved.ok()) << moved.error().message;
+  ASSERT_TRUE(mp->reassign_gbs(mp->root(), mgmt::gbs_id_for_group(group_b),
+                               mp->leaf(0).abstraction().gswitch_id(),
+                               mp->leaf(1).abstraction().gswitch_id())
+                  .ok());
+  const UeRecord* rec = east().ue(UeId{1});
+  ASSERT_NE(rec, nullptr);
+  ASSERT_TRUE(rec->bearers.contains(*moved));
+  EXPECT_TRUE(rec->bearers.at(*moved).active);
+
+  auto added = east().request_bearer(request_for(UeId{1}, bs_b, PrefixId{2}));
+  ASSERT_TRUE(added.ok()) << added.error().message;
+  EXPECT_NE(*added, *moved);
+  rec = east().ue(UeId{1});
+  EXPECT_EQ(rec->bearers.size(), 2u);
+  EXPECT_EQ(rec->bearers.at(*added).request.dst_prefix, PrefixId{2});
 }
 
 }  // namespace

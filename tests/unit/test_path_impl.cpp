@@ -145,7 +145,7 @@ TEST(PathImplementer, RollbackOnInstallFailure) {
   for (const auto& m : bus.mods)
     removes += m.op == southbound::FlowMod::Op::kRemoveByCookie ? 1 : 0;
   EXPECT_EQ(removes, 2);
-  EXPECT_EQ(paths.active_count(), 0u);
+  EXPECT_TRUE(paths.paths().empty());
 }
 
 TEST(PathImplementer, DeactivateRemovesEveryRule) {
@@ -158,21 +158,35 @@ TEST(PathImplementer, DeactivateRemovesEveryRule) {
   EXPECT_EQ(bus.mods.size(), 3u);
   for (const auto& m : bus.mods)
     EXPECT_EQ(m.op, southbound::FlowMod::Op::kRemoveByCookie);
-  EXPECT_EQ(paths.active_count(), 0u);
-  // Idempotent.
-  ASSERT_TRUE(paths.deactivate(*id).ok());
+  // The path is forgotten: a second deactivation finds nothing to remove.
+  EXPECT_EQ(paths.path(*id), nullptr);
+  EXPECT_TRUE(paths.paths().empty());
+  EXPECT_EQ(paths.deactivate(*id).code(), ErrorCode::kNotFound);
   EXPECT_EQ(bus.mods.size(), 3u);
 }
 
 TEST(PathImplementer, ReactivateReinstalls) {
+  // A deactivated path is gone; bringing it back is a fresh setup of the
+  // same route and classifier, which re-installs every hop's rule.
   RecordingBus bus;
   PathImplementer paths(&bus, 1, 1);
   auto id = paths.setup(three_hop_route(), ue_classifier());
+  ASSERT_TRUE(id.ok());
+  const std::vector<southbound::FlowMod> first = bus.mods;
   ASSERT_TRUE(paths.deactivate(*id).ok());
   bus.mods.clear();
-  ASSERT_TRUE(paths.reactivate(*id).ok());
-  EXPECT_EQ(bus.mods.size(), 3u);
-  EXPECT_EQ(paths.active_count(), 1u);
+  auto again = paths.setup(three_hop_route(), ue_classifier());
+  ASSERT_TRUE(again.ok());
+  EXPECT_NE(*again, *id);
+  ASSERT_EQ(bus.mods.size(), 3u);
+  for (std::size_t i = 0; i < bus.mods.size(); ++i) {
+    EXPECT_EQ(bus.mods[i].op, southbound::FlowMod::Op::kAdd);
+    EXPECT_EQ(bus.mods[i].sw, first[i].sw);
+    EXPECT_EQ(bus.mods[i].rule.match.in_port, first[i].rule.match.in_port);
+  }
+  EXPECT_EQ(bus.mods[0].rule.match.ue, UeId{7});
+  EXPECT_EQ(paths.paths().size(), 1u);
+  EXPECT_NE(paths.path(*again), nullptr);
 }
 
 TEST(PathImplementerTagGc, DrainingLastBearerReturnsRuleCountToBaseline) {
@@ -213,9 +227,10 @@ TEST(PathImplementerTagGc, DrainingLastBearerReturnsRuleCountToBaseline) {
 }
 
 TEST(PathImplementerTagGc, ReactivationRederivesTagThroughAllocator) {
-  // While a tagged path sits deactivated its aggregate ids can drain and be
-  // recycled to other endpoints; reactivate() must re-derive the tag so the
-  // path never aliases a foreign aggregate's transit rules.
+  // Deactivating a tagged path drains its aggregate ids, which can be
+  // recycled to other endpoints. Bringing the path back asks the allocator
+  // for its tag afresh, so it never aliases a foreign aggregate's transit
+  // rules.
   RecordingBus bus;
   dataplane::TagAllocator alloc;
   PathImplementer paths(&bus, 1, 1);
@@ -241,10 +256,14 @@ TEST(PathImplementerTagGc, ReactivationRederivesTagThroughAllocator) {
   ASSERT_TRUE(paths.setup(other, ue_classifier(9), squat_options).ok());
   EXPECT_EQ(squatter, tag) << "recycling must re-issue the drained ids";
 
-  ASSERT_TRUE(paths.reactivate(*id).ok());
-  const InstalledPath* p = paths.path(*id);
+  PathSetupOptions again_options;
+  again_options.shared_tag =
+      Label{alloc.tag_for(SliceId{2}, 3, route.source, route.exit), 1};
+  auto again = paths.setup(route, ue_classifier(1), again_options);
+  ASSERT_TRUE(again.ok());
+  const InstalledPath* p = paths.path(*again);
   ASSERT_NE(p, nullptr);
-  EXPECT_NE(p->label.value, squatter) << "reactivated path must not alias the squatter";
+  EXPECT_NE(p->label.value, squatter) << "re-activated path must not alias the squatter";
   auto decoded = dataplane::decode_tag(p->label.value);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->slice.value, 2u);
@@ -271,7 +290,7 @@ TEST(PathImplementerTagGc, ClassifierFailureReleasesAggregateAndTag) {
   EXPECT_EQ(bus.net_rules(), 0) << "every shared rule must have been removed again";
   EXPECT_TRUE(paths.aggregates().empty());
   EXPECT_TRUE(paths.shared_rules().empty());
-  EXPECT_EQ(paths.active_count(), 0u);
+  EXPECT_TRUE(paths.paths().empty());
   EXPECT_EQ(alloc.ingress_aggregates(), 0u);
   EXPECT_EQ(alloc.egress_aggregates(), 0u);
   EXPECT_EQ(alloc.ids_recycled(), 2u);
@@ -369,7 +388,6 @@ TEST(PathImplementer, RerouteKeepsTheIdAndSwapsTheRules) {
   EXPECT_EQ(paths.paths(), std::vector<PathId>{*id}) << "no replacement id";
   p = paths.path(*id);
   ASSERT_NE(p, nullptr);
-  EXPECT_TRUE(p->active);
   EXPECT_NE(p->label.value, old_label.value) << "untagged path takes a fresh label";
   ASSERT_EQ(p->route.hops.size(), 3u);
   EXPECT_EQ(p->route.hops[1].sw, SwitchId{4});
@@ -389,6 +407,29 @@ TEST(PathImplementer, RerouteKeepsTheIdAndSwapsTheRules) {
     EXPECT_NE(mod.rule.cookie, old_rules[k].second);
   }
   EXPECT_EQ(paths.reroute(PathId{99}, detour).code(), ErrorCode::kNotFound);
+}
+
+TEST(PathImplementer, FailedRerouteErasesThePath) {
+  RecordingBus bus;
+  PathImplementer paths(&bus, 1, 1);
+  auto id = paths.setup(three_hop_route(), ue_classifier());
+  ASSERT_TRUE(id.ok());
+
+  // The detour's core switch refuses the install: the old rules are gone,
+  // the half-installed new ones are rolled back, and so is the path.
+  ComputedRoute detour = three_hop_route();
+  detour.hops[1] = RouteHop{SwitchId{4}, PortId{1}, PortId{2}};
+  bus.fail_on = SwitchId{4};
+  EXPECT_EQ(paths.reroute(*id, detour).code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(paths.path(*id), nullptr);
+  EXPECT_TRUE(paths.paths().empty());
+  EXPECT_EQ(bus.net_rules(), 0);
+
+  auto other = paths.setup(three_hop_route(), ue_classifier(8));
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(paths.reroute(*other, ComputedRoute{}).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(paths.path(*other), nullptr);
+  EXPECT_EQ(bus.net_rules(), 0);
 }
 
 TEST(PathImplementer, LabelsAreUniquePerPathAndTagged) {

@@ -148,8 +148,9 @@ TEST(TagAllocatorGc, RecycledIdsAreReissuedSmallestFirst) {
 
 TEST(TagAllocatorGc, RetagRederivesAfterRecycling) {
   // A stored tag can go stale: its aggregate id drains and is re-issued to a
-  // *different* endpoint. retag() must re-derive through the allocator so a
-  // reactivated path never aliases another endpoint's transit rules.
+  // *different* endpoint. A bearer brought back asks tag_for() afresh with
+  // its stored (slice, clause), so it never aliases another endpoint's
+  // transit rules.
   TagAllocator alloc;
   Endpoint egress{SwitchId{99}, PortId{1}};
   Endpoint original{SwitchId{1}, PortId{1}};
@@ -162,10 +163,13 @@ TEST(TagAllocatorGc, RetagRederivesAfterRecycling) {
       alloc.tag_for(SliceId{3}, 7, Endpoint{SwitchId{2}, PortId{1}}, egress);
   alloc.retain(squatter);
   EXPECT_EQ(decode_tag(squatter)->ingress_agg, 0u);
+  EXPECT_EQ(squatter, stored) << "the stored tag now names the squatter's ids";
 
-  // Reactivation re-derives: the original endpoint now interns a new id, and
-  // the (slice, clause) dimensions survive the re-derivation.
-  std::uint32_t fresh = alloc.retag(stored, original, egress);
+  // Re-derivation: the original endpoint now interns a new id, and the
+  // (slice, clause) dimensions survive it.
+  auto old = decode_tag(stored);
+  ASSERT_TRUE(old.has_value());
+  std::uint32_t fresh = alloc.tag_for(old->slice, old->clause, original, egress);
   EXPECT_NE(fresh, squatter);
   auto decoded = decode_tag(fresh);
   ASSERT_TRUE(decoded.has_value());

@@ -111,23 +111,7 @@ TEST_F(PathReservationTest, AdmissionFailureLeavesNoResidue) {
   auto id = paths.setup(route(), classifier, options);
   EXPECT_EQ(id.code(), ErrorCode::kExhausted);
   EXPECT_DOUBLE_EQ(available(0), 1000);  // first link's reservation rolled back
-  EXPECT_EQ(paths.active_count(), 0u);
-}
-
-TEST_F(PathReservationTest, ReactivateReacquiresBandwidth) {
-  nos::PathSetupOptions options;
-  options.reserve_kbps = 400;
-  dataplane::Match classifier;
-  classifier.ue = UeId{1};
-  auto id = paths.setup(route(), classifier, options);
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(paths.deactivate(*id).ok());
-  // Someone else grabs most of the link; reactivation must fail cleanly.
-  ASSERT_TRUE(nib.reserve_link_bandwidth({SwitchId{1}, PortId{2}}, 800).ok());
-  EXPECT_EQ(paths.reactivate(*id).code(), ErrorCode::kExhausted);
-  EXPECT_TRUE(nib.release_link_bandwidth({SwitchId{1}, PortId{2}}, 800).ok());
-  EXPECT_TRUE(paths.reactivate(*id).ok());
-  EXPECT_DOUBLE_EQ(available(0), 600);
+  EXPECT_TRUE(paths.paths().empty());
 }
 
 TEST_F(PathReservationTest, MiddleboxUtilizationFollowsReservation) {

@@ -294,10 +294,10 @@ class SeededFaultTest : public ::testing::Test {
     request.dst_prefix = PrefixId{3};
     ASSERT_TRUE(mobility.request_bearer(request).ok());
 
-    // Locate the installed path backing the bearer.
+    // Locate the installed path backing the bearer in the (live) path book.
     for (PathId id : leaf->paths().paths()) {
       const nos::InstalledPath* p = leaf->paths().path(id);
-      if (p != nullptr && p->active && p->classifier.ue == UeId{1}) {
+      if (p->classifier.ue == UeId{1}) {
         path = p;
         break;
       }

@@ -38,17 +38,8 @@ HotStandby::HotStandby(reca::Controller& master, southbound::Hub& hub)
 
 void HotStandby::sync(sim::TimePoint at) {
   double us = timed_us([&] {
-    if (checkpoints_ == 0) {
-      // First sync: ship the whole state.
-      ckpt_ = capture_checkpoint(*master_);
-      last_sync_bytes_ = ckpt_.estimated_bytes();
-    } else {
-      // Later syncs ride the delta log: only what changed crosses the wire,
-      // and the stored base rolls forward to match a fresh capture.
-      CheckpointDelta delta = delta_since(ckpt_, *master_);
-      last_sync_bytes_ = delta.estimated_bytes();
-      apply_delta(ckpt_, delta);
-    }
+    // The first sync prices the whole state; later ones only what changed.
+    last_sync_bytes_ = ckpt_.sync(*master_).bytes;
     ++checkpoints_;
   });
   checkpoints_metric_->inc();

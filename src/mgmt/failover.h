@@ -4,12 +4,12 @@
 // system ... shared between the master and standby."
 //
 // This harness models the reliable storage as periodic NIB checkpoints in
-// the shared `mgmt::Checkpoint` format (mgmt/checkpoint.h — the same
-// delta-capable format planned migration streams): the first sync() captures
-// the master's full state, later syncs ship only the delta; promote() builds
-// a standby controller seeded from the checkpoint, takes the master role on
-// every device, and re-runs one discovery round — the paper's "checks the
-// event logs and redoes unfinished events".
+// the shared `mgmt::Checkpoint` format (mgmt/checkpoint.h — the same format
+// planned migration streams): every sync() re-captures the master and is
+// priced by what changed since the last one, so the first ships the full
+// state; promote() builds a standby controller seeded from the checkpoint,
+// takes the master role on every device, and re-runs one discovery round —
+// the paper's "checks the event logs and redoes unfinished events".
 #pragma once
 
 #include <memory>
@@ -30,17 +30,17 @@ class HotStandby {
   /// Watches `master`, a leaf controller whose devices live in `hub`.
   HotStandby(reca::Controller& master, southbound::Hub& hub);
 
-  /// Checkpoints the master's NIB into the "reliable storage". The first
-  /// call captures the full state; later calls compute a `CheckpointDelta`
-  /// against the stored base and roll it forward, so the modeled bytes
-  /// shipped (`failover_checkpoint_bytes_total`) shrink to the change rate.
+  /// Checkpoints the master's NIB into the "reliable storage" with
+  /// `Checkpoint::sync`: the first call ships the full state, later calls
+  /// only what changed, so the modeled bytes shipped
+  /// (`failover_checkpoint_bytes_total`) shrink to the change rate.
   /// `at` stamps the trace event when the caller runs under a simulated
   /// clock.
   void sync(sim::TimePoint at = sim::TimePoint::zero());
   [[nodiscard]] std::uint64_t checkpoints() const { return checkpoints_; }
   /// Modeled bytes the last sync shipped (full size for the first).
   [[nodiscard]] std::uint64_t last_sync_bytes() const { return last_sync_bytes_; }
-  /// The stored checkpoint (migration reuses it as a stream base).
+  /// The stored checkpoint: the master's state as of the last sync.
   [[nodiscard]] const Checkpoint& checkpoint() const { return ckpt_; }
 
   /// True while `master` is the instance this standby watches. A live
@@ -68,7 +68,7 @@ class HotStandby {
   reca::LabelMode label_mode_;
 
   /// Checkpointed state (everything not re-derivable from the data plane),
-  /// in the shared format. Kept rolled-forward by delta syncs.
+  /// in the shared format. Replaced by every sync.
   Checkpoint ckpt_;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t last_sync_bytes_ = 0;

@@ -103,18 +103,25 @@ Result<void> MigrationManager::stream_snapshot() {
   // Same ControllerId and name: the target steps into the source's identity
   // so the parent's child maps, the G-switch id, and app registrations all
   // carry over at the flip.
-  a.base = mgmt::capture_checkpoint(source);
+  a.rec.bytes_snapshot = a.base.sync(source).bytes;
   a.target = std::make_unique<reca::Controller>(source.id(), 1, source.name(),
                                                 mp.label_mode());
   mgmt::restore_checkpoint(*a.target, a.base);
   a.rec.devices = a.base.devices.size();
-  a.rec.bytes_snapshot = a.base.estimated_bytes();
   double stream_ms =
       static_cast<double>(a.rec.bytes_snapshot) / (1024.0 * kStreamKbPerMs);
   a.rec.snapshot_ms = a.placement.control_rtt.to_millis() + stream_ms;
   finish_phase(a, Phase::kSnapshot, a.rec.snapshot_ms);
   a.phase = Phase::kCatchUp;
   return Ok();
+}
+
+std::optional<double> MigrationManager::ship_changes(Active& a, reca::Controller& source) {
+  mgmt::SyncCost cost = a.base.sync(source);
+  if (!cost.changed) return std::nullopt;
+  a.rec.bytes_delta += cost.bytes;
+  mgmt::restore_checkpoint(*a.target, a.base);
+  return static_cast<double>(cost.bytes) / (1024.0 * kStreamKbPerMs);
 }
 
 Result<void> MigrationManager::catch_up() {
@@ -138,22 +145,15 @@ Result<void> MigrationManager::catch_up() {
         static_cast<double>(a.prewarmed.size()) * kSessionPrewarm.to_millis();
   }
 
-  mgmt::CheckpointDelta delta = mgmt::delta_since(a.base, source);
-  double stream_ms = 0;
-  if (!delta.empty()) {
-    a.rec.bytes_delta += delta.estimated_bytes();
-    stream_ms =
-        static_cast<double>(delta.estimated_bytes()) / (1024.0 * kStreamKbPerMs);
-    mgmt::apply_delta(a.base, delta);
-    mgmt::restore_checkpoint(*a.target, a.base);
-  }
-  // Session pre-warming overlaps the delta stream: the round costs one RTT
-  // plus whichever of the two took longer.
-  double round_ms = a.placement.control_rtt.to_millis() + std::max(stream_ms, prewarm_ms);
+  std::optional<double> stream_ms = ship_changes(a, source);
+  // Session pre-warming overlaps the stream: the round costs one RTT plus
+  // whichever of the two took longer.
+  double round_ms =
+      a.placement.control_rtt.to_millis() + std::max(stream_ms.value_or(0), prewarm_ms);
   a.rec.catchup_rounds += 1;
   a.rec.catchup_ms += round_ms;
   finish_phase(a, Phase::kCatchUp, round_ms);
-  if (delta.empty() || a.rec.catchup_rounds >= kMaxCatchupRounds)
+  if (!stream_ms || a.rec.catchup_rounds >= kMaxCatchupRounds)
     a.phase = Phase::kReady;
   return Ok();
 }
@@ -173,15 +173,7 @@ Result<void> MigrationManager::flip() {
 
   // Whatever trickled in since the last catch-up round ships inside the
   // window — it is the only state transfer that counts as disruption.
-  mgmt::CheckpointDelta delta = mgmt::delta_since(a.base, source);
-  double window_ms = kFlipBarrier.to_millis();
-  if (!delta.empty()) {
-    a.rec.bytes_delta += delta.estimated_bytes();
-    window_ms +=
-        static_cast<double>(delta.estimated_bytes()) / (1024.0 * kStreamKbPerMs);
-    mgmt::apply_delta(a.base, delta);
-    mgmt::restore_checkpoint(*a.target, a.base);
-  }
+  double window_ms = kFlipBarrier.to_millis() + ship_changes(a, source).value_or(0);
 
   // The atomic flip: standby sessions promote to master, the parent
   // re-adopts the G-switch, shards rebind, apps re-attach.

@@ -8,9 +8,10 @@
 //              hierarchy keeps its shape) and stream a base checkpoint
 //              (the shared mgmt::Checkpoint format the crash-failover
 //              standby also speaks);
-//   kCatchUp   dual-control window: the source keeps serving while delta
-//              logs replay on the target and its southbound sessions are
-//              pre-warmed as parked standbys on every device;
+//   kCatchUp   dual-control window: the source keeps serving while each
+//              round re-syncs the checkpoint, restores what changed on the
+//              target and pre-warms its southbound sessions as parked
+//              standbys on every device;
 //   kFlip      at an engine barrier, atomically promote the standby
 //              sessions to master, re-adopt the G-switch at the parent,
 //              rebind engine shards and apps (ManagementPlane::migrate_leaf,
@@ -30,6 +31,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,7 +48,7 @@ namespace softmow::migrate {
 enum class Phase {
   kIdle,      ///< no cycle in flight (or cycle created, snapshot not streamed)
   kSnapshot,  ///< streaming the base checkpoint (transient, inside stream_snapshot)
-  kCatchUp,   ///< dual-control window: deltas replay, sessions pre-warm
+  kCatchUp,   ///< dual-control window: changes re-sync, sessions pre-warm
   kReady,     ///< target caught up; flip may proceed
   kFlip,      ///< ownership flipping (transient, inside flip)
   kDrain,     ///< flipped; source awaiting retirement
@@ -66,7 +68,7 @@ struct MigrationRecord {
   std::size_t devices = 0;
   int catchup_rounds = 0;
   std::uint64_t bytes_snapshot = 0;  ///< base checkpoint stream
-  std::uint64_t bytes_delta = 0;     ///< catch-up delta logs
+  std::uint64_t bytes_delta = 0;     ///< changes shipped by catch-up and flip
   double snapshot_ms = 0;
   double catchup_ms = 0;
   double flip_ms = 0;
@@ -102,7 +104,7 @@ class MigrationManager {
   /// checkpoint to it.
   Result<void> stream_snapshot();
   /// One catch-up round (callable repeatedly): first call pre-warms the
-  /// standby sessions; each call replays the delta accumulated since the
+  /// standby sessions; each call ships what changed at the source since the
   /// last. Moves to kReady when a round finds nothing new (or the round
   /// budget is spent).
   Result<void> catch_up();
@@ -144,6 +146,10 @@ class MigrationManager {
   };
 
   void drain_engine();
+  /// Re-syncs `a.base` against `source` and, when anything changed, counts
+  /// the bytes and restores the target from it. Returns the modeled stream
+  /// time in ms, or nullopt when nothing changed.
+  std::optional<double> ship_changes(Active& a, reca::Controller& source);
   void finish_phase(Active& a, Phase p, double ms);
   void close_cycle(Active& a, Phase final_phase, const std::string& detail);
 

@@ -64,6 +64,8 @@ struct ExternalRoute {
   PrefixId prefix;
   double hops = 0;
   double latency_us = 0;
+
+  friend bool operator==(const ExternalRoute&, const ExternalRoute&) = default;
 };
 
 class Nib {

@@ -258,7 +258,8 @@ dataplane::FlowRule PathImplementer::build_rule(const HopRules& r, std::size_t i
     if (options.outer_push) {
       // Pop the local label and push back the ancestor's (§4.3).
       rule.actions.push_back(dataplane::swap_label(*options.outer_push));
-    } else if (options.pop_at_exit) {
+    } else {
+      // The flow leaves this region (or the network): pop the local label.
       rule.actions.push_back(dataplane::pop_label());
       for (int pop = 0; pop < options.extra_pops_at_exit; ++pop)
         rule.actions.push_back(dataplane::pop_label());

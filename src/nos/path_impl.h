@@ -39,9 +39,6 @@ struct PathSetupOptions {
   std::uint32_t version = 0;
   /// Rule priority for installed rules.
   int priority = 100;
-  /// If true, the final switch pops the label before the last output —
-  /// set when the flow leaves this controller's region or the network.
-  bool pop_at_exit = true;
 
   // --- recursive label swapping (§4.3) --------------------------------------
   // Used by RecA when translating a parent's virtual rule onto this

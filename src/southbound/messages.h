@@ -73,6 +73,8 @@ struct GBsAnnounce {
   dataplane::GeoPoint centroid;
   std::vector<BsGroupId> constituent_groups;  ///< physical groups underneath
   bool withdrawn = false;    ///< true: remove this G-BS
+
+  friend bool operator==(const GBsAnnounce&, const GBsAnnounce&) = default;
 };
 
 /// G-middlebox description: one per middlebox type (§3.1).
@@ -84,6 +86,8 @@ struct GMiddleboxAnnounce {
   SwitchId attached_switch;
   PortId attached_port;            ///< the (G-)switch port it hangs off
   bool withdrawn = false;
+
+  friend bool operator==(const GMiddleboxAnnounce&, const GMiddleboxAnnounce&) = default;
 };
 
 struct FlowMod {

@@ -1,10 +1,10 @@
 // Shared checkpoint format (mgmt/checkpoint.h): full capture/restore, the
-// content-addressed delta log, and the HotStandby consumer. The same format
-// feeds crash failover and planned migration, so these tests pin down the
-// convergence contract both rely on: applying a delta to its base reproduces
-// a fresh capture, and an unchanged controller produces an empty (cheap)
-// delta. Bearer churn leaves only live paths in the book, and the delta log
-// carries the erased ones as removals.
+// priced sync, and the HotStandby consumer. The same format feeds crash
+// failover and planned migration, so these tests pin down what both rely
+// on: a sync against an empty checkpoint costs the whole capture, an
+// unchanged controller costs only the fixed header, and an erased path
+// costs one removal record. Bearer churn leaves only live paths in the
+// book, and a standby sync stores only those.
 #include "mgmt/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -56,8 +56,8 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, RestoreReproducesNonDerivableState) {
   reca::Controller& source = mp->leaf(0);
   add_bearer(70001);
-  mgmt::Checkpoint ckpt = mgmt::capture_checkpoint(source);
-  EXPECT_GT(ckpt.estimated_bytes(), 0u);
+  mgmt::Checkpoint ckpt;
+  EXPECT_GT(ckpt.sync(source).bytes, 0u);
   EXPECT_FALSE(ckpt.devices.empty());
 
   reca::Controller restored(source.id(), 1, source.name(), mp->label_mode());
@@ -73,49 +73,38 @@ TEST_F(CheckpointTest, RestoreReproducesNonDerivableState) {
   EXPECT_TRUE(restored.devices().empty());
 }
 
-TEST_F(CheckpointTest, DeltaIsEmptyAndCheapWhenNothingChanged) {
+TEST_F(CheckpointTest, UnchangedMasterCostsOnlyTheHeader) {
   reca::Controller& source = mp->leaf(0);
-  mgmt::Checkpoint base = mgmt::capture_checkpoint(source);
-  mgmt::CheckpointDelta delta = mgmt::delta_since(base, source);
-  EXPECT_TRUE(delta.empty());
-  // An empty delta still carries the fixed header, but costs far less than
-  // re-shipping the full checkpoint.
-  EXPECT_LT(delta.estimated_bytes(), base.estimated_bytes());
+  mgmt::Checkpoint ckpt;
+  mgmt::SyncCost first = ckpt.sync(source);
+  EXPECT_TRUE(first.changed);
+  mgmt::SyncCost again = ckpt.sync(source);
+  EXPECT_FALSE(again.changed);
+  // The fixed header (64) and the allocator cursors (24) ride every sync.
+  EXPECT_EQ(again.bytes, 64u + 24u);
+  EXPECT_LT(again.bytes, first.bytes);
 }
 
-TEST_F(CheckpointTest, ApplyingDeltaConvergesOnFreshCapture) {
+TEST_F(CheckpointTest, ErasedPathsCostARemovalRecordEach) {
   reca::Controller& source = mp->leaf(0);
-  mgmt::Checkpoint base = mgmt::capture_checkpoint(source);
-
   add_bearer(70002);
-  mgmt::CheckpointDelta delta = mgmt::delta_since(base, source);
-  ASSERT_FALSE(delta.empty());
-  // New bearer => new installed paths shipped individually, not a full dump.
-  EXPECT_FALSE(delta.path_upserts.empty());
-  EXPECT_LT(delta.estimated_bytes(), mgmt::capture_checkpoint(source).estimated_bytes());
+  mgmt::Checkpoint ckpt;
+  (void)ckpt.sync(source);
+  std::vector<PathId> held = source.paths().paths();
+  ASSERT_FALSE(held.empty());
 
-  mgmt::apply_delta(base, delta);
-  mgmt::Checkpoint fresh = mgmt::capture_checkpoint(source);
-  EXPECT_EQ(base.nib_version, fresh.nib_version);
-  EXPECT_EQ(base.devices, fresh.devices);
-  EXPECT_EQ(base.border_gbs, fresh.border_gbs);
-  EXPECT_EQ(base.estimated_bytes(), fresh.estimated_bytes());
-  // The strongest form of convergence: after the roll-forward the next delta
-  // finds nothing left to ship.
-  EXPECT_TRUE(mgmt::delta_since(base, source).empty());
-}
-
-TEST_F(CheckpointTest, DeltaRoundsAccumulateAcrossRepeatedChanges) {
-  reca::Controller& source = mp->leaf(0);
-  mgmt::Checkpoint base = mgmt::capture_checkpoint(source);
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    add_bearer(70010 + i);
-    mgmt::CheckpointDelta delta = mgmt::delta_since(base, source);
-    ASSERT_FALSE(delta.empty()) << "round " << i;
-    mgmt::apply_delta(base, delta);
-  }
-  EXPECT_TRUE(mgmt::delta_since(base, source).empty());
-  EXPECT_EQ(base.estimated_bytes(), mgmt::capture_checkpoint(source).estimated_bytes());
+  // Detaching the UE tears its bearer down: its paths leave the book, and
+  // nothing else in the checkpoint moves.
+  ASSERT_TRUE(scenario->apps->mobility(source).ue_detach(UeId{70002}).ok());
+  std::size_t erased = 0;
+  for (PathId id : held) erased += source.paths().path(id) == nullptr ? 1 : 0;
+  ASSERT_GT(erased, 0u);
+  mgmt::SyncCost cost = ckpt.sync(source);
+  EXPECT_TRUE(cost.changed);
+  EXPECT_EQ(cost.bytes, 64u + 24u + 8u * erased);
+  std::vector<PathId> stored;
+  for (const auto& [id, path] : ckpt.paths.paths) stored.push_back(id);
+  EXPECT_EQ(stored, source.paths().paths());
 }
 
 TEST_F(CheckpointTest, HotStandbySyncsShrinkToTheChangeRate) {
@@ -124,17 +113,17 @@ TEST_F(CheckpointTest, HotStandbySyncsShrinkToTheChangeRate) {
   mgmt::HotStandby standby(source, mp->hub());
   EXPECT_EQ(standby.checkpoints(), 1u);
   std::uint64_t full_bytes = standby.last_sync_bytes();
-  EXPECT_EQ(full_bytes, standby.checkpoint().estimated_bytes());
+  EXPECT_EQ(full_bytes, mgmt::Checkpoint{}.sync(source).bytes);
 
   add_bearer(70020);
   standby.sync();
   EXPECT_EQ(standby.checkpoints(), 2u);
-  // The second sync ships only the delta log, not the full state.
+  // The second sync ships only what changed, not the full state.
   EXPECT_GT(standby.last_sync_bytes(), 0u);
   EXPECT_LT(standby.last_sync_bytes(), full_bytes);
-  // The stored checkpoint is rolled forward to the master's current state —
-  // exactly what a migration would stream as its base.
-  EXPECT_TRUE(mgmt::delta_since(standby.checkpoint(), source).empty());
+  // The stored checkpoint is the master's current state.
+  mgmt::Checkpoint stored = standby.checkpoint();
+  EXPECT_FALSE(stored.sync(source).changed);
 }
 
 TEST_F(CheckpointTest, StandbyPromotedFromDeltaSyncedCheckpointMatchesMaster) {
@@ -142,7 +131,7 @@ TEST_F(CheckpointTest, StandbyPromotedFromDeltaSyncedCheckpointMatchesMaster) {
   mgmt::HotStandby standby(source, mp->hub());
   standby.sync();
   add_bearer(70030);
-  standby.sync();  // delta path — promotion must see the post-change state
+  standby.sync();  // a priced re-sync — promotion must see the post-change state
 
   std::size_t routes = source.nib().external_route_count();
   auto gbs_view = source.nib().gbs_list();
@@ -254,24 +243,21 @@ TEST(CheckpointPathBook, BearerChurnLeavesOnlyLivePathsAndTheStandbyShipsRemoval
     EXPECT_EQ(paths_without_rules(*c), 0u) << c->name();
   }
 
-  // The next delta ships every base path that went away as a removal.
-  mgmt::CheckpointDelta delta = mgmt::delta_since(standby.checkpoint(), leaf);
-  std::set<PathId> removed(delta.path_removals.begin(), delta.path_removals.end());
+  // The next sync drops every base path that went away, each priced as a
+  // removal record.
   std::size_t gone = 0;
-  for (PathId id : base_paths) {
-    if (leaf.paths().path(id) != nullptr) continue;
-    ++gone;
-    EXPECT_TRUE(removed.contains(id)) << id.str();
-  }
+  for (PathId id : base_paths) gone += leaf.paths().path(id) == nullptr ? 1 : 0;
   EXPECT_GT(gone, 0u);
   standby.sync();
+  EXPECT_GE(standby.last_sync_bytes(), 64u + 24u + 8u * gone);
   std::vector<PathId> stored;
   for (const auto& [id, path] : standby.checkpoint().paths.paths) {
     stored.push_back(id);
     EXPECT_FALSE(path.rules.empty()) << id.str();
   }
   EXPECT_EQ(stored, leaf.paths().paths());
-  EXPECT_TRUE(mgmt::delta_since(standby.checkpoint(), leaf).empty());
+  mgmt::Checkpoint resync = standby.checkpoint();
+  EXPECT_FALSE(resync.sync(leaf).changed);
 }
 
 }  // namespace

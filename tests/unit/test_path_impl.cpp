@@ -76,7 +76,7 @@ TEST(PathImplementer, OwnPathRules) {
   EXPECT_FALSE(mid.rule.match.ue.has_value());
   EXPECT_FALSE(has_action(mid, dataplane::ActionType::kPushLabel));
 
-  // Exit: pop before output (pop_at_exit default).
+  // Exit: pop the local label before output.
   const auto& last = bus.mods[2];
   EXPECT_TRUE(has_action(last, dataplane::ActionType::kPopLabel));
 }
@@ -165,9 +165,9 @@ TEST(PathImplementer, DeactivateRemovesEveryRule) {
   EXPECT_EQ(bus.mods.size(), 3u);
 }
 
-TEST(PathImplementer, ReactivateReinstalls) {
-  // A deactivated path is gone; bringing it back is a fresh setup of the
-  // same route and classifier, which re-installs every hop's rule.
+TEST(PathImplementer, SecondSetupReinstallsEveryHop) {
+  // A deactivated path is gone; a second setup of the same route and
+  // classifier is a new path that re-installs every hop's rule.
   RecordingBus bus;
   PathImplementer paths(&bus, 1, 1);
   auto id = paths.setup(three_hop_route(), ue_classifier());
@@ -226,48 +226,57 @@ TEST(PathImplementerTagGc, DrainingLastBearerReturnsRuleCountToBaseline) {
   EXPECT_EQ(alloc.ids_recycled(), 2u);
 }
 
-TEST(PathImplementerTagGc, ReactivationRederivesTagThroughAllocator) {
-  // Deactivating a tagged path drains its aggregate ids, which can be
-  // recycled to other endpoints. Bringing the path back asks the allocator
-  // for its tag afresh, so it never aliases a foreign aggregate's transit
-  // rules.
+TEST(TagAllocatorGc, TagForAfterRecyclingTakesNoAlias) {
+  // A stored tag can go stale: deactivating its last path drains the tag's
+  // aggregate ids, and the allocator re-issues them to a *different*
+  // endpoint pair. Asking tag_for() afresh with the stored (slice, clause)
+  // interns new ids, so a path set up again never aliases the other pair's
+  // transit rules.
   RecordingBus bus;
   dataplane::TagAllocator alloc;
   PathImplementer paths(&bus, 1, 1);
   paths.set_tag_allocator(&alloc);
 
   ComputedRoute route = three_hop_route();
-  std::uint32_t tag = alloc.tag_for(SliceId{2}, 3, route.source, route.exit);
+  std::uint32_t stored = alloc.tag_for(SliceId{3}, 7, route.source, route.exit);
   PathSetupOptions options;
-  options.shared_tag = Label{tag, 1};
+  options.shared_tag = Label{stored, 1};
   auto id = paths.setup(route, ue_classifier(1), options);
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(paths.deactivate(*id).ok());  // ids drain and recycle
+  ASSERT_TRUE(paths.deactivate(*id).ok());  // ingress and egress ids recycled
 
-  // A different endpoint pair claims the recycled ingress/egress ids.
+  // A different endpoint pair claims the recycled ids.
   ComputedRoute other;
   other.hops = {RouteHop{SwitchId{5}, PortId{1}, PortId{2}},
                 RouteHop{SwitchId{6}, PortId{1}, PortId{9}}};
   other.source = Endpoint{SwitchId{5}, PortId{1}};
   other.exit = Endpoint{SwitchId{6}, PortId{9}};
-  std::uint32_t squatter = alloc.tag_for(SliceId{2}, 3, other.source, other.exit);
+  std::uint32_t squatter = alloc.tag_for(SliceId{3}, 7, other.source, other.exit);
   PathSetupOptions squat_options;
   squat_options.shared_tag = Label{squatter, 1};
   ASSERT_TRUE(paths.setup(other, ue_classifier(9), squat_options).ok());
-  EXPECT_EQ(squatter, tag) << "recycling must re-issue the drained ids";
+  EXPECT_EQ(dataplane::decode_tag(squatter)->ingress_agg, 0u);
+  EXPECT_EQ(squatter, stored) << "recycling must re-issue the drained ids";
+
+  // Re-derivation: the original pair now interns new ids, and the
+  // (slice, clause) dimensions survive it.
+  auto old = dataplane::decode_tag(stored);
+  ASSERT_TRUE(old.has_value());
+  std::uint32_t fresh = alloc.tag_for(old->slice, old->clause, route.source, route.exit);
+  EXPECT_NE(fresh, squatter);
+  auto decoded = dataplane::decode_tag(fresh);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->slice.value, 3u);
+  EXPECT_EQ(decoded->clause, 7u);
+  EXPECT_NE(decoded->ingress_agg, 0u);
 
   PathSetupOptions again_options;
-  again_options.shared_tag =
-      Label{alloc.tag_for(SliceId{2}, 3, route.source, route.exit), 1};
+  again_options.shared_tag = Label{fresh, 1};
   auto again = paths.setup(route, ue_classifier(1), again_options);
   ASSERT_TRUE(again.ok());
   const InstalledPath* p = paths.path(*again);
   ASSERT_NE(p, nullptr);
-  EXPECT_NE(p->label.value, squatter) << "re-activated path must not alias the squatter";
-  auto decoded = dataplane::decode_tag(p->label.value);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->slice.value, 2u);
-  EXPECT_EQ(decoded->clause, 3u);
+  EXPECT_NE(p->label.value, squatter) << "the path set up again must not alias the squatter";
   EXPECT_EQ(paths.aggregates().size(), 2u);
 }
 

@@ -146,38 +146,6 @@ TEST(TagAllocatorGc, RecycledIdsAreReissuedSmallestFirst) {
   EXPECT_EQ(decode_tag(fresh_b)->ingress_agg, 1u);
 }
 
-TEST(TagAllocatorGc, RetagRederivesAfterRecycling) {
-  // A stored tag can go stale: its aggregate id drains and is re-issued to a
-  // *different* endpoint. A bearer brought back asks tag_for() afresh with
-  // its stored (slice, clause), so it never aliases another endpoint's
-  // transit rules.
-  TagAllocator alloc;
-  Endpoint egress{SwitchId{99}, PortId{1}};
-  Endpoint original{SwitchId{1}, PortId{1}};
-  std::uint32_t stored = alloc.tag_for(SliceId{3}, 7, original, egress);
-  alloc.retain(stored);
-  alloc.release(stored);  // path deactivated: ingress id 0 recycled
-
-  // Another bearer grabs the recycled ingress id 0 for a different endpoint.
-  std::uint32_t squatter =
-      alloc.tag_for(SliceId{3}, 7, Endpoint{SwitchId{2}, PortId{1}}, egress);
-  alloc.retain(squatter);
-  EXPECT_EQ(decode_tag(squatter)->ingress_agg, 0u);
-  EXPECT_EQ(squatter, stored) << "the stored tag now names the squatter's ids";
-
-  // Re-derivation: the original endpoint now interns a new id, and the
-  // (slice, clause) dimensions survive it.
-  auto old = decode_tag(stored);
-  ASSERT_TRUE(old.has_value());
-  std::uint32_t fresh = alloc.tag_for(old->slice, old->clause, original, egress);
-  EXPECT_NE(fresh, squatter);
-  auto decoded = decode_tag(fresh);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->slice.value, 3u);
-  EXPECT_EQ(decoded->clause, 7u);
-  EXPECT_NE(decoded->ingress_agg, 0u);
-}
-
 TEST(TagAllocatorGc, ChurnDoesNotExhaustIdSpace) {
   // More open/close cycles than the 10-bit egress space could hold without
   // GC: every cycle fully drains, so the allocator stays at one live id.

@@ -3,11 +3,14 @@
 // plane returns: the fresh leaf is rebound at the parent-link delay the
 // plane was bound with, keeps the §6 hardening (self-healing, reliable
 // delivery), the tag allocator and the vFabric threshold of the leaf it
-// replaces, serves the apps without a caller re-attaching them, and
-// inherits the outgoing instance's tag references.
+// replaces, serves the apps without a caller re-attaching them, inherits
+// the outgoing instance's tag references, and translates the parent's
+// resync of the rules it already holds exactly once.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
 
 #include "softmow/softmow.h"
 
@@ -245,6 +248,86 @@ TEST_F(LeafSwapTest, MigratedLeafInheritsItsTagReferences) {
 
   expect_new_bearer_tagged(*mgr, i);
   EXPECT_EQ(mp->verify_data_plane().isolation_violations(), 0u);
+}
+
+TEST(LeafSwapResync, FailedOverLeafKeepsOneTranslationOfTheParentsRules) {
+  // Fewer egress points than leaves: a leaf without one delegates every
+  // bearer, so its parent programs them onto the leaf's G-switch.
+  topo::ScenarioParams params = topo::small_scenario_params();
+  params.egress_points = 2;
+  auto scenario = topo::build_scenario(params);
+  mgmt::ManagementPlane& mp = *scenario->mgmt;
+  const PrefixId prefix = scenario->iplane->prefixes().front();
+  // Tags on: a sliced bearer rides its ancestor's tag aggregate, a plain one
+  // a per-path label.
+  slice::SliceManager slices(*scenario, slice::SliceManager::Options{});
+  slice::SliceSpec spec;
+  spec.name = "tenant";
+  const SliceId tenant = *slices.add_slice(spec);
+
+  // The first group whose leaf delegates a probe bearer.
+  std::optional<BsGroupId> delegating;
+  std::uint64_t next_ue = 91000;
+  for (const auto& region : scenario->partition.group_regions) {
+    for (BsGroupId group : region) {
+      if (delegating) break;
+      apps::MobilityApp& mobility = scenario->apps->leaf_mobility_of_group(group);
+      apps::BearerRequest probe;
+      probe.ue = UeId{next_ue++};
+      probe.bs = scenario->net.bs_group(group)->members.front();
+      probe.dst_prefix = prefix;
+      ASSERT_TRUE(mobility.ue_attach(probe.ue, probe.bs).ok());
+      auto bearer = mobility.request_bearer(probe);
+      ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+      if (!mobility.ue(probe.ue)->bearers.at(*bearer).handled_locally) delegating = group;
+      ASSERT_TRUE(mobility.ue_detach(probe.ue).ok());
+    }
+  }
+  ASSERT_TRUE(delegating.has_value()) << "no leaf delegates its bearers";
+  const std::size_t i = mp.leaf_index_of_group(*delegating);
+  const std::size_t rules_before = scenario->net.total_rules();
+  const std::size_t paths_before = mp.leaf(i).paths().paths().size();
+
+  // One labelled and one tag-encapsulated bearer, both served by the parent.
+  apps::BearerRequest labelled;
+  labelled.bs = scenario->net.bs_group(*delegating)->members.front();
+  labelled.dst_prefix = prefix;
+  apps::BearerRequest tagged = labelled;
+  tagged.slice = tenant;
+  std::vector<UeId> ues;
+  for (apps::BearerRequest request : {labelled, tagged}) {
+    request.ue = UeId{next_ue++};
+    apps::MobilityApp& mobility = scenario->apps->leaf_mobility_of_group(*delegating);
+    ASSERT_TRUE(mobility.ue_attach(request.ue, request.bs).ok());
+    auto bearer = mobility.request_bearer(request);
+    ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+    ASSERT_FALSE(mobility.ue(request.ue)->bearers.at(*bearer).handled_locally);
+    ues.push_back(request.ue);
+  }
+  bool parent_tags = false;
+  for (reca::Controller* c : mp.all_controllers())
+    parent_tags |= c->level() > 1 && !c->paths().aggregates().empty();
+  ASSERT_TRUE(parent_tags) << "the sliced bearer rides a tag aggregate at the parent";
+
+  mgmt::HotStandby standby(mp.leaf(i), mp.hub());
+  const std::size_t paths = mp.leaf(i).paths().paths().size();
+  const std::size_t rules = scenario->net.total_rules();
+  ASSERT_GT(paths, paths_before);
+
+  // The parent sees the promoted instance's G-switch Hello and re-sends
+  // every rule it holds there.
+  testing::internal::CaptureStderr();
+  reca::Controller& fresh = mp.fail_over_leaf(i, standby);
+  const std::string log = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(log.find("rejected flow-mod"), std::string::npos) << log;
+  EXPECT_EQ(fresh.paths().paths().size(), paths);
+  EXPECT_EQ(scenario->net.total_rules(), rules);
+
+  // Tearing the bearers down through the promoted leaf leaves no rule.
+  apps::MobilityApp& mobility = scenario->apps->leaf_mobility_of_group(*delegating);
+  for (UeId ue : ues) ASSERT_TRUE(mobility.ue_detach(ue).ok());
+  EXPECT_EQ(fresh.paths().paths().size(), paths_before);
+  EXPECT_EQ(scenario->net.total_rules(), rules_before);
 }
 
 }  // namespace

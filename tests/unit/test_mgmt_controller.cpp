@@ -1,6 +1,6 @@
 // Management plane and controller plumbing: border computation, the
 // reconfiguration protocol's error paths, app request/response correlation,
-// and repair no-ops.
+// repair no-ops, and a G-switch's one-rule-per-cookie contract.
 #include <gtest/gtest.h>
 
 #include "mgmt/failover.h"
@@ -181,6 +181,61 @@ TEST_F(MgmtFixture, HotStandbySyncCountsAndTracksDevices) {
   EXPECT_EQ(promoted->devices().size(), mp->leaf(0).devices().size());
   EXPECT_EQ(promoted->abstraction().border_gbs(),
             mp->leaf(0).abstraction().border_gbs());
+}
+
+TEST(GSwitchFlowMod, RepeatedAddUnderOneCookieIsOneTranslation) {
+  // Fewer egress points than leaves: a leaf without one delegates its
+  // bearers, and its parent programs them onto the leaf's G-switch.
+  topo::ScenarioParams params = topo::small_scenario_params();
+  params.egress_points = 2;
+  auto scenario = topo::build_scenario(params);
+  mgmt::ManagementPlane& mp = *scenario->mgmt;
+  const PrefixId prefix = scenario->iplane->prefixes().front();
+
+  std::uint64_t next_ue = 90000;
+  for (const auto& region : scenario->partition.group_regions) {
+    for (BsGroupId group : region) {
+      const BsId bs = scenario->net.bs_group(group)->members.front();
+      apps::MobilityApp& mobility = scenario->apps->leaf_mobility_of_group(group);
+      reca::Controller& leaf = *mp.leaf_of_group(group);
+      const std::size_t rules_before = scenario->net.total_rules();
+      const std::size_t paths_before = leaf.paths().paths().size();
+      apps::BearerRequest request;
+      request.ue = UeId{next_ue++};
+      request.bs = bs;
+      request.dst_prefix = prefix;
+      ASSERT_TRUE(mobility.ue_attach(request.ue, bs).ok());
+      auto bearer = mobility.request_bearer(request);
+      ASSERT_TRUE(bearer.ok()) << bearer.error().message;
+      if (mobility.ue(request.ue)->bearers.at(*bearer).handled_locally) {
+        ASSERT_TRUE(mobility.ue_detach(request.ue).ok());
+        continue;
+      }
+
+      // The parent re-sends every rule it holds on the leaf's G-switch: the
+      // same adds under the same cookies.
+      const SwitchId gswitch = leaf.abstraction().gswitch_id();
+      reca::Controller* parent = nullptr;
+      for (reca::Controller* c : mp.all_controllers())
+        if (c->child_by_gswitch(gswitch) == &leaf) parent = c;
+      ASSERT_NE(parent, nullptr);
+      const std::size_t paths = leaf.paths().paths().size();
+      const std::size_t rules = scenario->net.total_rules();
+      const std::uint64_t translated = leaf.reca().stats().flowmods_translated;
+      ASSERT_GT(parent->paths().resync_switch(gswitch), 0u);
+      EXPECT_EQ(leaf.reca().stats().flowmods_translated, translated);
+      EXPECT_EQ(leaf.paths().paths().size(), paths);
+      EXPECT_EQ(scenario->net.total_rules(), rules);
+
+      // Tearing the bearer down removes the parent's rules by cookie, and
+      // with them every local rule that translated them.
+      ASSERT_TRUE(mobility.ue_detach(request.ue).ok());
+      EXPECT_EQ(leaf.paths().paths().size(), paths_before);
+      EXPECT_EQ(scenario->net.total_rules(), rules_before);
+      return;
+    }
+  }
+  FAIL() << "no leaf delegates its bearers";
 }
 
 TEST(MgmtBootstrap, SingleRegionHierarchyWorks) {

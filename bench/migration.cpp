@@ -200,8 +200,8 @@ LevelResult run_level(const std::string& label, bool with_mid, bool continuous) 
   crash.leaf = 1 % mp.leaf_count();
   if (auto rec = coord.execute(crash)) out.naive_mttr_ms = rec->mttr_ms;
 
-  // Satellite: the failover standby now syncs deltas over the shared
-  // checkpoint format; surface its last incremental cost.
+  // The failover standby prices its syncs in the shared checkpoint format;
+  // surface the cost of its last, incremental one.
   mgmt::HotStandby probe_standby(mp.leaf(0), mp.hub());
   probe_standby.sync(crash_at + sim::Duration::minutes(1.0));
   out.checkpoint_bytes = probe_standby.last_sync_bytes();

@@ -68,7 +68,7 @@ TEST_F(MigrationTest, BearerServesThroughEveryPhaseOfPlannedMigration) {
   // Dual-control window: the source still serves the data plane...
   EXPECT_EQ(send(ue).outcome, DeliveryReport::Outcome::kExternal);
   // ...and keeps accepting control-plane work — a bearer set up mid-window
-  // is exactly the in-flight state the delta log must carry to the target.
+  // is exactly the in-flight state catch-up must carry to the target.
   UeId ue_mid{90102};
   ASSERT_TRUE(attach(ue_mid));
   EXPECT_EQ(send(ue_mid).outcome, DeliveryReport::Outcome::kExternal);
